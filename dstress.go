@@ -76,8 +76,9 @@ func NewGraph(n, d int) *Graph { return vertex.NewGraph(n, d) }
 // noise α, output-privacy ε, OT provisioning.
 type Config = vertex.Config
 
-// Runtime executes one program over one graph under MPC. It is the
-// simulation backend behind NewSimEngine; most callers should use the
+// Runtime executes one program over one graph under MPC, with one protocol
+// engine per node on an in-process hub. It is the simulation backend
+// behind NewSimEngine; most callers should use the
 // Engine/Session API instead, which also covers cluster deployments and
 // returns the unified Report.
 type Runtime = vertex.Runtime
@@ -96,9 +97,9 @@ const (
 	OTIKNP = vertex.OTIKNP
 )
 
-// NewRuntime builds a runtime: trusted-party setup (§3.4), block GMW
-// sessions, circuit compilation, and initial share state. ctx bounds the
-// deployment bootstrap (base-OT warm-up between in-process peers).
+// NewRuntime builds a runtime: circuit compilation, trusted-party setup
+// (§3.4), and one engine per node. ctx bounds the deployment bootstrap
+// (base-OT warm-up between in-process peers).
 func NewRuntime(ctx context.Context, cfg Config, p *Program, g *Graph) (*Runtime, error) {
 	return vertex.New(ctx, cfg, p, g)
 }

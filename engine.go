@@ -76,14 +76,13 @@ type Result struct {
 // Report summarizes one execution with the same fields in both modes: the
 // per-phase wall times and traffic of the paper's Figures 3–6.
 //
-// Phase semantics per transport: "sim" measures phases on the single
-// driving process and counts bytes sent across all simulated nodes; "tcp"
-// takes each phase's duration as the slowest node's (phases barrier on the
-// protocol's own communication) and halves the summed per-node sent+
-// received counters, so both modes report total bytes *sent* per phase. A
-// tcp Init additionally includes the GMW/OT session handshakes, which the
-// simulation performs at construction time; on a Session only the first
-// query pays it.
+// Both backends fold the per-node reports of the one protocol engine the
+// same way (vertex.FoldReports): each phase's duration is the slowest
+// node's (phases barrier on the protocol's own communication), and phase
+// bytes are the summed per-node sent+received counters halved, i.e. total
+// bytes *sent* per phase. Init includes joining the query's GMW sessions;
+// on "tcp" the first query's Init additionally carries the base-OT
+// handshakes, which "sim" pays at Open.
 type Report struct {
 	// Transport is "sim" or "tcp".
 	Transport string
@@ -116,8 +115,8 @@ type Report struct {
 	UpdateAndGates, AggAndGates int
 	// NodePhases is the per-node phase table behind the folded numbers
 	// above — one row per participant, sorted by node id. Cluster runs
-	// only ("sim" executes every role on one process, so a per-node split
-	// of its wall time is not observable); nil in sim reports.
+	// only: "sim" nodes share one process's cores, so its per-node times
+	// name no straggler; nil in sim reports.
 	NodePhases []NodePhase
 	// Recoveries counts node deaths survived during this query via
 	// re-blocking; ReplayedBarriers is how many phase barriers were
@@ -217,9 +216,6 @@ type EngineConfig struct {
 	// cluster runs always use IKNP (a dealer broker is an in-process
 	// object and cannot span machines).
 	OTMode OTMode
-	// Parallelism caps concurrently executing block MPCs / transfers in
-	// the simulation; 0 means GOMAXPROCS.
-	Parallelism int
 	// TablePFail is the per-decryption failure budget used to size the
 	// ElGamal lookup table (Appendix B); 0 means 1e-12.
 	TablePFail float64
@@ -296,9 +292,8 @@ func (e *SimEngine) vertexConfig(epsilon float64) Config {
 	cfg := Config{
 		Group: e.cfg.Group, K: e.cfg.K, Alpha: e.cfg.Alpha, Epsilon: epsilon,
 		NoiseShift: e.cfg.NoiseShift, OTMode: e.cfg.OTMode,
-		Parallelism: e.cfg.Parallelism, TablePFail: e.cfg.TablePFail,
-		AggFanIn: e.cfg.AggFanIn,
-		Recover:  e.cfg.Recover,
+		TablePFail: e.cfg.TablePFail, AggFanIn: e.cfg.AggFanIn,
+		Recover: e.cfg.Recover,
 	}
 	if e.cfg.ChaosNode > 0 {
 		cfg.Chaos = &vertex.ChaosSpec{
@@ -347,23 +342,7 @@ func (b *simBackend) query(ctx context.Context, seq int, q QuerySpec) (int64, *R
 	if err != nil {
 		return 0, nil, err
 	}
-	out := &Report{
-		Transport: "sim",
-		Nodes:     b.nodes,
-		InitTime:  rep.InitTime, ComputeTime: rep.ComputeTime,
-		CommTime: rep.CommTime, AggTime: rep.AggTime,
-		InitBytes: rep.InitBytes, ComputeBytes: rep.ComputeBytes,
-		CommBytes: rep.CommBytes, AggBytes: rep.AggBytes,
-		WallTime:         time.Since(start),
-		SetupTime:        rep.SetupTime,
-		BaseOTHandshakes: rep.BaseOTHandshakes,
-		AvgNodeBytes:     rep.AvgNodeBytes, MaxNodeBytes: rep.MaxNodeBytes,
-		Iterations:     rep.Iterations,
-		UpdateAndGates: rep.UpdateAndGates, AggAndGates: rep.AggAndGates,
-		Recoveries:       rep.Recoveries,
-		ReplayedBarriers: rep.ReplayedBarriers,
-	}
-	return raw, out, nil
+	return raw, newReport("sim", b.nodes, time.Since(start), rep), nil
 }
 
 func (b *simBackend) fleet() *FleetHealth { return nil }
@@ -383,9 +362,8 @@ type ClusterEngine struct {
 	cfg EngineConfig
 }
 
-// NewClusterEngine returns the loopback-cluster backend. OTMode and
-// Parallelism are ignored: cluster nodes always provision OTs with IKNP
-// and parallelize their own roles.
+// NewClusterEngine returns the loopback-cluster backend. OTMode is ignored:
+// cluster nodes always provision OTs with IKNP.
 func NewClusterEngine(cfg EngineConfig) *ClusterEngine { return &ClusterEngine{cfg: cfg} }
 
 func (e *ClusterEngine) scenario(job Job) (cluster.Scenario, error) {
@@ -481,51 +459,36 @@ func (b *clusterBackend) fleet() *FleetHealth { return b.lb.Health() }
 
 func (b *clusterBackend) close() error { return b.lb.Close() }
 
-// summaryReport folds a cluster Summary's per-node reports into the
-// unified shape: phase times are the slowest node's (the protocol's own
-// communication barriers make that the wall time of the phase), and phase
-// bytes are the summed per-node sent+received counters halved, i.e. total
-// bytes sent — the same quantity the simulation reports.
-func summaryReport(sum *cluster.Summary, nodes int) *Report {
-	out := &Report{Transport: "tcp", Nodes: nodes, WallTime: sum.WallTime}
-	var initB, compB, commB, aggB int64
-	for _, rep := range sum.Reports {
-		if rep.InitTime > out.InitTime {
-			out.InitTime = rep.InitTime
-		}
-		if rep.ComputeTime > out.ComputeTime {
-			out.ComputeTime = rep.ComputeTime
-		}
-		if rep.CommTime > out.CommTime {
-			out.CommTime = rep.CommTime
-		}
-		if rep.AggTime > out.AggTime {
-			out.AggTime = rep.AggTime
-		}
-		if rep.SetupTime > out.SetupTime {
-			out.SetupTime = rep.SetupTime
-		}
-		out.BaseOTHandshakes += rep.BaseOTHandshakes
-		initB += rep.InitBytes
-		compB += rep.ComputeBytes
-		commB += rep.CommBytes
-		aggB += rep.AggBytes
-		out.Iterations = rep.Iterations
-		out.UpdateAndGates = rep.UpdateAndGates
-		out.AggAndGates = rep.AggAndGates
-		if rep.ReplayedBarriers > out.ReplayedBarriers {
-			out.ReplayedBarriers = rep.ReplayedBarriers
-		}
+// newReport lifts a folded vertex.Report (see vertex.FoldReports: phase
+// times are the slowest node's, phase bytes total bytes sent) into the
+// facade's shape.
+func newReport(transport string, nodes int, wall time.Duration, rep *vertex.Report) *Report {
+	return &Report{
+		Transport: transport, Nodes: nodes, WallTime: wall,
+		InitTime: rep.InitTime, ComputeTime: rep.ComputeTime,
+		CommTime: rep.CommTime, AggTime: rep.AggTime,
+		InitBytes: rep.InitBytes, ComputeBytes: rep.ComputeBytes,
+		CommBytes: rep.CommBytes, AggBytes: rep.AggBytes,
+		SetupTime:        rep.SetupTime,
+		BaseOTHandshakes: rep.BaseOTHandshakes,
+		AvgNodeBytes:     rep.AvgNodeBytes, MaxNodeBytes: rep.MaxNodeBytes,
+		Iterations:     rep.Iterations,
+		UpdateAndGates: rep.UpdateAndGates, AggAndGates: rep.AggAndGates,
+		Recoveries:       rep.Recoveries,
+		ReplayedBarriers: rep.ReplayedBarriers,
 	}
-	out.Recoveries = sum.Recoveries
-	out.InitBytes, out.ComputeBytes, out.CommBytes, out.AggBytes = initB/2, compB/2, commB/2, aggB/2
-	out.AvgNodeBytes = sum.AvgNodeBytes()
-	out.MaxNodeBytes = sum.MaxNodeBytes()
-	// Keep the raw per-node rows (sent+received, the node's own view) so
-	// callers can attribute the folded maxima to stragglers.
-	out.NodePhases = make([]NodePhase, 0, len(sum.Reports))
+}
+
+// summaryReport folds a cluster Summary's per-node reports into the unified
+// shape — the same fold the simulation applies to its engines' reports —
+// and keeps the raw per-node rows (sent+received, the node's own view) so
+// callers can attribute the folded maxima to stragglers.
+func summaryReport(sum *cluster.Summary, nodes int) *Report {
+	results := make([]*vertex.NodeResult, 0, len(sum.Reports))
+	phases := make([]NodePhase, 0, len(sum.Reports))
 	for id, rep := range sum.Reports {
-		out.NodePhases = append(out.NodePhases, NodePhase{
+		results = append(results, &vertex.NodeResult{Report: rep, Stats: sum.Stats[id]})
+		phases = append(phases, NodePhase{
 			Node:     int(id),
 			InitTime: rep.InitTime, ComputeTime: rep.ComputeTime,
 			CommTime: rep.CommTime, AggTime: rep.AggTime,
@@ -533,6 +496,10 @@ func summaryReport(sum *cluster.Summary, nodes int) *Report {
 			CommBytes: rep.CommBytes, AggBytes: rep.AggBytes,
 		})
 	}
-	sort.Slice(out.NodePhases, func(a, b int) bool { return out.NodePhases[a].Node < out.NodePhases[b].Node })
+	folded := vertex.FoldReports(results)
+	folded.Recoveries = sum.Recoveries
+	out := newReport("tcp", nodes, sum.WallTime, folded)
+	sort.Slice(phases, func(a, b int) bool { return phases[a].Node < phases[b].Node })
+	out.NodePhases = phases
 	return out
 }

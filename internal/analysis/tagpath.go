@@ -19,7 +19,7 @@ import (
 // stream. So in protocol packages:
 //
 //  1. the tag argument of a transport Send/Recv/Exchange must be a
-//     network.Tag/TagPrefix/QueryRoot call, a variable holding one, or a
+//     network.Tag/TagPrefix call, a variable holding one, or a
 //     '/'-free literal (a fixed root like "setup" is namespace-safe);
 //  2. no other expression may fabricate a '/'-separated path string,
 //     except as a direct argument to a diagnostic sink (span names, error
@@ -34,7 +34,7 @@ var TagPath = &Analyzer{
 
 // tagBuilders are the sanctioned tag constructors (matched by name: the
 // repo has exactly one Tag helper family, in internal/network).
-var tagBuilders = map[string]bool{"Tag": true, "TagPrefix": true, "QueryRoot": true}
+var tagBuilders = map[string]bool{"Tag": true, "TagPrefix": true}
 
 // diagSinks are method names (on any receiver) that take strings never
 // becoming wire tags: span/trace names and error text.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -265,12 +266,12 @@ type Session struct {
 	// deathCh carries read-loop death notices to whichever collect loop
 	// selects first. Buffered to fleet size so readers never block.
 	deathCh chan network.NodeID
-	// Under mu: per-seq attempt numbers and dispatch specs, the checkpoint
-	// table (seq → node → barrier → encrypted blob, opaque to the
-	// coordinator), the recovery counter, and the recovery event log.
+	// ckpts is the table of the nodes' sealed barrier snapshots (opaque to
+	// the coordinator). Under mu: per-seq attempt numbers and dispatch
+	// specs, the recovery counter, and the recovery event log.
+	ckpts      vertex.Checkpoints
 	attempts   map[int]int
 	specs      map[int]querySpec
-	ckpts      map[int]map[network.NodeID]map[int][]byte
 	recoveries int
 	recEvents  []obs.FlightEvent
 
@@ -323,7 +324,9 @@ func (s *Session) readLoop(id network.NodeID, nc *nodeConn) {
 			continue
 		}
 		if m.Ckpt != nil {
-			s.storeCkpt(id, m.Ckpt)
+			if s.recoverOn {
+				s.ckpts.Store(m.Ckpt.Seq, id, m.Ckpt.Barrier, m.Ckpt.Blob)
+			}
 			continue
 		}
 		if m.Done == nil {
@@ -372,28 +375,6 @@ func (s *Session) noteDeath(id network.NodeID, err error) bool {
 	default: // a notice for this fleet state is already queued
 	}
 	return true
-}
-
-// storeCkpt archives one node's encrypted barrier snapshot. The coordinator
-// holds no recovery key: blobs are opaque and only ever handed back to the
-// replacement of a dead node.
-func (s *Session) storeCkpt(id network.NodeID, c *ckptMsg) {
-	if !s.recoverOn {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	byNode := s.ckpts[c.Seq]
-	if byNode == nil {
-		byNode = make(map[network.NodeID]map[int][]byte)
-		s.ckpts[c.Seq] = byNode
-	}
-	byBarrier := byNode[id]
-	if byBarrier == nil {
-		byBarrier = make(map[int][]byte)
-		byNode[id] = byBarrier
-	}
-	byBarrier[c.Barrier] = c.Blob
 }
 
 func (s *Session) failReads(id network.NodeID, err error) {
@@ -697,7 +678,6 @@ func (c *Coordinator) Open(ctx context.Context) (*Session, error) {
 		deathCh:   make(chan network.NodeID, n),
 		attempts:  make(map[int]int),
 		specs:     make(map[int]querySpec),
-		ckpts:     make(map[int]map[network.NodeID]map[int][]byte),
 	}
 	for _, id := range ids {
 		go sess.readLoop(id, conns[id])
@@ -751,8 +731,8 @@ func (s *Session) Run(ctx context.Context, q Query) (*Summary, error) {
 		delete(s.pending, seq)
 		delete(s.attempts, seq)
 		delete(s.specs, seq)
-		delete(s.ckpts, seq)
 		s.mu.Unlock()
+		s.ckpts.Drop(seq)
 	}()
 	// Register with the health plane: the stall watchdog tracks the query
 	// from dispatch, and a driver-side progress callback (if the context
@@ -791,18 +771,17 @@ func (s *Session) runQuery(ctx context.Context, q Query, cfg ConfigWire, g *vert
 	// snapshot can never name a retired connection.
 	s.mu.Lock()
 	live := append([]network.NodeID(nil), s.ids...)
+	assignment := s.setup.Assignment
 	s.mu.Unlock()
 	for _, id := range live {
 		job := jobMsg{
 			Cfg:        cfg,
 			Prog:       s.c.sc.Prog,
-			InitState:  g.InitState[id-1],
-			Priv:       g.Priv[id-1],
+			Inputs:     vertex.OwnerInputs(g, assignment, id),
 			Iterations: q.Iterations,
 			Seq:        seq,
 			Attempt:    1,
 			Recover:    s.recoverOn,
-			Adopted:    s.adoptedFor(id),
 		}
 		if first {
 			job.Topo = TopologyWire{D: g.D, Out: g.Out}
@@ -947,66 +926,20 @@ type resumePlan struct {
 	spec                  querySpec
 }
 
-// adoptedFor lists the vertices node id acts as owner of without being
-// their registered owner — non-empty only after a re-blocking — together
-// with the owners' inputs (the coordinator is the experiment driver and
-// holds every owner's inputs; see the wire package comment).
-func (s *Session) adoptedFor(id network.NodeID) map[int]adoptedInput {
-	s.mu.Lock()
-	setup := s.setup
-	s.mu.Unlock()
-	g := s.c.sc.Graph
-	var m map[int]adoptedInput
-	for v := 0; v < g.N(); v++ {
-		owner := g.NodeOf(v)
-		if owner == id || setup.Assignment.Blocks[owner][0] != id {
-			continue
-		}
-		if m == nil {
-			m = make(map[int]adoptedInput)
-		}
-		m[v] = adoptedInput{InitState: g.InitState[v], Priv: g.Priv[v]}
-	}
-	return m
-}
-
 // resumeJob rebuilds node id's job message for a resumed attempt of one
-// in-flight query. Topology, directory, and setup are omitted: the fleet is
-// standing and the enclosing recoverMsg carries the new setup.
-func (s *Session) resumeJob(id network.NodeID, p resumePlan) jobMsg {
-	g := s.c.sc.Graph
+// in-flight query under the re-blocked assignment. Topology, directory, and
+// setup are omitted: the fleet is standing and the enclosing recoverMsg
+// carries the new setup.
+func (s *Session) resumeJob(id network.NodeID, p resumePlan, a trustedparty.Assignment) jobMsg {
 	return jobMsg{
 		Cfg:        p.spec.cfg,
 		Prog:       s.c.sc.Prog,
-		InitState:  g.InitState[id-1],
-		Priv:       g.Priv[id-1],
+		Inputs:     vertex.OwnerInputs(s.c.sc.Graph, a, id),
 		Iterations: p.spec.iterations,
 		Seq:        p.seq,
 		Attempt:    p.attempt,
 		Recover:    true,
-		Adopted:    s.adoptedFor(id),
 	}
-}
-
-// minBarrierLocked picks query q's resume barrier: the latest checkpoint
-// barrier every fleet member (the casualty included — its blob is what the
-// replacement restores from) has shipped, or −1 when some node never
-// checkpointed the query at all (then it restarts from initialization).
-// Caller holds s.mu.
-func (s *Session) minBarrierLocked(q int) int {
-	b := -1
-	for i, id := range s.ids {
-		latest := -1
-		for bb := range s.ckpts[q][id] {
-			if bb > latest {
-				latest = bb
-			}
-		}
-		if i == 0 || latest < b {
-			b = latest
-		}
-	}
-	return b
 }
 
 // recoverDead re-blocks the session around one dead node and resumes every
@@ -1021,7 +954,7 @@ func (s *Session) recoverDead(hint network.NodeID, seq, attempt int) error {
 	defer s.recMu.Unlock()
 	s.mu.Lock()
 	closed := s.closed
-	hintLive := hint != 0 && indexOf(s.ids, hint) >= 0
+	hintLive := hint != 0 && slices.Contains(s.ids, hint)
 	cur := normAttempt(s.attempts[seq])
 	s.mu.Unlock()
 	if closed {
@@ -1049,53 +982,23 @@ func (s *Session) recoverDead(hint network.NodeID, seq, attempt int) error {
 	candidates := append([]network.NodeID(nil), s.ids...)
 	setup := s.setup
 	s.mu.Unlock()
-	if indexOf(candidates, dead) < 0 {
+	if !slices.Contains(candidates, dead) {
 		return nil // already re-blocked around this casualty
 	}
 
-	// The replacement inherits the casualty's owner slots; it must share no
-	// block with it, or it would hold two shares of one secret. Lowest live
-	// id wins for determinism.
-	var repl network.NodeID
-	for _, id := range candidates {
-		if id != dead && trustedparty.ReplacementOK(setup.Assignment, dead, id) {
-			repl = id
-			break
-		}
-	}
-	if repl == 0 {
-		return fmt.Errorf("cluster: replacing dead node %d: %w", dead, trustedparty.ErrNoReplacement)
-	}
-	next, err := s.tp.Reblock(setup, s.regs, dead, repl)
+	rec, err := vertex.PlanRecovery(s.tp, setup, s.regs, s.c.sc.Graph, candidates, dead)
 	if err != nil {
 		return fmt.Errorf("cluster: re-blocking around node %d: %w", dead, err)
 	}
+	repl, next := rec.Repl, rec.Setup
 	wireNext := trustedparty.MarshalSetup(s.c.grp, next)
-
-	// Vertices the replacement adopts: every vertex whose acting owner was
-	// the casualty under the assignment being replaced. The adjuster role
-	// for edges into an adopted vertex needs the ORIGINAL registrant's
-	// neighbor keys — the re-issued certificates are randomized under them —
-	// and chained deaths resolve naturally because each vertex keeps
-	// pointing at its registrant via NodeOf.
-	g := s.c.sc.Graph
-	regByID := make(map[network.NodeID]trustedparty.NodeRegistration, len(s.regs))
-	for _, r := range s.regs {
-		regByID[r.ID] = r
-	}
-	adoptedKeys := make(map[int][][]byte)
-	adoptedIns := make(map[int]adoptedInput)
-	for v := 0; v < g.N(); v++ {
-		if setup.Assignment.Blocks[g.NodeOf(v)][0] != dead {
-			continue
-		}
-		reg := regByID[g.NodeOf(v)]
-		keys := make([][]byte, len(reg.NeighborKeys))
-		for j, nk := range reg.NeighborKeys {
+	adoptedKeys := make(map[int][][]byte, len(rec.AdoptedKeys))
+	for v, nks := range rec.AdoptedKeys {
+		keys := make([][]byte, len(nks))
+		for j, nk := range nks {
 			keys[j] = nk.Bytes()
 		}
 		adoptedKeys[v] = keys
-		adoptedIns[v] = adoptedInput{InitState: g.InitState[v], Priv: g.Priv[v]}
 	}
 
 	// Commit: bump every in-flight query's attempt, retire the casualty,
@@ -1109,12 +1012,12 @@ func (s *Session) recoverDead(hint network.NodeID, seq, attempt int) error {
 	var plans []resumePlan
 	deadBlobs := make(map[int][]byte)
 	for q := range s.pending {
-		b := s.minBarrierLocked(q)
+		b := s.ckpts.ResumeBarrier(q, s.ids)
 		na := normAttempt(s.attempts[q]) + 1
 		s.attempts[q] = na
 		plans = append(plans, resumePlan{seq: q, attempt: na, barrier: b, spec: s.specs[q]})
 		if b >= 0 {
-			deadBlobs[q] = s.ckpts[q][dead][b]
+			deadBlobs[q] = s.ckpts.Blob(q, dead, b)
 		}
 	}
 	sort.Slice(plans, func(i, j int) bool { return plans[i].seq < plans[j].seq })
@@ -1153,13 +1056,12 @@ func (s *Session) recoverDead(hint network.NodeID, seq, attempt int) error {
 		rm := recoverMsg{Epoch: epoch, Dead: dead, Repl: repl, Setup: wireNext}
 		if id == repl {
 			rm.AdoptedKeys = adoptedKeys
-			rm.AdoptedInputs = adoptedIns
 			rm.DeadBlobs = deadBlobs
 		}
 		for _, p := range plans {
 			rm.Resumes = append(rm.Resumes, resumeSpec{
 				Seq: p.seq, Attempt: p.attempt, Barrier: p.barrier,
-				Job: s.resumeJob(id, p),
+				Job: s.resumeJob(id, p, next.Assignment),
 			})
 		}
 		s.mu.Lock()

@@ -3,16 +3,16 @@
 // in-MPC noising, flat or tree aggregation — across genuinely separate
 // processes connected by internal/tcpnet.
 //
-// The paper's evaluation (§5) runs one node per EC2 machine; the simulated
-// runtime in internal/vertex plays every node's role in one process against
-// the in-memory hub. This package is the bridge between the two: a
-// Coordinator (the experiment driver, which also plays the trusted party of
-// §3.4) and node daemons that each execute exactly one participant's roles
-// against a network.Transport. The per-node engine in node.go mirrors
-// vertex.Runtime's schedule step for step — same tags, same message
-// ordering — restricted to the roles the local node actually plays, so a
-// cluster run and a simulated run of the same scenario are byte-compatible
-// on the wire.
+// The paper's evaluation (§5) runs one node per EC2 machine. The protocol
+// itself — every role a participant plays against a network.Transport — is
+// vertex.Engine; vertex.Runtime stands N of them on the in-memory hub. This
+// package is the other shell around the same engine: a Coordinator (the
+// experiment driver, which also plays the trusted party of §3.4) and node
+// daemons that each wrap exactly one engine in the TCP control plane —
+// registration, job dispatch, heartbeats, checkpoint shipping, recovery
+// announcements — and check every byte that arrives over it. Because both
+// shells run one engine, a cluster run and a simulated run of the same
+// scenario are byte-compatible on the wire by construction.
 package cluster
 
 import (

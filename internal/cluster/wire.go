@@ -147,11 +147,14 @@ type jobMsg struct {
 	// ride only on a session's first job. Later jobs reuse the node's
 	// standing graph, peer connections, and GMW sessions.
 	Topo TopologyWire
-	// InitState and Priv are the receiving node's own vertex inputs; they
-	// are resent on every job so a regulator can re-query after owners
-	// update their books.
-	InitState int64
-	Priv      []uint8
+	// Inputs are the owner inputs of every vertex the receiving node acts
+	// as owner of — its own vertex, plus any it adopted in an earlier
+	// re-blocking — keyed by vertex index. They are resent on every job so
+	// a regulator can re-query after owners update their books. The
+	// coordinator is the experiment driver and already holds every owner's
+	// inputs (see the package comment), so handing a dead owner's inputs to
+	// its replacement adds no new trust exposure.
+	Inputs map[int]vertex.OwnerInput
 	// Directory maps node id → data-plane address for every participant.
 	Directory map[network.NodeID]string
 	Setup     trustedparty.WireSetup
@@ -174,21 +177,6 @@ type jobMsg struct {
 	// share snapshots at every phase barrier, and survive run failures
 	// (report them on doneMsg without poisoning the standing daemon).
 	Recover bool
-	// Adopted carries inputs for vertices this node is the *acting* owner
-	// of after earlier re-blockings — vertices whose registered owner died
-	// and whose owner slot this node inherited. Keyed by vertex index.
-	// Empty before any recovery.
-	Adopted map[int]adoptedInput
-}
-
-// adoptedInput is the per-vertex owner input for a vertex whose acting
-// owner is not its registered owner (the registrant died and this vertex's
-// owner slot was re-assigned). The coordinator is the experiment driver and
-// already holds every owner's inputs (see the package comment), so handing
-// the dead owner's inputs to the replacement adds no new trust exposure.
-type adoptedInput struct {
-	InitState int64
-	Priv      []uint8
 }
 
 // ckptMsg ships one node's encrypted share snapshot for one phase barrier
@@ -219,11 +207,11 @@ type resumeSpec struct {
 
 // recoverMsg announces a re-blocking: node Dead is gone, node Repl takes
 // its owner slot, Setup is the TP's re-signed assignment with re-issued
-// certificates, and Resumes lists the in-flight queries to resume. The
-// replacement additionally receives the dead registrant's neighbor keys,
-// the adopted vertices' owner inputs, and the dead node's latest
-// checkpoint blobs (decryptable with the fleet recovery key the
-// coordinator never held).
+// certificates, and Resumes lists the in-flight queries to resume (their
+// jobs carry the adopted vertices' owner inputs). The replacement
+// additionally receives the dead registrant's neighbor keys and the dead
+// node's latest checkpoint blobs (decryptable with the fleet recovery key
+// the coordinator never held). It is vertex.Recovery on the wire.
 type recoverMsg struct {
 	// Epoch counts re-blockings on this session, starting at 1.
 	Epoch int
@@ -236,9 +224,6 @@ type recoverMsg struct {
 	// needs the ORIGINAL registrant's keys — the re-issued certificates
 	// were randomized under them.
 	AdoptedKeys map[int][][]byte
-	// AdoptedInputs maps vertex → owner inputs; sent to the replacement
-	// only.
-	AdoptedInputs map[int]adoptedInput
 	// DeadBlobs maps seq → the dead node's checkpoint blob at exactly that
 	// query's resume barrier; sent to the replacement only.
 	DeadBlobs map[int][]byte

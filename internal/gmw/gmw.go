@@ -41,7 +41,6 @@ import (
 	"sync"
 
 	"dstress/internal/circuit"
-	"dstress/internal/group"
 	"dstress/internal/network"
 	"dstress/internal/obs"
 	"dstress/internal/ot"
@@ -49,12 +48,6 @@ import (
 
 // OTOption selects how the pairwise oblivious transfers are provisioned.
 type OTOption interface{ otOption() }
-
-// IKNPOT bootstraps fresh DH base OTs over Group for this one session and
-// extends them with IKNP. Deployments that stand up many sessions should
-// use SubstrateOT instead, which pays the public-key bootstrap once per
-// node pair; IKNPOT remains for self-contained two-party uses and tests.
-type IKNPOT struct{ Group group.Group }
 
 // SubstrateOT attaches the session to a deployment-wide pairwise OT
 // substrate: the base-OT handshake runs (at most) once per ordered node
@@ -64,14 +57,13 @@ type IKNPOT struct{ Group group.Group }
 type SubstrateOT struct{ Sub *ot.Substrate }
 
 // DealerOT draws correlated randomness from a trusted-party broker
-// (offline/online split). Online traffic is identical to the IKNP options
+// (offline/online split). Online traffic is identical to SubstrateOT's
 // minus the 16-byte-per-OT extension messages; see internal/ot for the
 // argument that this preserves the TP's never-sees-private-data property.
 // One broker serves a whole deployment: sessions get independent streams
 // derived from the broker's per-pair master seeds by session tag.
 type DealerOT struct{ Broker *ot.DealerBroker }
 
-func (IKNPOT) otOption()      {}
 func (SubstrateOT) otOption() {}
 func (DealerOT) otOption()    {}
 
@@ -87,7 +79,7 @@ type Config struct {
 	Transport network.Transport
 	// Tag namespaces this session's traffic.
 	Tag string
-	// OT selects the OT provisioning (SubstrateOT, IKNPOT or DealerOT).
+	// OT selects the OT provisioning (SubstrateOT or DealerOT).
 	OT OTOption
 }
 
@@ -103,11 +95,10 @@ type Party struct {
 	seq  int
 }
 
-// NewParty joins the session described by cfg. For IKNPOT the call blocks
-// until all peers join (base-OT handshakes), so the n parties must call it
-// concurrently; for SubstrateOT it blocks only on pairs whose one-time
-// handshake hasn't happened yet. Canceling ctx aborts a handshake stuck on
-// an absent peer.
+// NewParty joins the session described by cfg. For SubstrateOT the call
+// blocks on pairs whose one-time base-OT handshake hasn't happened yet, so
+// the n parties must call it concurrently. Canceling ctx aborts a handshake
+// stuck on an absent peer.
 func NewParty(ctx context.Context, cfg Config) (*Party, error) {
 	n := len(cfg.Parties)
 	if n < 2 {
@@ -156,7 +147,7 @@ func NewParty(ctx context.Context, cfg Config) (*Party, error) {
 			p.send[j] = ot.NewBitSender(ds, p.ep, cfg.Parties[j], sTag)
 			p.recv[j] = ot.NewBitReceiver(dr, p.ep, cfg.Parties[j], rTag)
 		}
-	case IKNPOT, SubstrateOT:
+	case SubstrateOT:
 		// Run all 2(n-1) attachments concurrently; they interleave freely
 		// because tags separate the directions.
 		var wg sync.WaitGroup
@@ -169,18 +160,6 @@ func NewParty(ctx context.Context, cfg Config) (*Party, error) {
 			}
 			mu.Unlock()
 		}
-		mkSender := func(ctx context.Context, peer network.NodeID, tag string) (*ot.IKNPSender, error) {
-			if sub, ok := opt.(SubstrateOT); ok {
-				return sub.Sub.SenderFor(ctx, peer, tag)
-			}
-			return ot.NewIKNPSender(ctx, opt.(IKNPOT).Group, p.ep, peer, tag)
-		}
-		mkReceiver := func(ctx context.Context, peer network.NodeID, tag string) (*ot.IKNPReceiver, error) {
-			if sub, ok := opt.(SubstrateOT); ok {
-				return sub.Sub.ReceiverFor(ctx, peer, tag)
-			}
-			return ot.NewIKNPReceiver(ctx, opt.(IKNPOT).Group, p.ep, peer, tag)
-		}
 		for j := 0; j < n; j++ {
 			if j == p.me {
 				continue
@@ -190,7 +169,7 @@ func NewParty(ctx context.Context, cfg Config) (*Party, error) {
 			go func() {
 				defer wg.Done()
 				sTag := network.Tag(cfg.Tag, "ot", p.me, j)
-				src, err := mkSender(ctx, cfg.Parties[j], sTag)
+				src, err := opt.Sub.SenderFor(ctx, cfg.Parties[j], sTag)
 				if err != nil {
 					record(err)
 					return
@@ -202,7 +181,7 @@ func NewParty(ctx context.Context, cfg Config) (*Party, error) {
 			go func() {
 				defer wg.Done()
 				rTag := network.Tag(cfg.Tag, "ot", j, p.me)
-				src, err := mkReceiver(ctx, cfg.Parties[j], rTag)
+				src, err := opt.Sub.ReceiverFor(ctx, cfg.Parties[j], rTag)
 				if err != nil {
 					record(err)
 					return

@@ -76,7 +76,6 @@ func runSession(t testing.TB, n int, c *circuit.Circuit, inputs []uint8, otOpt f
 }
 
 func dealerOpt() OTOption { return DealerOT{Broker: ot.NewDealerBroker()} }
-func iknpOpt() OTOption   { return IKNPOT{Group: group.ModP256()} }
 
 func TestANDTruthTable(t *testing.T) {
 	b := circuit.NewBuilder()
@@ -167,20 +166,6 @@ func TestQuickGMWMatchesPlaintext(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIKNPSession(t *testing.T) {
-	// Full IKNP path (real base OTs) with 3 parties on a small circuit.
-	b := circuit.NewBuilder()
-	x := b.InputWord(8)
-	y := b.InputWord(8)
-	b.OutputWord(b.Mul(x, y))
-	c := b.Build()
-	in := append(circuit.EncodeWord(9, 8), circuit.EncodeWord(11, 8)...)
-	got := runSession(t, 3, c, in, iknpOpt)
-	if v := circuit.DecodeWordU(got); v != 99 {
-		t.Errorf("9*11 = %d", v)
 	}
 }
 

@@ -59,29 +59,14 @@ type Transport interface {
 // traffic counters: a conservative stand-in for TCP/IP+TLS framing.
 const DefaultHeaderOverhead = 64
 
-// Network is the in-process message hub.
+// Network is the in-process message hub. Traffic is accounted per node, on
+// the endpoints: every Send charges the sender's and the receiver's own
+// counters, so an Endpoint reports what a tcpnet.Peer would — this node's
+// bytes, by tag prefix — and the hub-wide figures are sums over endpoints.
 type Network struct {
 	mu        sync.Mutex
 	endpoints map[NodeID]*Endpoint
 	overhead  int
-
-	// Traffic accounting.
-	sentBytes map[NodeID]int64
-	recvBytes map[NodeID]int64
-	sentMsgs  map[NodeID]int64
-	// Per-tag-prefix accounting: which protocol layer the bytes belong to
-	// (first "/"-separated tag component — "blk", "tx", "aggsh", … — or
-	// "q/<id>/<layer>" for query-rooted tags).
-	tagStats map[string]TagStat
-	// Per-query accounting, keyed by query root ("q/<id>"): total bytes and
-	// per-node sent+received bytes, so overlapping queries on one hub each
-	// get their own phase/traffic numbers.
-	queryStats map[string]*queryStat
-}
-
-type queryStat struct {
-	total     int64
-	nodeBytes map[NodeID]int64 // sent+received per node
 }
 
 // New creates an empty network with the default header overhead.
@@ -89,12 +74,6 @@ func New() *Network {
 	return &Network{
 		endpoints: make(map[NodeID]*Endpoint),
 		overhead:  DefaultHeaderOverhead,
-		sentBytes: make(map[NodeID]int64),
-		recvBytes: make(map[NodeID]int64),
-		sentMsgs:  make(map[NodeID]int64),
-		tagStats:  make(map[string]TagStat),
-
-		queryStats: make(map[string]*queryStat),
 	}
 }
 
@@ -108,38 +87,33 @@ func (n *Network) SetHeaderOverhead(b int) {
 
 // Endpoint returns (creating if necessary) the endpoint for id.
 func (n *Network) Endpoint(id NodeID) *Endpoint {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if e, ok := n.endpoints[id]; ok {
-		return e
-	}
-	e := &Endpoint{net: n, id: id, boxes: make(map[boxKey]*mailbox)}
-	n.endpoints[id] = e
+	e, _ := n.route(id)
 	return e
 }
 
-func (n *Network) account(from, to NodeID, tag string, payload int) {
+// route returns the endpoint for id together with the framing overhead, in
+// one critical section: the pair every Send needs.
+func (n *Network) route(id NodeID) (*Endpoint, int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	total := int64(payload + n.overhead)
-	n.sentBytes[from] += total
-	n.recvBytes[to] += total
-	n.sentMsgs[from]++
-	ts := n.tagStats[TagPrefix(tag)]
-	ts.BytesSent += total
-	ts.BytesReceived += total // in-process delivery: every sent byte arrives
-	ts.MessagesSent++
-	n.tagStats[TagPrefix(tag)] = ts
-	if root := QueryRoot(tag); root != "" {
-		qs, ok := n.queryStats[root]
-		if !ok {
-			qs = &queryStat{nodeBytes: make(map[NodeID]int64)}
-			n.queryStats[root] = qs
-		}
-		qs.total += total
-		qs.nodeBytes[from] += total
-		qs.nodeBytes[to] += total
+	e, ok := n.endpoints[id]
+	if !ok {
+		e = &Endpoint{net: n, id: id, boxes: make(map[boxKey]*mailbox), tags: make(map[string]TagStat)}
+		n.endpoints[id] = e
 	}
+	return e, n.overhead
+}
+
+// all snapshots the endpoint set so hub-wide reads take each endpoint's own
+// lock outside n.mu.
+func (n *Network) all() []*Endpoint {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	eps := make([]*Endpoint, 0, len(n.endpoints))
+	for _, e := range n.endpoints {
+		eps = append(eps, e)
+	}
+	return eps
 }
 
 // Stats is a snapshot of a node's traffic counters.
@@ -149,9 +123,9 @@ type Stats struct {
 	MessagesSent  int64
 }
 
-// TagStat aggregates the traffic carried under one tag prefix — the
-// protocol layer the bytes belong to. On the in-process hub sent and
-// received are equal; on tcpnet they are measured independently per side.
+// TagStat aggregates one node's traffic under one tag prefix — the protocol
+// layer the bytes belong to. Sent and received are counted independently:
+// on the hub at Send time for both ends, on tcpnet per side.
 type TagStat struct {
 	BytesSent     int64
 	BytesReceived int64
@@ -159,7 +133,7 @@ type TagStat struct {
 }
 
 // TagTracker is optionally implemented by transports that keep per-tag-
-// prefix traffic counters (the hub Network and tcpnet.Peer both do). It is
+// prefix traffic counters (the hub Endpoint and tcpnet.Peer both do). It is
 // deliberately NOT part of Transport: the Transport contract is frozen by
 // the networktest conformance suite, and observability is an optional
 // capability discovered by type assertion.
@@ -193,16 +167,12 @@ func TagPrefix(tag string) string {
 	return tag
 }
 
-// QueryRoot returns the "q/<id>" namespace a tag lives under, or "" for
-// tags outside any query (setup handshakes, control traffic).
-func QueryRoot(tag string) string {
-	if !strings.HasPrefix(tag, "q/") {
-		return ""
-	}
-	if j := strings.IndexByte(tag[2:], '/'); j >= 0 {
-		return tag[:2+j]
-	}
-	return tag
+// TagUnder reports whether tag equals prefix or lives under it at a "/"
+// component boundary: "q/3" covers "q/3" and "q/3/...", never "q/30". It is
+// the one namespace-membership test — per-query accounting and retirement
+// on every transport and the dealer broker all use it.
+func TagUnder(tag, prefix string) bool {
+	return tag == prefix || (strings.HasPrefix(tag, prefix) && len(tag) > len(prefix) && tag[len(prefix)] == '/')
 }
 
 // TagRetirer is optionally implemented by transports that can retire the
@@ -215,35 +185,22 @@ type TagRetirer interface {
 	RetireTagPrefix(prefix string)
 }
 
-// TagStats returns a snapshot of the per-tag-prefix traffic counters.
-func (n *Network) TagStats() map[string]TagStat {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make(map[string]TagStat, len(n.tagStats))
-	for k, v := range n.tagStats {
-		out[k] = v
-	}
-	return out
-}
-
 // NodeStats returns the traffic snapshot for one node.
 func (n *Network) NodeStats(id NodeID) Stats {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	return Stats{
-		BytesSent:     n.sentBytes[id],
-		BytesReceived: n.recvBytes[id],
-		MessagesSent:  n.sentMsgs[id],
+	e := n.endpoints[id]
+	n.mu.Unlock()
+	if e == nil {
+		return Stats{}
 	}
+	return e.Stats()
 }
 
 // TotalBytes returns the sum of bytes sent by all nodes.
 func (n *Network) TotalBytes() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	var t int64
-	for _, b := range n.sentBytes {
-		t += b
+	for _, e := range n.all() {
+		t += e.Stats().BytesSent
 	}
 	return t
 }
@@ -251,12 +208,10 @@ func (n *Network) TotalBytes() int64 {
 // MaxNodeBytes returns the largest per-node sent+received byte count: the
 // "traffic per node" quantity Figures 4–6 plot.
 func (n *Network) MaxNodeBytes() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	var m int64
-	for id := range n.endpoints {
-		if v := n.sentBytes[id] + n.recvBytes[id]; v > m {
-			m = v
+	for _, e := range n.all() {
+		if s := e.Stats(); s.BytesSent+s.BytesReceived > m {
+			m = s.BytesSent + s.BytesReceived
 		}
 	}
 	return m
@@ -265,112 +220,34 @@ func (n *Network) MaxNodeBytes() int64 {
 // AvgNodeBytes returns the mean per-node sent+received byte count over all
 // endpoints that exist.
 func (n *Network) AvgNodeBytes() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.endpoints) == 0 {
+	eps := n.all()
+	if len(eps) == 0 {
 		return 0
 	}
 	var t int64
-	for id := range n.endpoints {
-		t += n.sentBytes[id] + n.recvBytes[id]
-	}
-	return float64(t) / float64(len(n.endpoints))
-}
-
-// QueryBytes returns the total bytes carried so far under one query root
-// ("q/<id>"). Concurrent queries each see only their own traffic.
-func (n *Network) QueryBytes(root string) int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if qs, ok := n.queryStats[root]; ok {
-		return qs.total
-	}
-	return 0
-}
-
-// QueryMaxNodeBytes returns the largest per-node sent+received byte count
-// attributable to one query root.
-func (n *Network) QueryMaxNodeBytes(root string) int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	qs, ok := n.queryStats[root]
-	if !ok {
-		return 0
-	}
-	var m int64
-	for _, v := range qs.nodeBytes {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// QueryAvgNodeBytes returns the mean per-node sent+received byte count for
-// one query root, averaged over all endpoints that exist (idle nodes count
-// as zero, matching AvgNodeBytes).
-func (n *Network) QueryAvgNodeBytes(root string) float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.endpoints) == 0 {
-		return 0
-	}
-	qs, ok := n.queryStats[root]
-	if !ok {
-		return 0
-	}
-	var t int64
-	for _, v := range qs.nodeBytes {
-		t += v
-	}
-	return float64(t) / float64(len(n.endpoints))
-}
-
-// RetireTagPrefix drops every counter and mailbox filed under prefix (a
-// component boundary: "q/3" retires "q/3" and "q/3/...", never "q/30").
-// Called after a query's result is reported so standing hubs don't grow a
-// counter set and mailbox set per query served. Node-level counters
-// (sentBytes &c.) are cumulative by design and are not touched.
-func (n *Network) RetireTagPrefix(prefix string) {
-	n.mu.Lock()
-	for k := range n.tagStats {
-		if tagUnder(k, prefix) {
-			delete(n.tagStats, k)
-		}
-	}
-	delete(n.queryStats, prefix)
-	eps := make([]*Endpoint, 0, len(n.endpoints))
-	for _, e := range n.endpoints {
-		eps = append(eps, e)
-	}
-	n.mu.Unlock()
-	// Sweep mailboxes outside n.mu: Endpoint.box takes only e.mu.
 	for _, e := range eps {
-		e.mu.Lock()
-		for k := range e.boxes {
-			if tagUnder(k.tag, prefix) {
-				delete(e.boxes, k)
-			}
-		}
-		e.mu.Unlock()
+		s := e.Stats()
+		t += s.BytesSent + s.BytesReceived
 	}
+	return float64(t) / float64(len(eps))
 }
 
-// tagUnder reports whether tag equals prefix or lives under it at a "/"
-// component boundary.
-func tagUnder(tag, prefix string) bool {
-	return tag == prefix || (strings.HasPrefix(tag, prefix) && len(tag) > len(prefix) && tag[len(prefix)] == '/')
+// RetireTagPrefix retires prefix on every endpoint: the hub-wide sweep a
+// driver runs once nothing of a query is in flight any more.
+func (n *Network) RetireTagPrefix(prefix string) {
+	for _, e := range n.all() {
+		e.RetireTagPrefix(prefix)
+	}
 }
 
 // ResetStats zeroes all traffic counters (between experiment phases).
 func (n *Network) ResetStats() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.sentBytes = make(map[NodeID]int64)
-	n.recvBytes = make(map[NodeID]int64)
-	n.sentMsgs = make(map[NodeID]int64)
-	n.tagStats = make(map[string]TagStat)
-	n.queryStats = make(map[string]*queryStat)
+	for _, e := range n.all() {
+		e.mu.Lock()
+		e.stats = Stats{}
+		e.tags = make(map[string]TagStat)
+		e.mu.Unlock()
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -439,17 +316,26 @@ func (m *mailbox) get(ctx context.Context) ([]byte, error) {
 	return p, nil
 }
 
-// Endpoint is one node's attachment to the network. It is the in-process
-// Transport implementation.
+// Endpoint is one node's attachment to the network: the in-process
+// Transport implementation, with the same optional capabilities as a
+// tcpnet.Peer (per-tag-prefix counters, namespace retirement), all scoped
+// to this node — so N protocol engines can share one hub without touching
+// each other's accounting or mailboxes.
 type Endpoint struct {
 	net *Network
 	id  NodeID
 
 	mu    sync.Mutex
 	boxes map[boxKey]*mailbox
+	stats Stats
+	tags  map[string]TagStat
 }
 
-var _ Transport = (*Endpoint)(nil)
+var (
+	_ Transport  = (*Endpoint)(nil)
+	_ TagTracker = (*Endpoint)(nil)
+	_ TagRetirer = (*Endpoint)(nil)
+)
 
 // ID returns the node id this endpoint belongs to.
 func (e *Endpoint) ID() NodeID { return e.id }
@@ -458,11 +344,49 @@ func (e *Endpoint) ID() NodeID { return e.id }
 func (e *Endpoint) Network() *Network { return e.net }
 
 // Stats returns this endpoint's traffic counters.
-func (e *Endpoint) Stats() Stats { return e.net.NodeStats(e.id) }
+func (e *Endpoint) Stats() Stats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.stats
+}
+
+// TagStats returns a snapshot of this node's per-tag-prefix counters.
+func (e *Endpoint) TagStats() map[string]TagStat {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make(map[string]TagStat, len(e.tags))
+	for k, v := range e.tags {
+		out[k] = v
+	}
+	return out
+}
+
+// RetireTagPrefix drops this node's counters and mailboxes filed under
+// prefix (see TagUnder). Called once a query's result is reported so a
+// standing hub doesn't grow a counter set and mailbox set per query
+// served. The cumulative Stats are not touched.
+func (e *Endpoint) RetireTagPrefix(prefix string) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for k := range e.tags {
+		if TagUnder(k, prefix) {
+			delete(e.tags, k)
+		}
+	}
+	for k := range e.boxes {
+		if TagUnder(k.tag, prefix) {
+			delete(e.boxes, k)
+		}
+	}
+}
 
 func (e *Endpoint) box(from NodeID, tag string) *mailbox {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.boxLocked(from, tag)
+}
+
+func (e *Endpoint) boxLocked(from NodeID, tag string) *mailbox {
 	k := boxKey{from, tag}
 	b, ok := e.boxes[k]
 	if !ok {
@@ -472,15 +396,35 @@ func (e *Endpoint) box(from NodeID, tag string) *mailbox {
 	return b
 }
 
-// Send delivers payload to node `to` under the given tag. The payload is
-// copied, so callers may reuse their buffer. In-process delivery cannot
-// fail; the error return satisfies Transport.
+// Send delivers payload to node `to` under the given tag, charging the
+// framed size to this node's sent counters and the receiver's received
+// counters. The payload is copied, so callers may reuse their buffer.
+// In-process delivery cannot fail; the error return satisfies Transport.
 func (e *Endpoint) Send(to NodeID, tag string, payload []byte) error {
-	dst := e.net.Endpoint(to)
+	dst, overhead := e.net.route(to)
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
-	e.net.account(e.id, to, tag, len(payload))
-	dst.box(e.id, tag).put(cp)
+	total := int64(len(payload) + overhead)
+	prefix := TagPrefix(tag)
+
+	e.mu.Lock()
+	e.stats.BytesSent += total
+	e.stats.MessagesSent++
+	ts := e.tags[prefix]
+	ts.BytesSent += total
+	ts.MessagesSent++
+	e.tags[prefix] = ts
+	e.mu.Unlock()
+
+	dst.mu.Lock()
+	dst.stats.BytesReceived += total
+	ts = dst.tags[prefix]
+	ts.BytesReceived += total
+	dst.tags[prefix] = ts
+	box := dst.boxLocked(e.id, tag)
+	dst.mu.Unlock()
+
+	box.put(cp)
 	return nil
 }
 

@@ -1,8 +1,9 @@
 package ot
 
 import (
-	"strings"
 	"sync"
+
+	"dstress/internal/network"
 )
 
 // DealerBroker hands out the two halves of dealt random-OT streams for
@@ -95,8 +96,7 @@ func (b *DealerBroker) RetireTagPrefix(prefix string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for k := range b.streams {
-		t := k.tag
-		if t == prefix || (strings.HasPrefix(t, prefix) && len(t) > len(prefix) && t[len(prefix)] == '/') {
+		if network.TagUnder(k.tag, prefix) {
 			delete(b.streams, k)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"dstress/internal/group"
 	"dstress/internal/network"
 )
 
@@ -31,10 +30,9 @@ import (
 // Since q_i = t_i ⊕ ρ_i·s, the receiver's pad equals w0 when ρ_i = 0 and w1
 // when ρ_i = 1, which is exactly a random OT.
 //
-// The base-OT bootstrap is factored out: NewIKNPSender/NewIKNPReceiver run
-// it themselves (one public-key handshake per construction), while the
-// pairwise Substrate runs it once per node pair and hands per-session
-// PRF-derived seeds to newIKNPSenderFromSeeds/newIKNPReceiverFromSeeds.
+// The base-OT bootstrap lives in the pairwise Substrate: it runs once per
+// node pair and hands per-session PRF-derived seeds to
+// newIKNPSenderFromSeeds/newIKNPReceiverFromSeeds.
 
 // Lambda is the IKNP security parameter (number of base OTs).
 const Lambda = 128
@@ -159,21 +157,6 @@ func newIKNPSenderFromSeeds(ep network.Transport, peer network.NodeID, tag strin
 	return s
 }
 
-// NewIKNPSender bootstraps the extension as the pad-producing side, running
-// its own base-OT handshake. It blocks until the peer runs NewIKNPReceiver
-// with the same tag.
-func NewIKNPSender(ctx context.Context, g group.Group, ep network.Transport, peer network.NodeID, tag string) (*IKNPSender, error) {
-	var sb [Lambda / 8]byte
-	if err := readEntropy(sb[:]); err != nil {
-		return nil, fmt.Errorf("ot: drawing IKNP correlation vector: %w", err)
-	}
-	seeds, err := BaseOTReceive(ctx, g, ep, peer, network.Tag(tag, "base"), UnpackBits(sb[:], Lambda))
-	if err != nil {
-		return nil, fmt.Errorf("ot: IKNP base phase: %w", err)
-	}
-	return newIKNPSenderFromSeeds(ep, peer, tag, sb[:], seeds), nil
-}
-
 // RandomPadWords implements RandomOTSender: n random pad pairs as packed
 // words with zeroed tails.
 func (s *IKNPSender) RandomPadWords(ctx context.Context, n int) ([]uint64, []uint64, error) {
@@ -265,16 +248,6 @@ func newIKNPReceiverFromSeeds(ep network.Transport, peer network.NodeID, tag str
 		r.prg1s[j] = newPRG(k1[j])
 	}
 	return r
-}
-
-// NewIKNPReceiver bootstraps the extension as the choice-consuming side,
-// running its own base-OT handshake.
-func NewIKNPReceiver(ctx context.Context, g group.Group, ep network.Transport, peer network.NodeID, tag string) (*IKNPReceiver, error) {
-	k0, k1, err := BaseOTSend(ctx, g, ep, peer, network.Tag(tag, "base"), Lambda)
-	if err != nil {
-		return nil, fmt.Errorf("ot: IKNP base phase: %w", err)
-	}
-	return newIKNPReceiverFromSeeds(ep, peer, tag, k0, k1), nil
 }
 
 // RandomChoiceWords implements RandomOTReceiver: n random choices and their

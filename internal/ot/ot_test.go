@@ -84,10 +84,11 @@ func TestBaseOT(t *testing.T) {
 	}
 }
 
-// setupIKNP builds a connected sender/receiver pair over a fresh network.
-func setupIKNP(t testing.TB) (*IKNPSender, *IKNPReceiver, *network.Network) {
+// iknpPair builds a connected extension sender/receiver pair on net, node 1
+// toward node 2, bootstrapped the one way a deployment does it: each end's
+// pairwise substrate runs the base-OT handshake and derives the stream.
+func iknpPair(t testing.TB, net *network.Network) (*IKNPSender, *IKNPReceiver) {
 	t.Helper()
-	net := network.New()
 	var s *IKNPSender
 	var r *IKNPReceiver
 	var se, re error
@@ -95,16 +96,24 @@ func setupIKNP(t testing.TB) (*IKNPSender, *IKNPReceiver, *network.Network) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		s, se = NewIKNPSender(context.Background(), tg, net.Endpoint(1), 2, "iknp")
+		s, se = NewSubstrate(tg, net.Endpoint(1)).SenderFor(context.Background(), 2, "iknp")
 	}()
 	go func() {
 		defer wg.Done()
-		r, re = NewIKNPReceiver(context.Background(), tg, net.Endpoint(2), 1, "iknp")
+		r, re = NewSubstrate(tg, net.Endpoint(2)).ReceiverFor(context.Background(), 1, "iknp")
 	}()
 	wg.Wait()
 	if se != nil || re != nil {
 		t.Fatalf("setup errors: %v / %v", se, re)
 	}
+	return s, r
+}
+
+// setupIKNP builds a connected sender/receiver pair over a fresh network.
+func setupIKNP(t testing.TB) (*IKNPSender, *IKNPReceiver, *network.Network) {
+	t.Helper()
+	net := network.New()
+	s, r := iknpPair(t, net)
 	return s, r, net
 }
 
@@ -242,23 +251,7 @@ func TestChosenOTOverDealer(t *testing.T) {
 
 func TestChosenOTOverIKNP(t *testing.T) {
 	checkChosenOT(t, func(net *network.Network) (RandomOTSender, RandomOTReceiver) {
-		var s *IKNPSender
-		var r *IKNPReceiver
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			s, _ = NewIKNPSender(context.Background(), tg, net.Endpoint(1), 2, "iknp")
-		}()
-		go func() {
-			defer wg.Done()
-			r, _ = NewIKNPReceiver(context.Background(), tg, net.Endpoint(2), 1, "iknp")
-		}()
-		wg.Wait()
-		if s == nil || r == nil {
-			t.Fatal("IKNP setup failed")
-		}
-		return s, r
+		return iknpPair(t, net)
 	})
 }
 

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -186,11 +185,8 @@ func (p *Peer) TagStats() map[string]network.TagStat {
 // entry set per query served. Node-level counters stay cumulative.
 // Implements network.TagRetirer.
 func (p *Peer) RetireTagPrefix(prefix string) {
-	under := func(tag string) bool {
-		return tag == prefix || (strings.HasPrefix(tag, prefix) && len(tag) > len(prefix) && tag[len(prefix)] == '/')
-	}
 	p.tagStats.Range(func(k, v any) bool {
-		if under(k.(string)) {
+		if network.TagUnder(k.(string), prefix) {
 			p.tagStats.Delete(k)
 		}
 		return true
@@ -198,7 +194,7 @@ func (p *Peer) RetireTagPrefix(prefix string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for k, b := range p.boxes {
-		if under(k.tag) {
+		if network.TagUnder(k.tag, prefix) {
 			// Close before dropping: a straggler still parked in Recv gets a
 			// "peer closed" error instead of hanging on an orphaned mailbox.
 			b.close()

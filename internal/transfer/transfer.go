@@ -199,30 +199,35 @@ func (rk RecipientKeys) Precompute() RecipientKeys {
 // block certificate pays for itself when each key will be encrypted under
 // `uses` times over the run: a table build costs on the order of a
 // hundred uncached exponentiations. The use count depends on who holds
-// the cache — the simulated runtime plays all K+1 senders against one
-// cache ((K+1)·iterations uses per key), while a cluster node is a
-// single sender (iterations uses). Short runs skip precomputation so
+// the cache — a simulated deployment's engines share one cache, so all
+// K+1 senders of an edge hit it ((K+1)·iterations uses per key), while a
+// cluster node is a single sender (iterations uses). Short runs skip precomputation so
 // tests and quick benchmarks don't regress.
 func (p Params) PrecomputeWorthwhile(uses int) bool {
 	return uses >= 128
 }
 
 // CertKeyCache lazily precomputes certificate keys per (vertex, slot) and
-// keeps the tables for the lifetime of a run; vertex.Runtime and the
-// cluster node engine share this implementation. Each (vertex, slot) pair
-// belongs to exactly one edge and a caller sends on an edge at most once
-// per iteration, so a given entry is built by a single goroutine; the
-// mutex only guards the map against concurrent edges.
+// keeps the tables until Reset. One cache serves a whole process: a cluster
+// node holds its own, the in-process engines of a simulated deployment
+// share one — there the K+1 senders of an edge ask for the same entry at
+// once, so each entry is built exactly once behind its own sync.Once and
+// the other askers wait for it.
 type CertKeyCache struct {
 	mu      sync.Mutex
-	m       map[[2]int]RecipientKeys
+	m       map[[2]int]*certEntry
 	enabled bool
+}
+
+type certEntry struct {
+	once sync.Once
+	keys RecipientKeys
 }
 
 // NewCertKeyCache returns an empty, disabled cache: Keys passes raw keys
 // through until Enable is called.
 func NewCertKeyCache() *CertKeyCache {
-	return &CertKeyCache{m: make(map[[2]int]RecipientKeys)}
+	return &CertKeyCache{m: make(map[[2]int]*certEntry)}
 }
 
 // Enable turns precomputation on. It never turns it back off: once a run
@@ -230,6 +235,14 @@ func NewCertKeyCache() *CertKeyCache {
 func (c *CertKeyCache) Enable() {
 	c.mu.Lock()
 	c.enabled = true
+	c.mu.Unlock()
+}
+
+// Reset drops every table — the certificates were re-issued — and leaves
+// the enabled decision as it was.
+func (c *CertKeyCache) Reset() {
+	c.mu.Lock()
+	c.m = make(map[[2]int]*certEntry)
 	c.mu.Unlock()
 }
 
@@ -249,16 +262,14 @@ func (c *CertKeyCache) Keys(vertex, slot int, raw RecipientKeys) RecipientKeys {
 		c.mu.Unlock()
 		return raw
 	}
-	cached, ok := c.m[id]
-	c.mu.Unlock()
-	if ok {
-		return cached
+	e, ok := c.m[id]
+	if !ok {
+		e = &certEntry{}
+		c.m[id] = e
 	}
-	pre := raw.Precompute()
-	c.mu.Lock()
-	c.m[id] = pre
 	c.mu.Unlock()
-	return pre
+	e.once.Do(func() { e.keys = raw.Precompute() })
+	return e.keys
 }
 
 // SendShare runs the sender-member role: split the local share into K+1

@@ -6,21 +6,19 @@ import (
 	"dstress/internal/network"
 )
 
-// pickReplacement mirrors the coordinator's choice: lowest live id that is
-// not a co-member of dead anywhere.
+// pickReplacement makes the recovery plane's choice over the population
+// 1..n and fails the test when the draw left none.
 func pickReplacement(t *testing.T, a Assignment, dead network.NodeID, n int) network.NodeID {
 	t.Helper()
-	for i := 1; i <= n; i++ {
-		id := network.NodeID(i)
-		if id == dead {
-			continue
-		}
-		if ReplacementOK(a, dead, id) {
-			return id
-		}
+	ids := make([]network.NodeID, n)
+	for i := range ids {
+		ids[i] = network.NodeID(i + 1)
 	}
-	t.Fatal("no viable replacement in population")
-	return 0
+	repl, err := PickReplacement(a, dead, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return repl
 }
 
 func TestReblockSubstitutesAndResigns(t *testing.T) {

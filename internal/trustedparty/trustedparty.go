@@ -275,18 +275,25 @@ const recoverableDrawAttempts = 64
 // toward co-membership.
 func EveryDeathRecoverable(a Assignment, ids []network.NodeID) bool {
 	for _, dead := range ids {
-		ok := false
-		for _, repl := range ids {
-			if ReplacementOK(a, dead, repl) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if _, err := PickReplacement(a, dead, ids); err != nil {
 			return false
 		}
 	}
 	return true
+}
+
+// PickReplacement chooses the node that stands in for dead: the first of
+// candidates (callers pass live ids in ascending order, so the lowest wins
+// and every party derives the same choice) that shares no block with it —
+// a co-member would end up holding two shares of one secret. With no such
+// node the error wraps ErrNoReplacement.
+func PickReplacement(a Assignment, dead network.NodeID, candidates []network.NodeID) (network.NodeID, error) {
+	for _, id := range candidates {
+		if ReplacementOK(a, dead, id) {
+			return id, nil
+		}
+	}
+	return 0, fmt.Errorf("replacing node %d: %w", dead, ErrNoReplacement)
 }
 
 // ReplacementOK reports whether repl can stand in for dead under the given

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"dstress/internal/network"
 	"dstress/internal/secretshare"
@@ -86,12 +88,16 @@ func TestReconstructThenReshare(t *testing.T) {
 
 	// "Checkpoint" the last member's share through the snapshot codec, as
 	// if it had died and its blob were handed to a replacement.
-	snap := &Snapshot{Barrier: 0, State: map[int]uint64{0: shares[k1-1]}, Msgs: map[int][]uint64{0: {}}}
-	blob, err := EncryptSnapshot(rt.recKey, EncodeSnapshot(snap))
+	key, err := NewRecoveryKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := DecryptSnapshot(rt.recKey, blob)
+	snap := &Snapshot{Barrier: 0, State: map[int]uint64{0: shares[k1-1]}, Msgs: map[int][]uint64{0: {}}}
+	blob, err := EncryptSnapshot(key, EncodeSnapshot(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := DecryptSnapshot(key, blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +107,21 @@ func TestReconstructThenReshare(t *testing.T) {
 	}
 	shares[k1-1] = restored.State[0]
 
+	// Every member of vertex 0's block plays both halves of the reshare on
+	// its own engine: all sends first, then all receives.
 	members := rt.setup.Assignment.Blocks[g.NodeOf(0)]
-	fresh, err := rt.reshare(context.Background(), shares, p.StateBits, members, members, network.Tag("q", 999, "a", 2, "recover", 0, "st"))
-	if err != nil {
-		t.Fatal(err)
+	tag := network.Tag("q", 999, "a", 2, "recover", 0, "st")
+	engineOf := func(id network.NodeID) *Engine { return rt.engines[int(id)-1] }
+	for m, id := range members {
+		if err := engineOf(id).reshareSend(shares[m], p.StateBits, m, members, tag); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := make([]uint64, k1)
+	for m, id := range members {
+		if fresh[m], err = engineOf(id).reshareRecv(context.Background(), members, tag); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var got uint64
 	for _, s := range fresh {
@@ -148,9 +165,13 @@ func runChaosRecovery(t *testing.T, cfg Config, p *Program, g *Graph, iters int)
 	}
 }
 
-// TestChaosRecoveryMatchesReference is the sim recovery e2e: a node dies
-// mid-iteration, the runtime re-blocks and resumes, and the ε=0 result
-// still reproduces the reference exactly. The deployment must stay usable
+// TestChaosRecoveryMatchesReference is the sim recovery e2e, over the whole
+// fault space of its small fixture: every victim × every barrier × flat
+// and tree aggregation. Whichever node dies wherever in the schedule, the
+// run must either re-block, resume, and reproduce the ε=0 reference exactly
+// with one recovery counted — or refuse with the typed ErrNoReplacement
+// when the drawn assignment left the victim no stand-in. It must never
+// hang: every cell runs under a deadline. The deployment must stay usable
 // for a subsequent query.
 func TestChaosRecoveryMatchesReference(t *testing.T) {
 	p := sumProgram()
@@ -160,44 +181,64 @@ func TestChaosRecoveryMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, got, rep := runChaosRecovery(t, Config{
-		Group: tg, K: 1, Alpha: 0.5, OTMode: OTDealer,
-		Recover: true,
-		Chaos:   &ChaosSpec{Victim: 3, Barrier: 2},
-	}, p, g, iters)
-	if got != want {
-		t.Errorf("recovered run = %d, reference = %d", got, want)
-	}
-	if rep.Recoveries != 1 {
-		t.Errorf("Recoveries = %d, want 1", rep.Recoveries)
-	}
-	if rep.ReplayedBarriers < 1 {
-		t.Errorf("ReplayedBarriers = %d, want ≥ 1", rep.ReplayedBarriers)
-	}
-	// The victim must be out of every block of the committed assignment.
-	for id, members := range rt.setup.Assignment.Blocks {
-		for _, m := range members {
-			if m == 3 {
-				t.Fatalf("victim still a member of block %d", id)
-			}
-		}
-	}
-
-	// A later query runs on the re-blocked deployment (chaos fires only on
-	// the first attempt of the first query).
-	got2, rep2, err := rt.RunQuery(context.Background(), 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want2, err := RunReference(p, g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got2 != want2 {
-		t.Errorf("post-recovery query = %d, reference = %d", got2, want2)
-	}
-	if rep2.Recoveries != 0 {
-		t.Errorf("post-recovery query reports %d recoveries", rep2.Recoveries)
+	for _, agg := range []struct {
+		name  string
+		fanIn int
+	}{{"flat", 0}, {"tree", 2}} {
+		for victim := 1; victim <= g.N(); victim++ {
+			for barrier := 0; barrier <= iters; barrier++ {
+				t.Run(fmt.Sprintf("%s/victim=%d/barrier=%d", agg.name, victim, barrier), func(t *testing.T) {
+					ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+					defer cancel()
+					rt, err := New(ctx, Config{
+						Group: tg, K: 1, Alpha: 0.5, OTMode: OTDealer, AggFanIn: agg.fanIn,
+						Recover: true,
+						Chaos:   &ChaosSpec{Victim: network.NodeID(victim), Barrier: barrier},
+					}, p, g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, rep, err := rt.Run(ctx, iters)
+					if errors.Is(err, trustedparty.ErrNoReplacement) {
+						return // correctly refused: the draw left no stand-in
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Errorf("recovered run = %d, reference = %d", got, want)
+					}
+					if rep.Recoveries != 1 {
+						t.Errorf("Recoveries = %d, want 1", rep.Recoveries)
+					}
+					// The victim must be out of every block of the committed
+					// assignment.
+					for id, members := range rt.setup.Assignment.Blocks {
+						for _, m := range members {
+							if m == network.NodeID(victim) {
+								t.Fatalf("victim still a member of block %d", id)
+							}
+						}
+					}
+					// A later query runs on the re-blocked deployment (chaos
+					// fires only on the first attempt of the first query).
+					got2, rep2, err := rt.Run(ctx, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got2 != want2 {
+						t.Errorf("post-recovery query = %d, reference = %d", got2, want2)
+					}
+					if rep2.Recoveries != 0 {
+						t.Errorf("post-recovery query reports %d recoveries", rep2.Recoveries)
+					}
+				})
+			}
+		}
 	}
 }
 

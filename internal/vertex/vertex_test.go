@@ -258,7 +258,7 @@ func TestRuntimeWithOutputNoise(t *testing.T) {
 		// likely if noise were working; flag as suspicious only when the
 		// noise circuit is provably disabled.
 		rt, _ := New(context.Background(), Config{Group: tg, K: 1, Alpha: 0.5, Epsilon: eps, OTMode: OTDealer}, p, g)
-		pl, err := rt.planFor(eps)
+		pl, err := rt.dep.planFor(eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -505,7 +505,7 @@ func TestRuntimePrecomputedCertsMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt.certCache.Enable()
+	rt.dep.certs.Enable()
 	got, _, err := rt.Run(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -513,32 +513,8 @@ func TestRuntimePrecomputedCertsMatchReference(t *testing.T) {
 	if got != want {
 		t.Errorf("precomputed-cert runtime = %d, reference = %d", got, want)
 	}
-	if rt.certCache.Len() == 0 {
+	if rt.dep.certs.Len() == 0 {
 		t.Error("run did not populate the certificate-table cache")
-	}
-}
-
-// TestRuntimeParallelismOne pins the semaphore contract: a run restricted
-// to one in-flight block at a time (Parallelism = 1) must still complete
-// every phase — init, compute, transfer, tree aggregation — and agree
-// with the reference.
-func TestRuntimeParallelismOne(t *testing.T) {
-	p := sumProgram()
-	g := ringGraph(t, 6, p)
-	want, err := RunReference(p, g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := New(context.Background(), Config{Group: tg, K: 1, Alpha: 0.5, OTMode: OTDealer, AggFanIn: 2, Parallelism: 1}, p, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := rt.Run(context.Background(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("Parallelism=1 runtime = %d, reference = %d", got, want)
 	}
 }
 
@@ -573,7 +549,7 @@ func TestRunCancellation(t *testing.T) {
 	}
 }
 
-// TestSessionQueriesMatchReference drives three RunQuery calls with
+// TestSessionQueriesMatchReference drives three RunQueryID calls with
 // distinct epsilons through one standing runtime: the ε = 0 queries must
 // reproduce the reference exactly, and the noised query must stay within
 // the sampler's structural bound — multi-query reuse may not corrupt the
@@ -591,7 +567,7 @@ func TestSessionQueriesMatchReference(t *testing.T) {
 	}
 	ctx := context.Background()
 	for q := 0; q < 2; q++ {
-		got, _, err := rt.RunQuery(ctx, 2, 0)
+		got, _, err := rt.RunQueryID(ctx, 1+q, 2, 0)
 		if err != nil {
 			t.Fatalf("query %d: %v", q, err)
 		}
@@ -600,7 +576,7 @@ func TestSessionQueriesMatchReference(t *testing.T) {
 		}
 	}
 	const eps = 1.0
-	got, _, err := rt.RunQuery(ctx, 2, eps)
+	got, _, err := rt.RunQueryID(ctx, 3, 2, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
