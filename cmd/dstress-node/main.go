@@ -28,10 +28,8 @@ import (
 	_ "net/http/pprof" // registered on the DefaultServeMux the -pprof server uses
 	"os"
 	"os/signal"
-	"sort"
 	"sync/atomic"
 	"syscall"
-	"time"
 
 	"dstress/internal/cluster"
 	"dstress/internal/network"
@@ -164,57 +162,18 @@ func main() {
 		writeRunDump(*flightDump, sc, sum, released, exactTDS)
 		fmt.Printf("exact TDS (trusted baseline): $%.2fM\n", exactTDS/1e6)
 		fmt.Printf("released TDS (ε=%v):          $%.2fM\n", *epsilon, released/1e6)
-		if sum.Recoveries > 0 {
-			fmt.Printf("recoveries: survived %d node death(s) by re-blocking\n", sum.Recoveries)
+		rep := sum.Report
+		if rep.Recoveries > 0 {
+			fmt.Printf("recoveries: survived %d node death(s) by re-blocking\n", rep.Recoveries)
 		}
 		fmt.Printf("\nwall time %v, cluster traffic %.1f KB (per node: avg %.1f KB, max %.1f KB)\n",
-			sum.WallTime.Round(1e6), float64(sum.TotalBytes())/1024,
-			sum.AvgNodeBytes()/1024, float64(sum.MaxNodeBytes())/1024)
-		fmt.Printf("\nnode   init         compute      transfer     agg+noise    sent bytes\n")
-		ids := make([]int, 0, len(sum.Reports))
-		for nodeID := range sum.Reports {
-			ids = append(ids, int(nodeID))
-		}
-		sort.Ints(ids)
-		for _, nodeID := range ids {
-			rep := sum.Reports[network.NodeID(nodeID)]
-			st := sum.Stats[network.NodeID(nodeID)]
-			fmt.Printf("%-5d  %-11v  %-11v  %-11v  %-11v  %d\n",
-				nodeID, rep.InitTime.Round(1e6), rep.ComputeTime.Round(1e6),
-				rep.CommTime.Round(1e6), rep.AggTime.Round(1e6), st.BytesSent)
-		}
-		printStragglers(sum, ids)
+			sum.WallTime.Round(1e6), float64(rep.TotalBytes())/1024,
+			rep.AvgNodeBytes/1024, float64(rep.MaxNodeBytes)/1024)
+		vertex.WriteNodeTable(os.Stdout, sum.Nodes)
 
 	default:
 		fatal("unknown -mode (want node or coordinator)", "mode", *mode)
 	}
-}
-
-// printStragglers names the slowest node per phase: every phase barriers on
-// the protocol's own communication, so the folded phase times above are
-// exactly these nodes' wall times.
-func printStragglers(sum *cluster.Summary, ids []int) {
-	phases := []struct {
-		name string
-		get  func(network.NodeID) time.Duration
-	}{
-		{"init", func(id network.NodeID) time.Duration { return sum.Reports[id].InitTime }},
-		{"compute", func(id network.NodeID) time.Duration { return sum.Reports[id].ComputeTime }},
-		{"transfer", func(id network.NodeID) time.Duration { return sum.Reports[id].CommTime }},
-		{"agg+noise", func(id network.NodeID) time.Duration { return sum.Reports[id].AggTime }},
-	}
-	fmt.Printf("\nslowest node per phase:")
-	for _, ph := range phases {
-		var worst int
-		var worstT time.Duration
-		for _, nodeID := range ids {
-			if t := ph.get(network.NodeID(nodeID)); t > worstT {
-				worstT, worst = t, nodeID
-			}
-		}
-		fmt.Printf(" %s=%d (%v)", ph.name, worst, worstT.Round(1e6))
-	}
-	fmt.Println()
 }
 
 // setupLogging installs a text slog handler at the requested level as the
@@ -278,7 +237,7 @@ func writeRunDump(path string, sc cluster.Scenario, sum *cluster.Summary, releas
 		ReferenceDollars float64           `json:"reference_dollars"`
 		ExactDollars     float64           `json:"exact_dollars"`
 		Events           []obs.FlightEvent `json:"events"`
-	}{sum.Recoveries, released, reference, exact, sum.RecoveryEvents}
+	}{sum.Report.Recoveries, released, reference, exact, sum.RecoveryEvents}
 	if dump.Events == nil {
 		dump.Events = []obs.FlightEvent{}
 	}
@@ -291,7 +250,7 @@ func writeRunDump(path string, sc cluster.Scenario, sum *cluster.Summary, releas
 		slog.Error("writing run dump", "path", path, "err", err)
 		return
 	}
-	slog.Info("run dump written", "path", path, "recoveries", sum.Recoveries)
+	slog.Info("run dump written", "path", path, "recoveries", sum.Report.Recoveries)
 }
 
 // writeFlightDump writes the health plane's post-mortem (dead node, last

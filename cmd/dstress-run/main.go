@@ -39,6 +39,7 @@ import (
 	"dstress"
 	"dstress/internal/group"
 	"dstress/internal/obs"
+	"dstress/internal/vertex"
 )
 
 func main() {
@@ -235,12 +236,11 @@ func writeFlightDump(path string, err error) {
 func printReport(rep *dstress.Report) {
 	round := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 	fmt.Printf("transport %s, %d nodes, wall time %v\n\n", rep.Transport, rep.Nodes, round(rep.WallTime))
-	fmt.Printf("phase       time          bytes\n")
-	fmt.Printf("init        %-12v  %d\n", round(rep.InitTime), rep.InitBytes)
-	fmt.Printf("compute     %-12v  %d\n", round(rep.ComputeTime), rep.ComputeBytes)
-	fmt.Printf("transfer    %-12v  %d\n", round(rep.CommTime), rep.CommBytes)
-	fmt.Printf("agg+noise   %-12v  %d\n", round(rep.AggTime), rep.AggBytes)
-	fmt.Printf("total       %-12v  %d\n", round(rep.TotalTime()), rep.TotalBytes())
+	fmt.Printf("%-10s  %-12s  %s\n", "phase", "time", "bytes")
+	for _, ph := range rep.Phases() {
+		fmt.Printf("%-10s  %-12v  %d\n", ph.Label, round(ph.Time), ph.Bytes)
+	}
+	fmt.Printf("%-10s  %-12v  %d\n", "total", round(rep.TotalTime()), rep.TotalBytes())
 	fmt.Printf("\nupdate circuit: %d AND gates; aggregate: %d AND gates\n", rep.UpdateAndGates, rep.AggAndGates)
 	if rep.Recoveries > 0 {
 		fmt.Printf("recoveries: survived %d node death(s) by re-blocking (deepest replay %d barriers)\n",
@@ -249,19 +249,6 @@ func printReport(rep *dstress.Report) {
 	fmt.Printf("traffic per node: avg %.1f KB, max %.1f KB\n",
 		rep.AvgNodeBytes/1024, float64(rep.MaxNodeBytes)/1024)
 
-	// Cluster runs carry the per-node table behind the folded numbers:
-	// print it, and name the straggler whose wall time each phase shows.
-	if len(rep.NodePhases) > 0 {
-		fmt.Printf("\nnode   init          compute       transfer      agg+noise\n")
-		for _, np := range rep.NodePhases {
-			fmt.Printf("%-5d  %-12v  %-12v  %-12v  %-12v\n",
-				np.Node, round(np.InitTime), round(np.ComputeTime),
-				round(np.CommTime), round(np.AggTime))
-		}
-		fmt.Printf("\nslowest node per phase:")
-		for _, l := range rep.SlowestNodes() {
-			fmt.Printf(" %s=%d (%v)", l.Phase, l.Node, round(l.Time))
-		}
-		fmt.Println()
-	}
+	// Cluster runs carry the per-node table behind the folded numbers.
+	vertex.WriteNodeTable(os.Stdout, rep.NodePhases)
 }

@@ -3,7 +3,6 @@ package dstress
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"dstress/internal/cluster"
@@ -73,108 +72,45 @@ type Result struct {
 	Report *Report
 }
 
-// Report summarizes one execution with the same fields in both modes: the
-// per-phase wall times and traffic of the paper's Figures 3–6.
+// Report summarizes one execution with the same fields in both modes. It is
+// the engine's folded phase table (vertex.Report: the per-phase wall times
+// and traffic of the paper's Figures 3–6, setup cost, traffic per node,
+// circuit sizes, recoveries — see its fields for how each folds) plus what
+// only the driver of a deployment knows.
 //
-// Both backends fold the per-node reports of the one protocol engine the
-// same way (vertex.FoldReports): each phase's duration is the slowest
-// node's (phases barrier on the protocol's own communication), and phase
-// bytes are the summed per-node sent+received counters halved, i.e. total
-// bytes *sent* per phase. Init includes joining the query's GMW sessions;
-// on "tcp" the first query's Init additionally carries the base-OT
-// handshakes, which "sim" pays at Open.
+// Both backends fold the per-node rows of the one protocol engine with the
+// same function (vertex.Fold). On "tcp" each phase's duration is the
+// slowest node's and the first query's Init additionally carries the
+// base-OT handshakes; "sim" sees every node, reports a partition of the
+// query's wall time instead, and pays the handshakes at Open.
 type Report struct {
+	vertex.Report
 	// Transport is "sim" or "tcp".
 	Transport string
 	// Nodes is the number of participants.
 	Nodes int
-	// Phase wall-clock durations. Noising happens inside the aggregation
-	// MPC, matching the paper's "Aggregation & noising" bar in Figure 5.
-	InitTime, ComputeTime, CommTime, AggTime time.Duration
-	// Phase traffic totals (bytes sent across all nodes).
-	InitBytes, ComputeBytes, CommBytes, AggBytes int64
 	// WallTime is the end-to-end duration observed by the driver.
 	WallTime time.Duration
-	// SetupTime is the one-time deployment-open cost (trusted-party setup,
-	// GMW sessions with their pairwise base-OT handshakes, circuit
-	// compilation): sim pays it at Open, tcp inside the first query's Init
-	// (slowest node). Identical for every query of a standing session.
-	SetupTime time.Duration
-	// BaseOTHandshakes counts the deployment's pairwise base-OT bootstraps
-	// across all nodes: with the OT substrate, one per ordered node pair
-	// sharing at least one session, independent of the block count. Dealer
-	// runs report 0.
-	BaseOTHandshakes int64
-	// AvgNodeBytes and MaxNodeBytes summarize per-node sent+received
-	// traffic — the "traffic per node" quantity of Figures 4–6.
-	AvgNodeBytes float64
-	MaxNodeBytes int64
-	// Iterations actually executed.
-	Iterations int
-	// UpdateAndGates and AggAndGates record circuit sizes (cost drivers).
-	UpdateAndGates, AggAndGates int
-	// NodePhases is the per-node phase table behind the folded numbers
-	// above — one row per participant, sorted by node id. Cluster runs
-	// only: "sim" nodes share one process's cores, so its per-node times
-	// name no straggler; nil in sim reports.
+	// NodePhases is the per-node table behind the folded numbers — one row
+	// per participant, sorted by node id. Cluster runs only: "sim" nodes
+	// share one process's cores, so its per-node times name no straggler;
+	// nil in sim reports.
 	NodePhases []NodePhase
-	// Recoveries counts node deaths survived during this query via
-	// re-blocking; ReplayedBarriers is how many phase barriers were
-	// re-executed resuming from checkpoints (cluster reports fold the
-	// per-node maximum). Both are zero unless EngineConfig.Recover was set
-	// and a node actually died.
-	Recoveries       int
-	ReplayedBarriers int
 }
 
-// NodePhase is one node's per-phase wall times and its sent+received
-// traffic, as reported by the node itself.
-type NodePhase struct {
-	Node                                         int
-	InitTime, ComputeTime, CommTime, AggTime     time.Duration
-	InitBytes, ComputeBytes, CommBytes, AggBytes int64
-}
+// NodePhase is one node's row: its own per-phase wall times and
+// sent+received traffic, as reported by the node itself.
+type NodePhase = vertex.NodeResult
 
 // PhaseLeader names the slowest node for one phase — the straggler whose
 // wall time the folded Report shows, since every phase barriers on the
 // protocol's own communication.
-type PhaseLeader struct {
-	Phase string
-	Node  int
-	Time  time.Duration
-}
+type PhaseLeader = vertex.PhaseLeader
 
 // SlowestNodes returns the straggler per phase (init, compute, communicate,
 // aggregate), in execution order. Empty when the report has no per-node
 // table (sim runs).
-func (r *Report) SlowestNodes() []PhaseLeader {
-	if len(r.NodePhases) == 0 {
-		return nil
-	}
-	leaders := []PhaseLeader{
-		{Phase: "init"}, {Phase: "compute"}, {Phase: "communicate"}, {Phase: "aggregate"},
-	}
-	for _, np := range r.NodePhases {
-		times := [4]time.Duration{np.InitTime, np.ComputeTime, np.CommTime, np.AggTime}
-		for i, t := range times {
-			if t > leaders[i].Time {
-				leaders[i].Time = t
-				leaders[i].Node = np.Node
-			}
-		}
-	}
-	return leaders
-}
-
-// TotalTime returns the summed phase durations.
-func (r *Report) TotalTime() time.Duration {
-	return r.InitTime + r.ComputeTime + r.CommTime + r.AggTime
-}
-
-// TotalBytes returns the summed phase traffic.
-func (r *Report) TotalBytes() int64 {
-	return r.InitBytes + r.ComputeBytes + r.CommBytes + r.AggBytes
-}
+func (r *Report) SlowestNodes() []PhaseLeader { return vertex.SlowestNodes(r.NodePhases) }
 
 // Engine runs jobs. Both backends implement it: NewSimEngine executes
 // in-process against the simulated hub, NewClusterEngine stands up real
@@ -342,7 +278,7 @@ func (b *simBackend) query(ctx context.Context, seq int, q QuerySpec) (int64, *R
 	if err != nil {
 		return 0, nil, err
 	}
-	return raw, newReport("sim", b.nodes, time.Since(start), rep), nil
+	return raw, &Report{Report: *rep, Transport: "sim", Nodes: b.nodes, WallTime: time.Since(start)}, nil
 }
 
 func (b *simBackend) fleet() *FleetHealth { return nil }
@@ -436,70 +372,22 @@ func (b *clusterBackend) query(ctx context.Context, seq int, q QuerySpec) (int64
 	// beat) fall back to the old node-relative offsets.
 	if tr := obs.From(ctx); tr != nil {
 		base := tr.Epoch().UnixNano()
-		ids := make([]int, 0, len(sum.Spans))
-		for id := range sum.Spans {
-			ids = append(ids, int(id))
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			nid := network.NodeID(id)
-			spans := sum.Spans[nid]
-			if ci, ok := sum.Clock[nid]; ok && ci.Synced && ci.EpochUnixNS != 0 {
+		for _, n := range sum.Nodes {
+			spans := sum.Spans[n.Node]
+			if ci, ok := sum.Clock[n.Node]; ok && ci.Synced && ci.EpochUnixNS != 0 {
 				shift := ci.EpochUnixNS - int64(ci.Offset) - base
 				spans = obs.ShiftSpans(spans, shift)
 			}
 			tr.AddSpans(spans)
-			tr.AddCounters(sum.Counters[nid])
+			tr.AddCounters(sum.Counters[n.Node])
 		}
 	}
-	return sum.Result, summaryReport(sum, b.nodes), nil
+	return sum.Result, &Report{
+		Report: *sum.Report, Transport: "tcp", Nodes: b.nodes,
+		WallTime: sum.WallTime, NodePhases: sum.Nodes,
+	}, nil
 }
 
 func (b *clusterBackend) fleet() *FleetHealth { return b.lb.Health() }
 
 func (b *clusterBackend) close() error { return b.lb.Close() }
-
-// newReport lifts a folded vertex.Report (see vertex.FoldReports: phase
-// times are the slowest node's, phase bytes total bytes sent) into the
-// facade's shape.
-func newReport(transport string, nodes int, wall time.Duration, rep *vertex.Report) *Report {
-	return &Report{
-		Transport: transport, Nodes: nodes, WallTime: wall,
-		InitTime: rep.InitTime, ComputeTime: rep.ComputeTime,
-		CommTime: rep.CommTime, AggTime: rep.AggTime,
-		InitBytes: rep.InitBytes, ComputeBytes: rep.ComputeBytes,
-		CommBytes: rep.CommBytes, AggBytes: rep.AggBytes,
-		SetupTime:        rep.SetupTime,
-		BaseOTHandshakes: rep.BaseOTHandshakes,
-		AvgNodeBytes:     rep.AvgNodeBytes, MaxNodeBytes: rep.MaxNodeBytes,
-		Iterations:     rep.Iterations,
-		UpdateAndGates: rep.UpdateAndGates, AggAndGates: rep.AggAndGates,
-		Recoveries:       rep.Recoveries,
-		ReplayedBarriers: rep.ReplayedBarriers,
-	}
-}
-
-// summaryReport folds a cluster Summary's per-node reports into the unified
-// shape — the same fold the simulation applies to its engines' reports —
-// and keeps the raw per-node rows (sent+received, the node's own view) so
-// callers can attribute the folded maxima to stragglers.
-func summaryReport(sum *cluster.Summary, nodes int) *Report {
-	results := make([]*vertex.NodeResult, 0, len(sum.Reports))
-	phases := make([]NodePhase, 0, len(sum.Reports))
-	for id, rep := range sum.Reports {
-		results = append(results, &vertex.NodeResult{Report: rep, Stats: sum.Stats[id]})
-		phases = append(phases, NodePhase{
-			Node:     int(id),
-			InitTime: rep.InitTime, ComputeTime: rep.ComputeTime,
-			CommTime: rep.CommTime, AggTime: rep.AggTime,
-			InitBytes: rep.InitBytes, ComputeBytes: rep.ComputeBytes,
-			CommBytes: rep.CommBytes, AggBytes: rep.AggBytes,
-		})
-	}
-	folded := vertex.FoldReports(results)
-	folded.Recoveries = sum.Recoveries
-	out := newReport("tcp", nodes, sum.WallTime, folded)
-	sort.Slice(phases, func(a, b int) bool { return phases[a].Node < phases[b].Node })
-	out.NodePhases = phases
-	return out
-}

@@ -12,7 +12,7 @@ import (
 )
 
 // TestClusterByteAccounting pins the byte-accounting relationship the
-// Report docs promise (engine.go, internal/vertex/runtime.go): each cluster
+// Report docs promise (internal/vertex/report.go): each cluster
 // node reports its own sent+received bytes per phase, and the facade folds
 // them into total bytes *sent* by halving the sum — every byte one node
 // sends, exactly one node receives. The sim engine reports the same
@@ -32,42 +32,32 @@ func TestClusterByteAccounting(t *testing.T) {
 		t.Fatalf("NodePhases has %d rows, want one per node (%d)", len(rep.NodePhases), rep.Nodes)
 	}
 	for i, np := range rep.NodePhases {
-		if np.Node != i+1 {
+		if int(np.Node) != i+1 {
 			t.Errorf("NodePhases[%d].Node = %d, want %d (sorted by id)", i, np.Node, i+1)
 		}
 	}
 
 	// The folded phase bytes must be exactly half the per-node sums.
-	var init, comp, comm, agg int64
-	for _, np := range rep.NodePhases {
-		init += np.InitBytes
-		comp += np.ComputeBytes
-		comm += np.CommBytes
-		agg += np.AggBytes
-	}
-	checks := []struct {
-		phase       string
-		folded, sum int64
-	}{
-		{"init", rep.InitBytes, init},
-		{"compute", rep.ComputeBytes, comp},
-		{"transfer", rep.CommBytes, comm},
-		{"agg", rep.AggBytes, agg},
-	}
-	for _, c := range checks {
-		if c.folded != c.sum/2 {
-			t.Errorf("%s bytes: folded %d, want Σ(sent+recv)/2 = %d", c.phase, c.folded, c.sum/2)
+	var total int64
+	for i, ph := range rep.Phases() {
+		var sum int64
+		for _, np := range rep.NodePhases {
+			sum += np.Phases()[i].Bytes
 		}
-		if c.sum <= 0 {
-			t.Errorf("%s bytes: per-node sum is %d, want > 0", c.phase, c.sum)
+		if ph.Bytes != sum/2 {
+			t.Errorf("%s bytes: folded %d, want Σ(sent+recv)/2 = %d", ph.Name, ph.Bytes, sum/2)
 		}
+		if sum <= 0 {
+			t.Errorf("%s bytes: per-node sum is %d, want > 0", ph.Name, sum)
+		}
+		total += sum
 	}
 	// Phase deltas are carved out of each node's transport counters, so
 	// their sum cannot exceed the fleet's total sent+received traffic
 	// (phase *attribution* may differ across nodes — a byte sent in one
 	// node's compute window can land in another's transfer window — but
 	// every counted byte lives inside the transport totals).
-	if total := init + comp + comm + agg; float64(total) > rep.AvgNodeBytes*float64(rep.Nodes)+1 {
+	if float64(total) > rep.AvgNodeBytes*float64(rep.Nodes)+1 {
 		t.Errorf("phase byte sum %d exceeds fleet transport total %.0f", total, rep.AvgNodeBytes*float64(rep.Nodes))
 	}
 
@@ -77,7 +67,7 @@ func TestClusterByteAccounting(t *testing.T) {
 		t.Fatalf("SlowestNodes returned %d phases, want 4", len(leaders))
 	}
 	for _, l := range leaders {
-		if l.Node < 1 || l.Node > rep.Nodes {
+		if l.Node < 1 || int(l.Node) > rep.Nodes {
 			t.Errorf("phase %s straggler node %d outside [1,%d]", l.Phase, l.Node, rep.Nodes)
 		}
 	}
@@ -92,6 +82,15 @@ func TestClusterByteAccounting(t *testing.T) {
 	}
 	if simRes.Report.SlowestNodes() != nil {
 		t.Error("sim report names stragglers; there is only one process")
+	}
+	// Both drivers fold the same engine's rows with the same function, so
+	// everything that is not a measurement agrees between them.
+	sim := simRes.Report
+	if sim.Nodes != rep.Nodes || sim.Iterations != rep.Iterations ||
+		sim.UpdateAndGates != rep.UpdateAndGates || sim.AggAndGates != rep.AggAndGates {
+		t.Errorf("sim report (nodes %d, iterations %d, AND gates %d/%d) != tcp report (%d, %d, %d/%d)",
+			sim.Nodes, sim.Iterations, sim.UpdateAndGates, sim.AggAndGates,
+			rep.Nodes, rep.Iterations, rep.UpdateAndGates, rep.AggAndGates)
 	}
 }
 

@@ -75,7 +75,7 @@ func main() {
 	fmt.Printf("\nexact TDS (what a trusted regulator would compute): $%.2fM\n", exactTDS/1e6)
 	fmt.Printf("released TDS (ε=0.5, noised inside MPC):            $%.2fM\n", cluster.DecodeDollars(sc, sum.Result)/1e6)
 	fmt.Printf("3 OS processes, %d TCP-transported bytes, wall time %v\n",
-		sum.TotalBytes(), sum.WallTime.Round(1e6))
+		sum.Report.TotalBytes(), sum.WallTime.Round(1e6))
 }
 
 func runChildNode() {

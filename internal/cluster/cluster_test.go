@@ -69,15 +69,18 @@ func TestClusterExactEN(t *testing.T) {
 	if sum.Result != exact {
 		t.Errorf("cluster result %d != reference %d", sum.Result, exact)
 	}
-	if len(sum.Reports) != 4 || len(sum.Stats) != 4 {
-		t.Errorf("got %d reports / %d stats, want 4", len(sum.Reports), len(sum.Stats))
+	if len(sum.Nodes) != 4 {
+		t.Errorf("got %d node rows, want 4", len(sum.Nodes))
 	}
-	if sum.TotalBytes() <= 0 || sum.MaxNodeBytes() <= 0 || sum.AvgNodeBytes() <= 0 {
+	if rep := sum.Report; rep.TotalBytes() <= 0 || rep.MaxNodeBytes <= 0 || rep.AvgNodeBytes <= 0 {
 		t.Error("traffic counters not populated")
 	}
-	for id, rep := range sum.Reports {
-		if rep.TotalTime() <= 0 {
-			t.Errorf("node %d report has no phase times", id)
+	for i, n := range sum.Nodes {
+		if int(n.Node) != i+1 {
+			t.Errorf("Nodes[%d] is node %d, want rows sorted by id", i, n.Node)
+		}
+		if n.TotalTime() <= 0 || n.Stats.BytesSent <= 0 {
+			t.Errorf("node %d row has no phase times or traffic", n.Node)
 		}
 	}
 }

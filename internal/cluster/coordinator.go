@@ -72,10 +72,12 @@ type Summary struct {
 	// Result is the opened noised aggregate, agreed by every
 	// aggregation-block member.
 	Result int64
-	// Reports holds each node's per-phase report.
-	Reports map[network.NodeID]vertex.Report
-	// Stats holds each node's transport counters.
-	Stats map[network.NodeID]network.Stats
+	// Nodes holds the row each live node reported — its own phase times,
+	// sent+received bytes and transport counters — sorted by node id, and
+	// Report their fold (vertex.Fold, the same one the simulation applies):
+	// slowest-node phase times, bytes sent per phase, traffic per node.
+	Nodes  []vertex.NodeResult
+	Report *vertex.Report
 	// Spans holds each node's span table (offsets relative to that node's
 	// own job start on its own clock) and Counters its protocol counters.
 	// Nodes always record; both ride the control plane after the query, so
@@ -88,45 +90,11 @@ type Summary struct {
 	// WallTime is the coordinator-observed duration from job dispatch to
 	// the last node's report.
 	WallTime time.Duration
-	// Recoveries counts the re-blockings that happened while this query was
-	// in flight; RecoveryEvents is their coordinator-side timeline (death,
-	// reblock, and resume events). Both are zero/empty unless the scenario
-	// enabled Recover and a node actually died.
-	Recoveries     int
+	// RecoveryEvents is the coordinator-side timeline (death, reblock, and
+	// resume events) of the re-blockings Report.Recoveries counts: those
+	// that happened while this query was in flight. Empty unless the
+	// scenario enabled Recover and a node actually died.
 	RecoveryEvents []obs.FlightEvent
-}
-
-// TotalBytes sums the bytes sent by all nodes.
-func (s *Summary) TotalBytes() int64 {
-	var t int64
-	for _, st := range s.Stats {
-		t += st.BytesSent
-	}
-	return t
-}
-
-// MaxNodeBytes returns the largest per-node sent+received byte count — the
-// "traffic per node" quantity of Figures 4–6, now measured on real sockets.
-func (s *Summary) MaxNodeBytes() int64 {
-	var m int64
-	for _, st := range s.Stats {
-		if v := st.BytesSent + st.BytesReceived; v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// AvgNodeBytes returns the mean per-node sent+received byte count.
-func (s *Summary) AvgNodeBytes() float64 {
-	if len(s.Stats) == 0 {
-		return 0
-	}
-	var t int64
-	for _, st := range s.Stats {
-		t += st.BytesSent + st.BytesReceived
-	}
-	return float64(t) / float64(len(s.Stats))
 }
 
 // Coordinator serves the control plane for one deployment: it collects node
@@ -242,16 +210,18 @@ type Session struct {
 	directory map[network.NodeID]string
 
 	// dispatchMu serializes whole-fleet job dispatches: every node must see
-	// the session's jobs in the same order (the setup-carrying first job in
-	// particular must be first on every control connection), and gob
-	// encoders are not otherwise concurrency-safe.
+	// the session's jobs in the same order, and gob encoders are not
+	// otherwise concurrency-safe. It also guards setupSent: topology,
+	// directory and signed setup ride on whichever job is dispatched first,
+	// decided inside the dispatch's own critical section — so no job can
+	// reach a node ahead of the one that carries them.
 	dispatchMu sync.Mutex
+	setupSent  bool
 
-	mu        sync.Mutex
-	jobsSent  int
-	setupSent bool
-	pending   map[int]chan doneMsg // in-flight queries by Seq
-	closed    bool
+	mu       sync.Mutex
+	jobsSent int
+	pending  map[int]chan doneMsg // in-flight queries by Seq
+	closed   bool
 
 	// --- Failure-recovery plane (active when the scenario sets Recover).
 	recoverOn bool
@@ -705,8 +675,6 @@ func (s *Session) Run(ctx context.Context, q Query) (*Summary, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("cluster: session is closed")
 	}
-	// Claim the first-job slot only once validation is done: a rejected
-	// query must not consume the one job that ships the setup.
 	seq := q.Seq
 	if seq <= 0 {
 		seq = s.jobsSent + 1
@@ -718,8 +686,6 @@ func (s *Session) Run(ctx context.Context, q Query) (*Summary, error) {
 	if seq > s.jobsSent {
 		s.jobsSent = seq
 	}
-	first := !s.setupSent
-	s.setupSent = true
 	// Buffered past fleet size so the per-node readers never block on a
 	// collect loop that is busy recovering: with re-blocking, one query can
 	// see up to one report per node per attempt.
@@ -747,7 +713,7 @@ func (s *Session) Run(ctx context.Context, q Query) (*Summary, error) {
 
 	// On any failure below the session is unusable: release the fleet so
 	// every node fails fast instead of waiting on dead counterparties.
-	sum, err := s.runQuery(ctx, q, cfg, g, n, first, seq, ch)
+	sum, err := s.runQuery(ctx, q, cfg, g, n, seq, ch)
 	if err != nil {
 		s.abort()
 		return nil, err
@@ -755,17 +721,19 @@ func (s *Session) Run(ctx context.Context, q Query) (*Summary, error) {
 	return sum, nil
 }
 
-func (s *Session) runQuery(ctx context.Context, q Query, cfg ConfigWire, g *vertex.Graph, n int, first bool, seq int, ch chan doneMsg) (*Summary, error) {
+func (s *Session) runQuery(ctx context.Context, q Query, cfg ConfigWire, g *vertex.Graph, n int, seq int, ch chan doneMsg) (*Summary, error) {
 	// --- Dispatch the job; this triggers the query. The whole fleet loop
 	// holds dispatchMu so overlapping Runs cannot interleave their jobs
 	// across connections: every node sees the same job order.
-	slog.Debug("cluster query dispatch", "query", seq, "nodes", n, "iterations", q.Iterations, "epsilon", q.Epsilon, "first", first)
 	start := time.Now()
 	s.mu.Lock()
 	s.specs[seq] = querySpec{cfg: cfg, iterations: q.Iterations}
 	recStart, evStart := s.recoveries, len(s.recEvents)
 	s.mu.Unlock()
 	s.dispatchMu.Lock()
+	first := !s.setupSent
+	s.setupSent = true
+	slog.Debug("cluster query dispatch", "query", seq, "nodes", n, "iterations", q.Iterations, "epsilon", q.Epsilon, "first", first)
 	// Snapshot the fleet while holding dispatchMu: a recovery both shrinks
 	// ids and sends its own control traffic under the same lock, so the
 	// snapshot can never name a retired connection.
@@ -811,10 +779,9 @@ collect:
 	// mid-collect shrinks the fleet, bumps the attempt, and discards
 	// superseded reports.
 	sum := &Summary{
-		Reports:  make(map[network.NodeID]vertex.Report, n),
-		Stats:    make(map[network.NodeID]network.Stats, n),
 		Spans:    make(map[network.NodeID][]obs.Span, n),
 		Counters: make(map[network.NodeID]map[string]int64, n),
+		Clock:    make(map[network.NodeID]ClockInfo, n),
 	}
 	got := make(map[network.NodeID]doneMsg, n)
 	for {
@@ -864,49 +831,35 @@ collect:
 			}
 			got[d.ID] = d
 			slog.Debug("cluster node reported", "query", seq, "node", d.ID,
-				"bytes_sent", d.Stats.BytesSent, "spans", len(d.Spans))
+				"bytes_sent", d.Row.Stats.BytesSent, "spans", len(d.Spans))
 		}
 	}
-	var results []int64
-	epochs := make(map[network.NodeID]int64, n)
 	for _, id := range live {
 		d := got[id]
-		sum.Reports[d.ID] = d.Report
-		sum.Stats[d.ID] = d.Stats
-		sum.Spans[d.ID] = d.Spans
-		sum.Counters[d.ID] = d.Counters
-		epochs[d.ID] = d.Epoch
-		if d.HasResult {
-			results = append(results, d.Result)
-		}
-	}
-	sum.WallTime = time.Since(start)
-	sum.Clock = make(map[network.NodeID]ClockInfo, n)
-	for id, epoch := range epochs {
+		sum.Nodes = append(sum.Nodes, d.Row)
+		sum.Spans[id] = d.Spans
+		sum.Counters[id] = d.Counters
 		ci := s.health.clockInfo(id)
-		ci.EpochUnixNS = epoch
+		ci.EpochUnixNS = d.Epoch
 		sum.Clock[id] = ci
 	}
+	slices.SortFunc(sum.Nodes, func(a, b vertex.NodeResult) int { return int(a.Node - b.Node) })
+	sum.WallTime = time.Since(start)
 	s.mu.Lock()
-	sum.Recoveries = s.recoveries - recStart
+	recoveries := s.recoveries - recStart
 	if evEnd := len(s.recEvents); evEnd > evStart {
 		sum.RecoveryEvents = append([]obs.FlightEvent(nil), s.recEvents[evStart:evEnd]...)
 	}
-	aggWant := len(s.setup.Assignment.AggBlock)
+	aggMembers := len(s.setup.Assignment.AggBlock)
 	s.mu.Unlock()
-	slog.Debug("cluster query complete", "query", seq, "wall_ms", sum.WallTime.Milliseconds(),
-		"total_bytes", sum.TotalBytes(), "recoveries", sum.Recoveries)
 
-	// Every aggregation-block member opened the aggregate; they must agree.
-	if len(results) != aggWant {
-		return nil, fmt.Errorf("cluster: %d nodes reported a result, want %d aggregation members", len(results), aggWant)
+	var err error
+	if sum.Result, sum.Report, err = vertex.Fold(sum.Nodes, aggMembers); err != nil {
+		return nil, err
 	}
-	for _, r := range results[1:] {
-		if r != results[0] {
-			return nil, fmt.Errorf("cluster: aggregation members disagree: %d vs %d", results[0], r)
-		}
-	}
-	sum.Result = results[0]
+	sum.Report.Recoveries = recoveries
+	slog.Debug("cluster query complete", "query", seq, "wall_ms", sum.WallTime.Milliseconds(),
+		"total_bytes", sum.Report.TotalBytes(), "recoveries", recoveries)
 	return sum, nil
 }
 

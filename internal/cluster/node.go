@@ -307,9 +307,7 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 			return
 		}
 		done := doneMsg{
-			ID: opt.ID, Seq: job.Seq, Attempt: req.attempt,
-			HasResult: res.HasResult, Result: res.Result,
-			Report: res.Report, Stats: res.Stats,
+			ID: opt.ID, Seq: job.Seq, Attempt: req.attempt, Row: *res,
 			Spans: trace.Spans(), Counters: trace.Counters(),
 			Epoch: trace.Epoch().UnixNano(), LastPhase: lastPhase,
 		}
@@ -318,13 +316,11 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 			done.Flight = flight.Events()
 			slog.Error("cluster job failed", "node", opt.ID, "query", job.Seq, "error", runErr)
 		} else {
-			slog.Debug("cluster job done",
-				"node", opt.ID, "query", job.Seq,
-				"init_ms", res.Report.InitTime.Milliseconds(),
-				"compute_ms", res.Report.ComputeTime.Milliseconds(),
-				"transfer_ms", res.Report.CommTime.Milliseconds(),
-				"agg_ms", res.Report.AggTime.Milliseconds(),
-				"bytes_sent", res.Stats.BytesSent)
+			args := []any{"node", opt.ID, "query", job.Seq, "bytes_sent", res.Stats.BytesSent}
+			for _, ph := range res.Phases() {
+				args = append(args, ph.Key+"_ms", ph.Time.Milliseconds())
+			}
+			slog.Debug("cluster job done", args...)
 		}
 		encErr := send(nodeMsg{Done: &done})
 		if encErr != nil && runErr == nil {

@@ -59,20 +59,18 @@ func TestClusterChaosRecovery(t *testing.T) {
 	if sum.Result != exact {
 		t.Errorf("recovered result %d != reference %d", sum.Result, exact)
 	}
-	if sum.Recoveries != 1 {
-		t.Errorf("Recoveries = %d, want 1", sum.Recoveries)
+	if sum.Report.Recoveries != 1 {
+		t.Errorf("Recoveries = %d, want 1", sum.Report.Recoveries)
 	}
-	if _, has := sum.Reports[victim]; has {
-		t.Error("summary still carries a report from the dead node")
+	if len(sum.Nodes) != 5 {
+		t.Errorf("got %d node rows, want 5 survivors", len(sum.Nodes))
 	}
-	if len(sum.Reports) != 5 {
-		t.Errorf("got %d reports, want 5 survivors", len(sum.Reports))
+	for _, n := range sum.Nodes {
+		if n.Node == victim {
+			t.Error("summary still carries a row from the dead node")
+		}
 	}
-	var replayed int
-	for _, rep := range sum.Reports {
-		replayed += rep.ReplayedBarriers
-	}
-	if replayed < 1 {
+	if sum.Report.ReplayedBarriers < 1 {
 		t.Error("no node reports any replayed barrier")
 	}
 	var death, reblock, resume bool
@@ -122,8 +120,8 @@ func TestClusterChaosRecovery(t *testing.T) {
 	if sum2.Result != exact2 {
 		t.Errorf("post-recovery result %d != reference %d", sum2.Result, exact2)
 	}
-	if sum2.Recoveries != 0 {
-		t.Errorf("post-recovery query reports %d recoveries", sum2.Recoveries)
+	if sum2.Report.Recoveries != 0 {
+		t.Errorf("post-recovery query reports %d recoveries", sum2.Report.Recoveries)
 	}
 }
 

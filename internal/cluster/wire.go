@@ -13,10 +13,9 @@ package cluster
 //	                                   signed setup, iteration count, the §3.4
 //	                                   step-2/3 publication — or a pingMsg
 //	                                   heartbeat probe)
-//	node → coordinator   nodeMsg      (either a doneMsg — per-node report and
-//	                                   the opened aggregate from
-//	                                   aggregation-block members — or a
-//	                                   beatMsg heartbeat reply)
+//	node → coordinator   nodeMsg      (either a doneMsg — the node's
+//	                                   vertex.NodeResult row — or a beatMsg
+//	                                   heartbeat reply)
 //
 // After registration both directions speak envelopes (ctrlMsg/nodeMsg)
 // because a gob stream decodes into one concrete type per Decode call, and
@@ -241,12 +240,10 @@ type doneMsg struct {
 	// superseded attempts.
 	Attempt int
 	Err     string
-	// HasResult is set by aggregation-block members, the only nodes that
-	// learn the opened (noised) aggregate.
-	HasResult bool
-	Result    int64
-	Report    vertex.Report
-	Stats     network.Stats
+	// Row is the node's row of the query's outcome — its phase table and
+	// traffic, plus the opened (noised) aggregate on aggregation-block
+	// members — exactly as its engine returned it; zero when Err is set.
+	Row vertex.NodeResult
 	// Spans is the node's per-job span table (phase, per-iteration,
 	// per-block) with offsets relative to the node's own job start;
 	// Counters its protocol counters (gmw/*, ot/*, net/<prefix>/*). Both

@@ -79,8 +79,12 @@ func Fig5EndToEnd(o Options) *Table {
 	t := &Table{
 		ID:     "E6",
 		Title:  fmt.Sprintf("Figure 5: end-to-end runs (N=%d, D=%d, I=%d)", n, d, iters),
-		Header: []string{"model", "block", "setup", "init", "compute", "transfer", "agg+noise", "total", "KB/node"},
+		Header: []string{"model", "block", "setup"},
 	}
+	for _, ph := range new(vertex.Report).Phases() {
+		t.Header = append(t.Header, ph.Label)
+	}
+	t.Header = append(t.Header, "total", "KB/node")
 	for _, model := range []string{"EN", "EGJ"} {
 		for _, bs := range o.blockSizes() {
 			rep, tds, err := runE2E(o, model, bs, n, d, iters)
@@ -88,10 +92,11 @@ func Fig5EndToEnd(o Options) *Table {
 				t.Notes = append(t.Notes, fmt.Sprintf("%s block %d: %v", model, bs, err))
 				continue
 			}
-			t.Add(model, fmt.Sprint(bs), durStr(rep.SetupTime),
-				durStr(rep.InitTime), durStr(rep.ComputeTime), durStr(rep.CommTime),
-				durStr(rep.AggTime), durStr(rep.TotalTime()),
-				fmt.Sprintf("%.1f", rep.AvgNodeBytes/1024))
+			row := []string{model, fmt.Sprint(bs), durStr(rep.SetupTime)}
+			for _, ph := range rep.Phases() {
+				row = append(row, durStr(ph.Time))
+			}
+			t.Add(append(row, durStr(rep.TotalTime()), fmt.Sprintf("%.1f", rep.AvgNodeBytes/1024))...)
 			t.SetupMS += float64(rep.SetupTime) / float64(time.Millisecond)
 			t.BaseOTHandshakes += rep.BaseOTHandshakes
 			t.Phases = append(t.Phases, phaseBreakdown(fmt.Sprintf("%s/block=%d", model, bs), rep))

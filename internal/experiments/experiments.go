@@ -130,29 +130,18 @@ type Table struct {
 	Phases []PhaseBreakdown
 }
 
-// PhaseBreakdown is one end-to-end run's per-phase wall times and traffic.
-type PhaseBreakdown struct {
-	Label         string  `json:"label"` // e.g. "EN/block=3" or "EN/N=16"
-	InitMS        float64 `json:"init_ms"`
-	ComputeMS     float64 `json:"compute_ms"`
-	TransferMS    float64 `json:"transfer_ms"`
-	AggMS         float64 `json:"agg_ms"`
-	InitBytes     int64   `json:"init_bytes"`
-	ComputeBytes  int64   `json:"compute_bytes"`
-	TransferBytes int64   `json:"transfer_bytes"`
-	AggBytes      int64   `json:"agg_bytes"`
-}
+// PhaseBreakdown is one end-to-end run's per-phase wall times and traffic as
+// a JSON object: "label" (e.g. "EN/block=3" or "EN/N=16") plus "<key>_ms"
+// and "<key>_bytes" for every row of the report's phase table.
+type PhaseBreakdown map[string]any
 
-// phaseBreakdown flattens a runtime report into the JSON-facing shape.
 func phaseBreakdown(label string, rep *vertex.Report) PhaseBreakdown {
-	msOf := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	return PhaseBreakdown{
-		Label:  label,
-		InitMS: msOf(rep.InitTime), ComputeMS: msOf(rep.ComputeTime),
-		TransferMS: msOf(rep.CommTime), AggMS: msOf(rep.AggTime),
-		InitBytes: rep.InitBytes, ComputeBytes: rep.ComputeBytes,
-		TransferBytes: rep.CommBytes, AggBytes: rep.AggBytes,
+	out := PhaseBreakdown{"label": label}
+	for _, ph := range rep.Phases() {
+		out[ph.Key+"_ms"] = float64(ph.Time) / float64(time.Millisecond)
+		out[ph.Key+"_bytes"] = ph.Bytes
 	}
+	return out
 }
 
 // Add appends a row.

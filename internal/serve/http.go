@@ -129,31 +129,24 @@ func submitErrorCode(err error) int {
 // ---------------------------------------------------------------------------
 
 type queryWire struct {
-	ID         string      `json:"id"`
-	Tenant     string      `json:"tenant"`
-	Status     State       `json:"status"`
-	Iterations int         `json:"iterations"`
-	Epsilon    float64     `json:"epsilon"`
-	Submitted  time.Time   `json:"submitted"`
-	Raw        *int64      `json:"raw,omitempty"`
-	Value      *float64    `json:"value,omitempty"`
-	Report     *reportWire `json:"report,omitempty"`
-	Error      string      `json:"error,omitempty"`
-	LatencyMS  float64     `json:"latency_ms,omitempty"`
+	ID         string     `json:"id"`
+	Tenant     string     `json:"tenant"`
+	Status     State      `json:"status"`
+	Iterations int        `json:"iterations"`
+	Epsilon    float64    `json:"epsilon"`
+	Submitted  time.Time  `json:"submitted"`
+	Raw        *int64     `json:"raw,omitempty"`
+	Value      *float64   `json:"value,omitempty"`
+	Report     reportWire `json:"report,omitempty"`
+	Error      string     `json:"error,omitempty"`
+	LatencyMS  float64    `json:"latency_ms,omitempty"`
 	// Phase is the live protocol phase; present only while running.
 	Phase string `json:"phase,omitempty"`
 }
 
-type reportWire struct {
-	Transport string  `json:"transport"`
-	Nodes     int     `json:"nodes"`
-	WallMS    float64 `json:"wall_ms"`
-	InitMS    float64 `json:"init_ms"`
-	ComputeMS float64 `json:"compute_ms"`
-	CommMS    float64 `json:"transfer_ms"`
-	AggMS     float64 `json:"agg_ms"`
-	Bytes     int64   `json:"bytes"`
-}
+// reportWire is the "report" object: transport, nodes, wall_ms, bytes, and
+// "<key>_ms" for every row of the report's phase table.
+type reportWire map[string]any
 
 func wireQuery(st QueryStatus) queryWire {
 	out := queryWire{
@@ -165,14 +158,12 @@ func wireQuery(st QueryStatus) queryWire {
 		raw, value := st.Result.Raw, st.Result.Value
 		out.Raw, out.Value = &raw, &value
 		if rep := st.Result.Report; rep != nil {
-			out.Report = &reportWire{
-				Transport: rep.Transport, Nodes: rep.Nodes,
-				WallMS:    ms(rep.WallTime),
-				InitMS:    ms(rep.InitTime),
-				ComputeMS: ms(rep.ComputeTime),
-				CommMS:    ms(rep.CommTime),
-				AggMS:     ms(rep.AggTime),
-				Bytes:     rep.TotalBytes(),
+			out.Report = reportWire{
+				"transport": rep.Transport, "nodes": rep.Nodes,
+				"wall_ms": ms(rep.WallTime), "bytes": rep.TotalBytes(),
+			}
+			for _, ph := range rep.Phases() {
+				out.Report[ph.Key+"_ms"] = ms(ph.Time)
 			}
 		}
 	}

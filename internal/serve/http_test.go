@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -74,6 +75,15 @@ func TestHTTPSyncQuery(t *testing.T) {
 	if q.Status != StateDone || q.Value == nil || q.Epsilon != 0.2 || q.Iterations != 3 {
 		t.Errorf("sync response %+v, want done with value, ε=0.2, iterations=3", q)
 	}
+	// The report object's key set is API, rendered from the phase table.
+	keys := make([]string, 0, len(q.Report))
+	for k := range q.Report {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if want := "agg_ms bytes compute_ms init_ms nodes transfer_ms transport wall_ms"; strings.Join(keys, " ") != want {
+		t.Errorf("report keys %q, want %q", strings.Join(keys, " "), want)
+	}
 
 	// Budget endpoint reflects the charge.
 	resp, body = getBody(t, srv.URL+"/v1/tenants/regulator/budget")
@@ -126,6 +136,11 @@ func TestHTTPSyncQuery(t *testing.T) {
 		"dstress_queries_refused_total 2",
 		"dstress_pool_sessions 1",
 		"dstress_epsilon_charged_total 0.6",
+		`dstress_phase_latency_seconds_count{phase="init"} 2`,
+		`dstress_phase_latency_seconds_count{phase="compute"} 2`,
+		`dstress_phase_latency_seconds_count{phase="communicate"} 2`,
+		`dstress_phase_latency_seconds_count{phase="aggregate"} 2`,
+		`dstress_phase_latency_seconds_count{phase="wall"} 2`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q in:\n%s", want, body)

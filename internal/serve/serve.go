@@ -32,9 +32,9 @@ import (
 	"dstress/internal/obs"
 )
 
-// phaseNames orders the per-phase latency histograms: the four protocol
-// phases plus the end-to-end wall time, as reported by each served query.
-var phaseNames = []string{"init", "compute", "communicate", "aggregate", "wall"}
+// wallPhase labels the end-to-end histogram that sits next to the phase
+// table's own in the per-phase latency family.
+const wallPhase = "wall"
 
 // ErrDraining reports a submission against a service that is shutting
 // down.
@@ -243,8 +243,9 @@ type Service struct {
 	latencySum   time.Duration
 	latencyCount uint64
 
-	// phaseHist is keyed by phaseNames; the histograms are internally
-	// atomic, so workers observe into them without holding s.mu.
+	// phaseHist holds one latency histogram per row of the report's phase
+	// table (keyed by Phase.Name) plus wallPhase; the histograms are
+	// internally atomic, so workers observe into them without holding s.mu.
 	phaseHist map[string]*obs.Histogram
 
 	// Process gauges, refreshed from the Go runtime at Metrics time.
@@ -286,14 +287,14 @@ func New(ctx context.Context, cfg Config) (*Service, error) {
 		logf:      logf,
 		work:      make(chan *query, cfg.QueueDepth),
 		queries:   make(map[string]*query),
-		phaseHist: make(map[string]*obs.Histogram, len(phaseNames)),
+		phaseHist: map[string]*obs.Histogram{wallPhase: obs.NewHistogram(nil)},
 
 		gaugeGoroutines: obs.NewGauge("dstress_go_goroutines", "Live goroutines in the serving process."),
 		gaugeHeap:       obs.NewGauge("dstress_go_heap_alloc_bytes", "Heap bytes currently allocated."),
 		gaugeGCPause:    obs.NewGauge("dstress_go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time."),
 	}
-	for _, ph := range phaseNames {
-		s.phaseHist[ph] = obs.NewHistogram(nil)
+	for _, ph := range new(dstress.Report).Phases() {
+		s.phaseHist[ph.Name] = obs.NewHistogram(nil)
 	}
 	for t, b := range cfg.Tenants {
 		s.ledger.Declare(t, b)
@@ -597,12 +598,10 @@ func (s *Service) resubmit(q *query) bool {
 // finish records a query's outcome and bookkeeping.
 func (s *Service) finish(q *query, res *dstress.Result, err error) {
 	if err == nil && res != nil && res.Report != nil {
-		rep := res.Report
-		s.phaseHist["init"].Observe(rep.InitTime)
-		s.phaseHist["compute"].Observe(rep.ComputeTime)
-		s.phaseHist["communicate"].Observe(rep.CommTime)
-		s.phaseHist["aggregate"].Observe(rep.AggTime)
-		s.phaseHist["wall"].Observe(rep.WallTime)
+		for _, ph := range res.Report.Phases() {
+			s.phaseHist[ph.Name].Observe(ph.Time)
+		}
+		s.phaseHist[wallPhase].Observe(res.Report.WallTime)
 	}
 	s.mu.Lock()
 	s.busy--
@@ -712,9 +711,9 @@ func (s *Service) Fleets() []FleetStatus {
 
 // Metrics returns a snapshot of the service counters.
 func (s *Service) Metrics() Metrics {
-	phases := make(map[string]obs.HistogramSnapshot, len(phaseNames))
-	for _, ph := range phaseNames {
-		phases[ph] = s.phaseHist[ph].Snapshot()
+	phases := make(map[string]obs.HistogramSnapshot, len(s.phaseHist))
+	for ph, h := range s.phaseHist {
+		phases[ph] = h.Snapshot()
 	}
 	tenants := s.ledger.Statuses()
 

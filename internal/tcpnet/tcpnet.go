@@ -49,58 +49,44 @@ type Peer struct {
 	id       network.NodeID
 	listener net.Listener
 
+	// boxes is the receiving half, the same mailbox table the hub uses.
+	boxes network.Mailboxes
+
 	mu    sync.Mutex
 	dials map[network.NodeID]net.Conn // outbound connections by peer id
 	addrs map[network.NodeID]string   // directory: node id → address
-	boxes map[boxKey]*mailbox
-	dead  map[network.NodeID]bool // senders whose inbound connection died
 
-	bytesSent, bytesRecv, msgsSent atomic.Int64
-
-	// tagStats aggregates framed wire bytes by tag prefix (protocol layer)
-	// and peerStats by counterparty; both are sync.Maps of atomics so the
-	// data-plane hot path never takes p.mu.
-	tagStats  sync.Map // string → *tagCounter
-	peerStats sync.Map // network.NodeID → *tagCounter
+	// total counts framed wire bytes node-wide, tagStats by tag prefix
+	// (protocol layer): atomics in a sync.Map, so the data-plane hot path
+	// never takes p.mu.
+	total    counter
+	tagStats sync.Map // string → *counter
 
 	closed  atomic.Bool
 	writeMu sync.Map // per-conn *sync.Mutex
 }
 
-var (
-	_ network.Transport  = (*Peer)(nil)
-	_ network.TagTracker = (*Peer)(nil)
-)
+var _ network.Transport = (*Peer)(nil)
 
-// tagCounter accumulates one prefix's (or one counterparty's) traffic.
-type tagCounter struct {
+// counter accumulates traffic; stats snapshots it as a network.Stats.
+type counter struct {
 	bytesSent, bytesRecv, msgsSent atomic.Int64
 }
 
-func counterIn(m *sync.Map, key any) *tagCounter {
+func (c *counter) stats() network.Stats {
+	return network.Stats{
+		BytesSent:     c.bytesSent.Load(),
+		BytesReceived: c.bytesRecv.Load(),
+		MessagesSent:  c.msgsSent.Load(),
+	}
+}
+
+func counterIn(m *sync.Map, key any) *counter {
 	c, ok := m.Load(key)
 	if !ok {
-		c, _ = m.LoadOrStore(key, new(tagCounter))
+		c, _ = m.LoadOrStore(key, new(counter))
 	}
-	return c.(*tagCounter)
-}
-
-type boxKey struct {
-	from network.NodeID
-	tag  string
-}
-
-type mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  [][]byte
-	closed bool
-}
-
-func newMailbox() *mailbox {
-	m := &mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
+	return c.(*counter)
 }
 
 // Listen starts a peer on addr ("127.0.0.1:0" for an ephemeral port).
@@ -114,8 +100,6 @@ func Listen(id network.NodeID, addr string) (*Peer, error) {
 		listener: l,
 		dials:    make(map[network.NodeID]net.Conn),
 		addrs:    make(map[network.NodeID]string),
-		boxes:    make(map[boxKey]*mailbox),
-		dead:     make(map[network.NodeID]bool),
 	}
 	go p.acceptLoop()
 	return p, nil
@@ -142,48 +126,31 @@ func (p *Peer) Close() error {
 	p.closed.Store(true)
 	err := p.listener.Close()
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	for _, c := range p.dials {
 		c.Close()
 	}
-	for _, b := range p.boxes {
-		b.close()
-	}
+	p.mu.Unlock()
+	p.boxes.Close()
 	return err
 }
 
 // Stats returns the traffic snapshot, aligned with network.Stats.
-func (p *Peer) Stats() network.Stats {
-	return network.Stats{
-		BytesSent:     p.bytesSent.Load(),
-		BytesReceived: p.bytesRecv.Load(),
-		MessagesSent:  p.msgsSent.Load(),
-	}
-}
+func (p *Peer) Stats() network.Stats { return p.total.stats() }
 
 // TagStats returns framed wire bytes and messages aggregated by tag prefix
 // (the protocol layer: "blk", "tx", "init", …). The ident greeting is
 // excluded — it carries no protocol tag.
-func (p *Peer) TagStats() map[string]network.TagStat {
-	out := make(map[string]network.TagStat)
+func (p *Peer) TagStats() map[string]network.Stats {
+	out := make(map[string]network.Stats)
 	p.tagStats.Range(func(k, v any) bool {
-		c := v.(*tagCounter)
-		out[k.(string)] = network.TagStat{
-			BytesSent:     c.bytesSent.Load(),
-			BytesReceived: c.bytesRecv.Load(),
-			MessagesSent:  c.msgsSent.Load(),
-		}
+		out[k.(string)] = v.(*counter).stats()
 		return true
 	})
 	return out
 }
 
-// RetireTagPrefix drops the per-tag-prefix counters and drained mailboxes
-// filed under prefix (at a "/" component boundary — "q/3" retires "q/3/..."
-// but not "q/30/..."). A standing daemon calls this after reporting a
-// query's doneMsg so the tagStats map and mailbox table don't grow by one
-// entry set per query served. Node-level counters stay cumulative.
-// Implements network.TagRetirer.
+// RetireTagPrefix implements network.Transport. A standing daemon calls it
+// after reporting a query's doneMsg.
 func (p *Peer) RetireTagPrefix(prefix string) {
 	p.tagStats.Range(func(k, v any) bool {
 		if network.TagUnder(k.(string), prefix) {
@@ -191,32 +158,7 @@ func (p *Peer) RetireTagPrefix(prefix string) {
 		}
 		return true
 	})
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for k, b := range p.boxes {
-		if network.TagUnder(k.tag, prefix) {
-			// Close before dropping: a straggler still parked in Recv gets a
-			// "peer closed" error instead of hanging on an orphaned mailbox.
-			b.close()
-			delete(p.boxes, k)
-		}
-	}
-}
-
-// PeerStats returns framed wire bytes and messages aggregated by
-// counterparty node.
-func (p *Peer) PeerStats() map[network.NodeID]network.Stats {
-	out := make(map[network.NodeID]network.Stats)
-	p.peerStats.Range(func(k, v any) bool {
-		c := v.(*tagCounter)
-		out[k.(network.NodeID)] = network.Stats{
-			BytesSent:     c.bytesSent.Load(),
-			BytesReceived: c.bytesRecv.Load(),
-			MessagesSent:  c.msgsSent.Load(),
-		}
-		return true
-	})
-	return out
+	p.boxes.Retire(prefix)
 }
 
 func (p *Peer) acceptLoop() {
@@ -243,100 +185,19 @@ func (p *Peer) readLoop(conn net.Conn) {
 		from, tag, payload, err := readFrame(conn)
 		if err != nil {
 			if seen && !p.closed.Load() {
-				p.markDead(lastFrom)
+				p.boxes.CloseFrom(lastFrom)
 			}
 			return
 		}
 		lastFrom, seen = from, true
 		n := frameBytes(tag, payload)
-		p.bytesRecv.Add(n)
+		p.total.bytesRecv.Add(n)
 		if tag == identTag {
 			continue
 		}
 		counterIn(&p.tagStats, network.TagPrefix(tag)).bytesRecv.Add(n)
-		counterIn(&p.peerStats, from).bytesRecv.Add(n)
-		p.box(from, tag).put(payload)
+		p.boxes.Put(from, tag, payload)
 	}
-}
-
-// markDead releases every mailbox fed by the given sender, present and
-// future.
-func (p *Peer) markDead(from network.NodeID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.dead[from] = true
-	for k, b := range p.boxes {
-		if k.from == from {
-			b.close()
-		}
-	}
-}
-
-func (p *Peer) box(from network.NodeID, tag string) *mailbox {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	k := boxKey{from, tag}
-	b, ok := p.boxes[k]
-	if !ok {
-		b = newMailbox()
-		if p.closed.Load() || p.dead[from] {
-			b.closed = true
-		}
-		p.boxes[k] = b
-	}
-	return b
-}
-
-func (m *mailbox) put(payload []byte) {
-	m.mu.Lock()
-	m.queue = append(m.queue, payload)
-	m.mu.Unlock()
-	m.cond.Signal()
-}
-
-func (m *mailbox) close() {
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
-	m.cond.Broadcast()
-}
-
-// get returns the next queued message; queued messages drain even after
-// close, so an orderly shutdown does not drop deliveries. A done context
-// releases the wait with the context's error.
-func (m *mailbox) get(ctx context.Context) ([]byte, error) {
-	m.mu.Lock()
-	if len(m.queue) > 0 {
-		v := m.queue[0]
-		m.queue = m.queue[1:]
-		m.mu.Unlock()
-		return v, nil
-	}
-	m.mu.Unlock()
-	if ctx.Done() != nil {
-		// Broadcast under the lock so the waiter is either parked in Wait
-		// or has not yet re-checked ctx.Err — no wakeup can be lost.
-		stop := context.AfterFunc(ctx, func() {
-			m.mu.Lock()
-			m.cond.Broadcast()
-			m.mu.Unlock()
-		})
-		defer stop()
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.queue) == 0 && !m.closed {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		m.cond.Wait()
-	}
-	if len(m.queue) == 0 {
-		return nil, errors.New("tcpnet: peer closed")
-	}
-	v := m.queue[0]
-	m.queue = m.queue[1:]
-	return v, nil
 }
 
 // conn returns (dialing lazily) the outbound connection to peer `to`.
@@ -377,7 +238,7 @@ func (p *Peer) conn(to network.NodeID) (net.Conn, error) {
 		c.Close()
 		return nil, fmt.Errorf("tcpnet: greeting node %d: %w", to, err)
 	}
-	p.bytesSent.Add(frameBytes(identTag, nil))
+	p.total.bytesSent.Add(frameBytes(identTag, nil))
 	p.dials[to] = c
 	return c, nil
 }
@@ -396,14 +257,11 @@ func (p *Peer) Send(to network.NodeID, tag string, payload []byte) error {
 		return fmt.Errorf("tcpnet: send to %d: %w", to, err)
 	}
 	n := frameBytes(tag, payload)
-	p.bytesSent.Add(n)
-	p.msgsSent.Add(1)
+	p.total.bytesSent.Add(n)
+	p.total.msgsSent.Add(1)
 	tc := counterIn(&p.tagStats, network.TagPrefix(tag))
 	tc.bytesSent.Add(n)
 	tc.msgsSent.Add(1)
-	pc := counterIn(&p.peerStats, to)
-	pc.bytesSent.Add(n)
-	pc.msgsSent.Add(1)
 	return nil
 }
 
@@ -417,7 +275,7 @@ func frameBytes(tag string, payload []byte) int64 {
 // context is done, or the peer is closed. Queued messages drain before
 // either failure is reported.
 func (p *Peer) Recv(ctx context.Context, from network.NodeID, tag string) ([]byte, error) {
-	return p.box(from, tag).get(ctx)
+	return p.boxes.Get(ctx, from, tag)
 }
 
 // ---------------------------------------------------------------------------

@@ -198,18 +198,6 @@ type Job struct {
 	Chaos *Chaos
 }
 
-// NodeResult is what a node learns from a run.
-type NodeResult struct {
-	// Result is the opened noised aggregate; only aggregation-block members
-	// have it (HasResult).
-	Result    int64
-	HasResult bool
-	Report    Report
-	// Stats is this node's traffic for the query, carved out of the
-	// transport's counters by the query's tag namespace.
-	Stats network.Stats
-}
-
 // Engine executes the roles of exactly one node — restricted to the
 // vertices whose blocks contain it, the edges it relays or adjusts, and (if
 // assigned) the aggregation block. It stands for a whole deployment
@@ -223,11 +211,6 @@ type Engine struct {
 	ot      gmw.OTOption
 	setup   *trustedparty.SetupResult
 	secrets trustedparty.NodeSecrets
-	// tags is the per-tag-prefix view of tr (nil when the transport does
-	// not track tags); with overlapping jobs it is the only way to carve
-	// one query's traffic out of the shared counters.
-	tags network.TagTracker
-
 	// ShipCheckpoint, when set before the first Run, receives every sealed
 	// barrier snapshot this node produces (a cluster node sends it up the
 	// control plane; the Runtime files it in its checkpoint table).
@@ -292,7 +275,6 @@ func NewEngine(dep *Deployment, setup *trustedparty.SetupResult, secrets trusted
 		archives:  make(map[int]*queryArchive),
 		adoptedNK: make(map[int][]*big.Int),
 	}
-	e.tags, _ = tr.(network.TagTracker)
 	own := int(e.id) - 1
 	if own < 0 || own >= dep.graph.N() {
 		return nil, fmt.Errorf("vertex: node %d has no vertex in an %d-vertex graph", e.id, dep.graph.N())
@@ -450,14 +432,12 @@ func (e *Engine) createSessions(ctx context.Context, run *nodeRun) error {
 }
 
 // queryTags carves one query's traffic out of the transport's shared
-// per-prefix counters by its tag namespace. withSetup additionally charges
-// the pairwise substrate handshakes ("otsub", paid once per deployment) to
-// this query. Nil when the transport does not track tags.
-func (e *Engine) queryTags(root string, withSetup bool) map[string]network.TagStat {
-	if e.tags == nil {
-		return nil
-	}
-	tags := e.tags.TagStats()
+// per-prefix counters by its tag namespace — with overlapping jobs, the only
+// way to tell one query's bytes from another's. withSetup additionally
+// charges the pairwise substrate handshakes ("otsub", paid once per
+// deployment) to this query.
+func (e *Engine) queryTags(root string, withSetup bool) map[string]network.Stats {
+	tags := e.tr.TagStats()
 	for prefix := range tags {
 		if !network.TagUnder(prefix, root) && !(withSetup && prefix == "otsub") {
 			delete(tags, prefix)
@@ -466,12 +446,8 @@ func (e *Engine) queryTags(root string, withSetup bool) map[string]network.TagSt
 	return tags
 }
 
-// queryStats sums queryTags; it falls back to the node's cumulative totals
-// when the transport does not track tags.
+// queryStats sums queryTags.
 func (e *Engine) queryStats(root string, withSetup bool) network.Stats {
-	if e.tags == nil {
-		return e.tr.Stats()
-	}
 	var s network.Stats
 	for _, ts := range e.queryTags(root, withSetup) {
 		s.BytesSent += ts.BytesSent
@@ -921,7 +897,7 @@ func (e *Engine) Run(ctx context.Context, job Job) (*NodeResult, error) {
 	// and fold its per-prefix counters into the trace, then drop its tag
 	// namespace from the transport so a standing engine's counters and
 	// mailboxes do not grow with every query served.
-	res := &NodeResult{Result: result, HasResult: hasResult, Report: *rep, Stats: e.queryStats(run.root, paysSetup)}
+	res := &NodeResult{Node: e.id, Result: result, HasResult: hasResult, Report: *rep, Stats: e.queryStats(run.root, paysSetup)}
 	if trace != nil {
 		for prefix, ts := range e.queryTags(run.root, paysSetup) {
 			trace.Add("net/"+prefix+"/bytes_sent", ts.BytesSent)
@@ -929,9 +905,7 @@ func (e *Engine) Run(ctx context.Context, job Job) (*NodeResult, error) {
 			trace.Add("net/"+prefix+"/msgs_sent", ts.MessagesSent)
 		}
 	}
-	if rt, ok := e.tr.(network.TagRetirer); ok {
-		rt.RetireTagPrefix(run.root)
-	}
+	e.tr.RetireTagPrefix(run.root)
 	return res, nil
 }
 

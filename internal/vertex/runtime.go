@@ -5,6 +5,7 @@ import (
 	crand "crypto/rand"
 	"fmt"
 	"path"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,93 +76,6 @@ type Config struct {
 type ChaosSpec struct {
 	Victim  network.NodeID
 	Barrier int
-}
-
-// Report summarizes an execution: the quantities Figures 3–6 plot. An
-// Engine fills one per node and query; FoldReports combines a query's
-// per-node reports into the deployment-level view.
-type Report struct {
-	// Phase wall-clock durations. Noising happens inside the aggregation
-	// MPC, matching the paper's "Aggregation & noising" bar in Figure 5.
-	// Init includes joining the query's GMW sessions. Folded: the slowest
-	// node's (phases barrier on the protocol's own communication) — except
-	// that a Runtime, which sees every node, reports a partition of the
-	// query's wall time instead (see phaseClock).
-	InitTime, ComputeTime, CommTime, AggTime time.Duration
-	// SetupTime is the one-time deployment-open cost. A Runtime measures it
-	// in New (trusted-party setup, circuit compilation, the pairwise
-	// base-OT warm-up); a cluster node reports the first job's session
-	// joins, which carry the handshakes. It is the same for every query of
-	// a standing deployment.
-	SetupTime time.Duration
-	// BaseOTHandshakes counts the pairwise base-OT bootstraps the node has
-	// performed (folded: summed over nodes). With the OT substrate the sum
-	// equals the number of ordered node pairs sharing at least one session
-	// — independent of the block count. Dealer-provisioned runs report 0.
-	BaseOTHandshakes int64
-	// Phase traffic. A node reports its own sent+received bytes under the
-	// query's tag namespace; the first job of an unwarmed engine
-	// additionally charges the base-OT handshakes to Init. Folded: total
-	// bytes sent, i.e. Σ(sent+received) over nodes, halved — every byte
-	// one node sends, exactly one node receives (TestClusterByteAccounting
-	// pins the relationship).
-	InitBytes, ComputeBytes, CommBytes, AggBytes int64
-	// AvgNodeBytes and MaxNodeBytes summarize per-node sent+received
-	// traffic; only folded reports carry them.
-	AvgNodeBytes float64
-	MaxNodeBytes int64
-	// Iterations actually executed.
-	Iterations int
-	// UpdateAndGates and AggAndGates record circuit sizes (cost drivers).
-	UpdateAndGates, AggAndGates int
-	// Recoveries counts node deaths this query survived by re-blocking
-	// (only whoever coordinates recovery knows it); ReplayedBarriers counts
-	// the lock-step barriers re-executed to resume (folded: the maximum).
-	Recoveries, ReplayedBarriers int
-}
-
-// TotalTime returns the summed phase durations.
-func (r *Report) TotalTime() time.Duration {
-	return r.InitTime + r.ComputeTime + r.CommTime + r.AggTime
-}
-
-// TotalBytes returns the summed phase traffic.
-func (r *Report) TotalBytes() int64 {
-	return r.InitBytes + r.ComputeBytes + r.CommBytes + r.AggBytes
-}
-
-// FoldReports combines one query's per-node results into the deployment
-// view; see the Report fields for how each quantity folds.
-func FoldReports(nodes []*NodeResult) *Report {
-	out := &Report{}
-	var nodeBytes int64
-	for _, n := range nodes {
-		rep := n.Report
-		out.InitTime = max(out.InitTime, rep.InitTime)
-		out.ComputeTime = max(out.ComputeTime, rep.ComputeTime)
-		out.CommTime = max(out.CommTime, rep.CommTime)
-		out.AggTime = max(out.AggTime, rep.AggTime)
-		out.SetupTime = max(out.SetupTime, rep.SetupTime)
-		out.BaseOTHandshakes += rep.BaseOTHandshakes
-		out.InitBytes += rep.InitBytes
-		out.ComputeBytes += rep.ComputeBytes
-		out.CommBytes += rep.CommBytes
-		out.AggBytes += rep.AggBytes
-		out.Iterations = rep.Iterations
-		out.UpdateAndGates, out.AggAndGates = rep.UpdateAndGates, rep.AggAndGates
-		out.ReplayedBarriers = max(out.ReplayedBarriers, rep.ReplayedBarriers)
-		b := n.Stats.BytesSent + n.Stats.BytesReceived
-		nodeBytes += b
-		out.MaxNodeBytes = max(out.MaxNodeBytes, b)
-	}
-	out.InitBytes /= 2
-	out.ComputeBytes /= 2
-	out.CommBytes /= 2
-	out.AggBytes /= 2
-	if len(nodes) > 0 {
-		out.AvgNodeBytes = float64(nodeBytes) / float64(len(nodes))
-	}
-	return out
 }
 
 // Runtime runs a whole deployment in one process: it plays the trusted
@@ -333,7 +247,19 @@ func (r *Runtime) RunQueryID(ctx context.Context, qid, iterations int, epsilon f
 			return 0, nil, err
 		}
 		if victim == 0 {
-			return r.fold(nodes, &times, recoveries)
+			result, rep, err := Fold(nodes, len(r.setup.Assignment.AggBlock))
+			if err != nil {
+				return 0, nil, err
+			}
+			// The phase durations are the driver's own (see phaseClock).
+			for p := range phaseVocab {
+				t, _ := rep.slot(p)
+				own, _ := times.slot(p)
+				*t = *own
+			}
+			rep.SetupTime = r.setupTime
+			rep.Recoveries = recoveries
+			return result, rep, nil
 		}
 		// The injected death: play coordinator, then resume on the survivors.
 		obs.ReportProgress(ctx, "recover")
@@ -350,7 +276,7 @@ func (r *Runtime) RunQueryID(ctx context.Context, qid, iterations int, epsilon f
 // otherwise wait forever on the failed node's messages. The attempt's
 // phase windows are added to times. A non-zero victim reports that the
 // configured chaos fired during this attempt.
-func (r *Runtime) runAttempt(ctx context.Context, job Job, times *Report) (nodes []*NodeResult, victim network.NodeID, err error) {
+func (r *Runtime) runAttempt(ctx context.Context, job Job, times *Report) (nodes []NodeResult, victim network.NodeID, err error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	clock := &phaseClock{report: obs.ProgressFrom(ctx), seen: make(map[string]bool)}
@@ -361,7 +287,7 @@ func (r *Runtime) runAttempt(ctx context.Context, job Job, times *Report) (nodes
 	traces := make([]*obs.Trace, len(r.engines))
 	var died atomic.Bool
 	var failOnce sync.Once
-	nodes = make([]*NodeResult, len(r.engines))
+	nodes = make([]NodeResult, len(r.engines))
 	r.each(func(i int, e *Engine) error {
 		ectx, j := actx, job
 		if parent != nil {
@@ -377,8 +303,9 @@ func (r *Runtime) runAttempt(ctx context.Context, job Job, times *Report) (nodes
 		if runErr != nil {
 			failOnce.Do(func() { err = runErr })
 			cancel()
+			return nil
 		}
-		nodes[i] = res
+		nodes[i] = *res
 		return nil
 	})
 	clock.charge(times, time.Now())
@@ -426,32 +353,6 @@ func (r *Runtime) reblock(dead network.NodeID, seq int) (int, error) {
 	return barrier, nil
 }
 
-// fold turns the nodes' results into the query's result and report: every
-// aggregation-block member opened the aggregate, and they must agree. The
-// phase durations are the driver's own (see phaseClock).
-func (r *Runtime) fold(nodes []*NodeResult, times *Report, recoveries int) (int64, *Report, error) {
-	var result int64
-	opened := 0
-	for _, n := range nodes {
-		if !n.HasResult {
-			continue
-		}
-		if opened > 0 && n.Result != result {
-			return 0, nil, fmt.Errorf("vertex: aggregation members disagree: %d vs %d", result, n.Result)
-		}
-		result = n.Result
-		opened++
-	}
-	if want := len(r.setup.Assignment.AggBlock); opened != want {
-		return 0, nil, fmt.Errorf("vertex: %d nodes opened a result, want %d aggregation members", opened, want)
-	}
-	rep := FoldReports(nodes)
-	rep.InitTime, rep.ComputeTime, rep.CommTime, rep.AggTime = times.InitTime, times.ComputeTime, times.CommTime, times.AggTime
-	rep.SetupTime = r.setupTime
-	rep.Recoveries = recoveries
-	return result, rep, nil
-}
-
 // phaseClock folds the engines' N progress streams into the query's one
 // timeline. The nodes are only loosely in step — each is wherever its own
 // messages let it be — so the driver cuts the query's phases the way a
@@ -493,17 +394,11 @@ func (c *phaseClock) charge(rep *Report, end time.Time) {
 		if i+1 < len(c.begins) {
 			until = c.begins[i+1]
 		}
-		d := until.Sub(c.begins[i])
-		switch path.Base(phase) { // "phase/init", "iter/<i>/compute", …
-		case "compute":
-			rep.ComputeTime += d
-		case "communicate":
-			rep.CommTime += d
-		case "agg":
-			rep.AggTime += d
-		default:
-			rep.InitTime += d
-		}
+		// The step is the path's leaf ("phase/init", "iter/<i>/compute", …);
+		// one the table does not name counts as init.
+		row := max(0, slices.IndexFunc(phaseVocab[:], func(ph Phase) bool { return ph.Step == path.Base(phase) }))
+		t, _ := rep.slot(row)
+		*t += until.Sub(c.begins[i])
 	}
 }
 
