@@ -139,16 +139,10 @@ func main() {
 		if err != nil {
 			fatal("building scenario", "err", err)
 		}
-		sc.Recover = *recoverOn
+		sc.Recover, sc.Heartbeat, sc.StallWindow = *recoverOn, *heartbeat, *stallWindow
 		co, err := cluster.NewCoordinator(*listen, sc)
 		if err != nil {
 			fatal("starting coordinator", "err", err)
-		}
-		if *heartbeat > 0 {
-			co.HeartbeatInterval = *heartbeat
-		}
-		if *stallWindow > 0 {
-			co.StallWindow = *stallWindow
 		}
 		slog.Info("coordinator waiting for nodes", "addr", co.Addr(), "nodes", sc.Graph.N(),
 			"model", *model, "n", *n, "d", *d, "k", *k, "iterations", sc.Iterations,

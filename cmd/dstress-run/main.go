@@ -12,15 +12,15 @@
 //
 // -trace writes a Chrome trace-event file of the run (load it in Perfetto
 // or chrome://tracing): per-iteration compute/communicate spans, per-block
-// GMW spans, transfer and aggregation spans — on tcp, one process row per
-// node, straight from each daemon's own span table.
+// GMW spans, transfer and aggregation spans — one process row per node,
+// straight from each node's own span table.
 //
-// -transport selects the execution backend behind the same dstress.Engine
-// API: sim (default) executes every node's role in this process against
-// the in-memory hub; tcp stands up a real cluster on loopback TCP — a
-// coordinator plus one daemon per bank, each with its own tcpnet peer —
-// and runs the identical experiment through it. The report is printed
-// identically for both. -timeout aborts a wedged run through the context
+// -transport selects how the nodes behind the same dstress.Engine API are
+// started: sim (default) runs one node per bank as a goroutine of this
+// process on the in-memory hub; tcp stands up a real cluster on loopback
+// TCP — a coordinator plus one daemon per bank, each with its own tcpnet
+// peer. Either way one coordinator drives the identical experiment, and
+// the report, heartbeats and post-mortems are the same. -timeout aborts a wedged run through the context
 // plumbing instead of hanging forever. For a multi-machine deployment use
 // cmd/dstress-node directly.
 package main
@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"dstress"
+	"dstress/internal/cluster"
 	"dstress/internal/group"
 	"dstress/internal/obs"
 	"dstress/internal/vertex"
@@ -61,9 +62,9 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON file of the run (Perfetto-loadable)")
 
-		heartbeat   = flag.Duration("heartbeat", 0, "fleet heartbeat interval (tcp only; 0 = 1s default)")
-		stallWindow = flag.Duration("stall-window", 0, "flag the query as stalled after this long without phase progress (tcp only; 0 = 30s default)")
-		flightDump  = flag.String("flight-dump", "", "on query failure, write the flight-recorder post-mortem JSON here (tcp only)")
+		heartbeat   = flag.Duration("heartbeat", 0, "fleet heartbeat interval (0 = 1s default)")
+		stallWindow = flag.Duration("stall-window", 0, "flag the query as stalled after this long without phase progress (0 = 30s default)")
+		flightDump  = flag.String("flight-dump", "", "on query failure, write the flight-recorder post-mortem JSON here")
 
 		recoverOn    = flag.Bool("recover", false, "enable failure recovery: checkpoint shares at phase barriers, re-block around a dead node and resume the query instead of failing")
 		chaosNode    = flag.Int("chaos-node", 0, "deterministic fault injection: kill this node right after the compute step of iteration -chaos-barrier (0 = off)")
@@ -95,45 +96,12 @@ func main() {
 	default:
 		log.Fatalf("unknown -ot %q", *otMode)
 	}
-	if *iters == 0 {
-		*iters = dstress.RecommendedIterations(*n)
-	}
 
-	// --- Build the synthetic scenario (identical for both transports). ---
-	top, err := dstress.CorePeriphery(dstress.CorePeripheryParams{
-		N: *n, Core: *core, D: *d, PeriLink: 2, Seed: *seed,
+	// --- Build the synthetic scenario dstress-node's coordinator runs too. ---
+	sc, exactTDS, err := cluster.BuildSynthetic(cluster.SyntheticOptions{
+		Model: *model, N: *n, Core: *core, D: *d, K: *k, Iterations: *iters, Shock: *shock,
+		Epsilon: *epsilon, Alpha: *alpha, Group: *groupName, Seed: *seed, AggFanIn: *aggFanIn,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	shocked := make([]int, *shock)
-	for i := range shocked {
-		shocked[i] = i
-	}
-
-	spec := dstress.ProgramSpec{Kind: *model, Width: 32, Unit: 1e6, GranularityDollars: 1e6, Leverage: 0.1}
-	cfg := dstress.CircuitConfig{Width: spec.Width, Unit: spec.Unit}
-	var graph *dstress.Graph
-	var exactTDS float64
-	switch *model {
-	case "en":
-		net := dstress.BuildEN(top, dstress.ENParams{
-			CoreCash: 60e6, PeriCash: 5e6, CoreSize: *core, DebtScale: 30e6, Seed: *seed,
-		})
-		net.ApplyCashShock(shocked, 0)
-		exactTDS = dstress.SolveEN(net, 4**n, 1e-9).TDS
-		graph, err = dstress.ENGraph(net, cfg, *d)
-	case "egj":
-		net := dstress.BuildEGJ(top, dstress.EGJParams{
-			CoreBase: 60e6, PeriBase: 8e6, CoreSize: *core,
-			HoldingFrac: 0.15, ThresholdFrac: 0.9, PenaltyFrac: 0.25, Seed: *seed,
-		})
-		net.ApplyBaseShock(shocked, 0.3)
-		exactTDS = dstress.SolveEGJ(net, *iters+1).TDS
-		graph, err = dstress.EGJGraph(net, cfg, *d)
-	default:
-		log.Fatalf("unknown -model %q", *model)
-	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -163,10 +131,10 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "running %s on %s: N=%d D=%d k=%d I=%d group=%s ε=%v α=%v aggfanin=%d\n",
-		*model, *transport, *n, *d, *k, *iters, g.Name(), *epsilon, *alpha, *aggFanIn)
+		*model, *transport, *n, *d, *k, sc.Iterations, g.Name(), *epsilon, *alpha, *aggFanIn)
 
-	// -trace arms the observability plumbing: the driver's spans (sim) or
-	// the nodes' shipped span tables (tcp) accumulate on this trace.
+	// -trace arms the observability plumbing: the nodes' span tables,
+	// shipped back on the control plane, accumulate on this trace.
 	var tr *obs.Trace
 	if *traceOut != "" {
 		tr = obs.NewTrace(0)
@@ -174,8 +142,8 @@ func main() {
 	}
 
 	res, err := eng.Run(ctx, dstress.Job{
-		Spec: &spec, Graph: graph, Iterations: *iters, Epsilon: *epsilon,
-		Decode: cfg.Decode,
+		Spec: &sc.Prog, Graph: sc.Graph, Iterations: sc.Iterations, Epsilon: *epsilon,
+		Decode: func(raw int64) float64 { return cluster.DecodeDollars(sc, raw) },
 	})
 	if err != nil {
 		writeFlightDump(*flightDump, err)
@@ -206,9 +174,9 @@ func main() {
 	}
 }
 
-// writeFlightDump writes the cluster health plane's post-mortem (dead
-// node, last completed phase, flight-recorder tail) as JSON when the
-// failure produced one and -flight-dump names a path.
+// writeFlightDump writes the health plane's post-mortem (dead node, last
+// completed phase, flight-recorder tail) as JSON when the failure produced
+// one and -flight-dump names a path.
 func writeFlightDump(path string, err error) {
 	if path == "" {
 		return
@@ -249,6 +217,6 @@ func printReport(rep *dstress.Report) {
 	fmt.Printf("traffic per node: avg %.1f KB, max %.1f KB\n",
 		rep.AvgNodeBytes/1024, float64(rep.MaxNodeBytes)/1024)
 
-	// Cluster runs carry the per-node table behind the folded numbers.
+	// The per-node table behind the folded numbers.
 	vertex.WriteNodeTable(os.Stdout, rep.NodePhases)
 }

@@ -64,8 +64,8 @@ func main() {
 		seed      = flag.Int64("seed", 42, "synthetic network seed")
 		transport = flag.String("transport", "sim", "deployment backend per pool member: sim or tcp (loopback cluster)")
 
-		heartbeat   = flag.Duration("heartbeat", 0, "fleet heartbeat interval (tcp only; 0 = 1s default)")
-		stallWindow = flag.Duration("stall-window", 0, "flag an in-flight query as stalled after this long without phase progress (tcp only; 0 = 30s default)")
+		heartbeat   = flag.Duration("heartbeat", 0, "fleet heartbeat interval (0 = 1s default)")
+		stallWindow = flag.Duration("stall-window", 0, "flag an in-flight query as stalled after this long without phase progress (0 = 30s default)")
 		recoverOn   = flag.Bool("recover", false, "enable failure recovery on pool deployments: checkpoint shares at phase barriers, re-block around dead nodes and resume queries instead of failing them")
 
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off — kept off the API port)")

@@ -46,9 +46,8 @@
 package dstress
 
 import (
-	"context"
-
 	"dstress/internal/circuit"
+	"dstress/internal/cluster"
 	"dstress/internal/dp"
 	"dstress/internal/finnet"
 	"dstress/internal/group"
@@ -57,7 +56,7 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Programming model and runtime (§3)
+// Programming model (§3)
 // ---------------------------------------------------------------------------
 
 // Program is a DStress vertex program: state/message widths, circuit
@@ -72,17 +71,6 @@ type Graph = vertex.Graph
 // NewGraph creates an empty graph with n vertices and degree bound d.
 func NewGraph(n, d int) *Graph { return vertex.NewGraph(n, d) }
 
-// Config parameterizes a deployment: group, collusion bound k, transfer
-// noise α, output-privacy ε, OT provisioning.
-type Config = vertex.Config
-
-// Runtime executes one program over one graph under MPC, with one protocol
-// engine per node on an in-process hub. It is the simulation backend
-// behind NewSimEngine; most callers should use the
-// Engine/Session API instead, which also covers cluster deployments and
-// returns the unified Report.
-type Runtime = vertex.Runtime
-
 // NoiseSpec describes the in-MPC Laplace noise generator (Dwork et al.
 // style circuit).
 type NoiseSpec = vertex.NoiseSpec
@@ -91,18 +79,11 @@ type NoiseSpec = vertex.NoiseSpec
 const (
 	// OTDealer uses trusted-party-dealt correlated randomness (offline
 	// phase); online traffic is unchanged. Recommended for large runs.
-	OTDealer = vertex.OTDealer
+	OTDealer = cluster.OTDealer
 	// OTIKNP runs DH base OTs plus IKNP extension — the paper-faithful
 	// configuration.
-	OTIKNP = vertex.OTIKNP
+	OTIKNP = cluster.OTIKNP
 )
-
-// NewRuntime builds a runtime: circuit compilation, trusted-party setup
-// (§3.4), and one engine per node. ctx bounds the deployment bootstrap
-// (base-OT warm-up between in-process peers).
-func NewRuntime(ctx context.Context, cfg Config, p *Program, g *Graph) (*Runtime, error) {
-	return vertex.New(ctx, cfg, p, g)
-}
 
 // RunReference executes a program in plaintext with the exact circuits the
 // MPC runtime evaluates: the trusted-aggregator baseline and test oracle.

@@ -44,20 +44,17 @@ func TestPublicAPIQuickstartFlow(t *testing.T) {
 		t.Errorf("circuit TDS %v vs solver %v", got, truth.TDS)
 	}
 
-	rt, err := dstress.NewRuntime(context.Background(), dstress.Config{
+	eng := dstress.NewSimEngine(dstress.EngineConfig{
 		Group: dstress.TestGroup(), K: 1, Alpha: 0.5, OTMode: dstress.OTDealer,
-	}, prog, graph)
+	})
+	res, err := eng.Run(context.Background(), dstress.Job{Program: prog, Graph: graph, Iterations: iters})
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, rep, err := rt.Run(context.Background(), iters)
-	if err != nil {
-		t.Fatal(err)
+	if res.Raw != exact {
+		t.Errorf("MPC result %d != reference %d", res.Raw, exact)
 	}
-	if raw != exact {
-		t.Errorf("MPC result %d != reference %d", raw, exact)
-	}
-	if rep.TotalBytes() <= 0 || rep.TotalTime() <= 0 {
+	if rep := res.Report; rep.TotalBytes() <= 0 || rep.TotalTime() <= 0 {
 		t.Error("report not populated")
 	}
 }

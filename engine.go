@@ -14,12 +14,13 @@ import (
 // ---------------------------------------------------------------------------
 // Unified execution API
 //
-// DStress has two execution backends: the in-process simulation
-// (internal/vertex, every node's role in one process against the hub) and
-// the cluster deployment (internal/cluster, real daemons over TCP). Both
-// run the identical protocol and are byte-compatible on the wire; the
-// Engine interface runs the same Job through either, and Session keeps a
-// deployment standing across multiple budgeted queries.
+// DStress has one driver (internal/cluster: a coordinator that plays the
+// trusted party and drives node engines over the control plane) and two
+// ways to start its nodes: the simulation runs them as goroutines of this
+// process on the in-memory hub, the cluster deployment as real daemons
+// over TCP. Both run the identical protocol and are byte-compatible on the
+// wire; the Engine interface runs the same Job through either, and Session
+// keeps a deployment standing across multiple budgeted queries.
 // ---------------------------------------------------------------------------
 
 // Job describes one query against a deployment: which program over which
@@ -72,29 +73,30 @@ type Result struct {
 	Report *Report
 }
 
-// Report summarizes one execution with the same fields in both modes. It is
-// the engine's folded phase table (vertex.Report: the per-phase wall times
-// and traffic of the paper's Figures 3–6, setup cost, traffic per node,
-// circuit sizes, recoveries — see its fields for how each folds) plus what
-// only the driver of a deployment knows.
+// Report summarizes one execution with the same fields on both engines. It
+// is the engine's folded phase table (vertex.Report: the per-phase wall
+// times and traffic of the paper's Figures 3–6, setup cost, traffic per
+// node, circuit sizes, recoveries — see its fields for how each folds) plus
+// what only the driver of a deployment knows.
 //
-// Both backends fold the per-node rows of the one protocol engine with the
-// same function (vertex.Fold). On "tcp" each phase's duration is the
-// slowest node's and the first query's Init additionally carries the
-// base-OT handshakes; "sim" sees every node, reports a partition of the
-// query's wall time instead, and pays the handshakes at Open.
+// Both engines run the same driver, which folds the per-node rows of the
+// one protocol engine with one function (vertex.Fold): each phase's
+// duration is the slowest node's, and the first query's Init (and
+// SetupTime) additionally carries the base-OT handshakes, which the
+// simulation's dealer-provisioned OT does not have.
 type Report struct {
 	vertex.Report
 	// Transport is "sim" or "tcp".
 	Transport string
 	// Nodes is the number of participants.
 	Nodes int
-	// WallTime is the end-to-end duration observed by the driver.
+	// WallTime is the end-to-end duration observed by the driver, from job
+	// dispatch to the last node's report.
 	WallTime time.Duration
 	// NodePhases is the per-node table behind the folded numbers — one row
-	// per participant, sorted by node id. Cluster runs only: "sim" nodes
-	// share one process's cores, so its per-node times name no straggler;
-	// nil in sim reports.
+	// per live participant, sorted by node id. "sim" nodes share one
+	// process's cores, so a straggler there says as much about scheduling
+	// as about the node.
 	NodePhases []NodePhase
 }
 
@@ -108,8 +110,8 @@ type NodePhase = vertex.NodeResult
 type PhaseLeader = vertex.PhaseLeader
 
 // SlowestNodes returns the straggler per phase (init, compute, communicate,
-// aggregate), in execution order. Empty when the report has no per-node
-// table (sim runs).
+// aggregate), in execution order; nil when the report has no per-node
+// table.
 func (r *Report) SlowestNodes() []PhaseLeader { return vertex.SlowestNodes(r.NodePhases) }
 
 // Engine runs jobs. Both backends implement it: NewSimEngine executes
@@ -158,9 +160,10 @@ type EngineConfig struct {
 	// AggFanIn enables hierarchical aggregation (§3.6); 0 keeps the single
 	// aggregation block.
 	AggFanIn int
-	// HeartbeatInterval is the cluster health plane's ping cadence; 0 means
-	// the cluster default (1s). Simulation backends have no fleet and ignore
-	// it.
+	// HeartbeatInterval is the health plane's ping cadence on either
+	// engine; 0 means the default (1s). A failure's post-mortem settles
+	// within two intervals (150ms at the least), so fault-injection runs
+	// shorten it.
 	HeartbeatInterval time.Duration
 	// StallWindow is how long an in-flight query's slowest node may sit in
 	// one phase before the coordinator's watchdog flags the query as
@@ -174,14 +177,16 @@ type EngineConfig struct {
 	Recover bool
 	// ChaosNode and ChaosBarrier inject a deterministic fault for recovery
 	// testing: node ChaosNode dies right after the compute step of
-	// iteration ChaosBarrier of its first query. 0 disables.
+	// iteration ChaosBarrier of its first query. Without Recover that query
+	// fails with a *QueryError naming the node; with it the deployment
+	// re-blocks around the node. 0 disables.
 	ChaosNode    int
 	ChaosBarrier int
 }
 
 // OTMode selects the GMW oblivious-transfer provisioning (OTDealer or
 // OTIKNP).
-type OTMode = vertex.OTMode
+type OTMode = cluster.OTMode
 
 // ProgramSpec names a vertex program plus its compile-time parameters, so
 // a program can be shipped over the cluster control plane by name and
@@ -194,24 +199,26 @@ func RegisterProgram(kind string, build func(ProgramSpec) (*Program, error)) {
 	cluster.RegisterProgram(kind, build)
 }
 
-// FleetHealth is a snapshot of a cluster deployment's health plane — see
+// FleetHealth is a snapshot of a deployment's health plane — see
 // Session.Fleet.
 type FleetHealth = cluster.FleetHealth
 
 // NodeHealth is one node's row in a FleetHealth snapshot.
 type NodeHealth = cluster.NodeHealth
 
-// QueryError is the structured error a cluster query fails with when the
-// health plane can attribute the failure to a node: it names the dead or
+// QueryError is the structured error a query fails with, on either engine,
+// when the health plane can attribute the failure to a node: it names the
+// dead or
 // faulty node, its last completed phase, and carries the flight-recorder
 // tail. Recover it with errors.As and write Dump() next to your logs.
 type QueryError = cluster.QueryError
 
 // ---------------------------------------------------------------------------
-// Simulation engine
+// Engines
 // ---------------------------------------------------------------------------
 
-// SimEngine executes jobs on the in-process simulated deployment.
+// SimEngine executes jobs on a simulated deployment: a cluster whose nodes
+// run as goroutines of this process on one in-memory network hub.
 type SimEngine struct {
 	cfg EngineConfig
 }
@@ -224,70 +231,29 @@ var (
 // NewSimEngine returns the simulation backend.
 func NewSimEngine(cfg EngineConfig) *SimEngine { return &SimEngine{cfg: cfg} }
 
-func (e *SimEngine) vertexConfig(epsilon float64) Config {
-	cfg := Config{
-		Group: e.cfg.Group, K: e.cfg.K, Alpha: e.cfg.Alpha, Epsilon: epsilon,
-		NoiseShift: e.cfg.NoiseShift, OTMode: e.cfg.OTMode,
-		TablePFail: e.cfg.TablePFail, AggFanIn: e.cfg.AggFanIn,
-		Recover: e.cfg.Recover,
-	}
-	if e.cfg.ChaosNode > 0 {
-		cfg.Chaos = &vertex.ChaosSpec{
-			Victim:  network.NodeID(e.cfg.ChaosNode),
-			Barrier: e.cfg.ChaosBarrier,
-		}
-	}
-	return cfg
-}
-
 // Run executes one job end to end: deployment setup, the query, teardown.
-func (e *SimEngine) Run(ctx context.Context, job Job) (*Result, error) {
-	sess, err := e.Open(ctx, job, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer sess.Close()
-	return sess.Query(ctx, QuerySpec{Iterations: job.Iterations, Epsilon: job.Epsilon})
-}
+func (e *SimEngine) Run(ctx context.Context, job Job) (*Result, error) { return runOnce(ctx, e, job) }
 
-// Open stands the simulated deployment up — trusted-party setup, block GMW
-// sessions with their OT handshakes, circuit compilation — and returns a
-// Session whose queries reuse all of it. budget is the total ε the session
-// may spend (0 = unmetered); job's Iterations and Epsilon become the
-// session's defaults.
+// Open stands the simulated deployment up — one node per vertex on the
+// hub, registration and trusted-party setup over the cluster control
+// plane, circuit compilation — and returns a Session whose queries reuse
+// all of it. budget is the total ε the session may spend (0 = unmetered);
+// job's Iterations and Epsilon become the session's defaults.
 func (e *SimEngine) Open(ctx context.Context, job Job, budget float64) (*Session, error) {
 	prog, err := job.program()
 	if err != nil {
 		return nil, err
 	}
-	rt, err := vertex.New(ctx, e.vertexConfig(job.Epsilon), prog, job.Graph)
+	sc, err := scenario(e.cfg, job)
 	if err != nil {
 		return nil, err
 	}
-	return newSession(&simBackend{rt: rt, nodes: job.Graph.N()}, job, budget), nil
-}
-
-type simBackend struct {
-	rt    *vertex.Runtime
-	nodes int
-}
-
-func (b *simBackend) query(ctx context.Context, seq int, q QuerySpec) (int64, *Report, error) {
-	start := time.Now()
-	raw, rep, err := b.rt.RunQueryID(ctx, seq, q.Iterations, q.Epsilon)
+	sess, err := cluster.OpenHub(ctx, sc, prog, e.cfg.OTMode)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return raw, &Report{Report: *rep, Transport: "sim", Nodes: b.nodes, WallTime: time.Since(start)}, nil
+	return newSession(&fleetBackend{sess: sess, transport: "sim", nodes: job.Graph.N()}, job, budget), nil
 }
-
-func (b *simBackend) fleet() *FleetHealth { return nil }
-
-func (b *simBackend) close() error { return nil }
-
-// ---------------------------------------------------------------------------
-// Cluster engine
-// ---------------------------------------------------------------------------
 
 // ClusterEngine executes jobs on a loopback TCP cluster: one coordinator
 // plus one real node daemon per vertex, each with its own tcpnet data
@@ -302,32 +268,33 @@ type ClusterEngine struct {
 // cluster nodes always provision OTs with IKNP.
 func NewClusterEngine(cfg EngineConfig) *ClusterEngine { return &ClusterEngine{cfg: cfg} }
 
-func (e *ClusterEngine) scenario(job Job) (cluster.Scenario, error) {
-	if e.cfg.Group == nil {
-		return cluster.Scenario{}, fmt.Errorf("dstress: cluster engine needs a group")
-	}
-	if job.Spec == nil {
-		return cluster.Scenario{}, fmt.Errorf("dstress: cluster jobs need a Spec (closures cannot cross the control plane); register the program and name it")
-	}
-	return cluster.Scenario{
-		Cfg: cluster.ConfigWire{
-			Group: e.cfg.Group.Name(), K: e.cfg.K, Alpha: e.cfg.Alpha,
-			Epsilon: job.Epsilon, NoiseShift: e.cfg.NoiseShift,
-			TablePFail: e.cfg.TablePFail, AggFanIn: e.cfg.AggFanIn,
-		},
-		Prog:         *job.Spec,
-		Graph:        job.Graph,
-		Iterations:   job.Iterations,
-		Heartbeat:    e.cfg.HeartbeatInterval,
-		StallWindow:  e.cfg.StallWindow,
-		Recover:      e.cfg.Recover,
-		ChaosNode:    network.NodeID(e.cfg.ChaosNode),
-		ChaosBarrier: e.cfg.ChaosBarrier,
-	}, nil
-}
-
 // Run executes one job end to end on a fresh loopback cluster.
 func (e *ClusterEngine) Run(ctx context.Context, job Job) (*Result, error) {
+	return runOnce(ctx, e, job)
+}
+
+// Open stands a loopback cluster up — node registration, trusted-party
+// setup, standing control connections — and returns a Session whose
+// queries reuse the fleet (GMW handshakes happen once, on the first
+// query). budget is the total ε the session may spend (0 = unmetered).
+func (e *ClusterEngine) Open(ctx context.Context, job Job, budget float64) (*Session, error) {
+	if job.Spec == nil {
+		return nil, fmt.Errorf("dstress: cluster jobs need a Spec (closures cannot cross the control plane); register the program and name it")
+	}
+	sc, err := scenario(e.cfg, job)
+	if err != nil {
+		return nil, err
+	}
+	sess, err := cluster.OpenLoopback(ctx, sc)
+	if err != nil {
+		return nil, err
+	}
+	return newSession(&fleetBackend{sess: sess, transport: "tcp", nodes: job.Graph.N()}, job, budget), nil
+}
+
+// runOnce is both engines' Run: open, one query with the job's own
+// parameters, close.
+func runOnce(ctx context.Context, e SessionEngine, job Job) (*Result, error) {
 	sess, err := e.Open(ctx, job, 0)
 	if err != nil {
 		return nil, err
@@ -336,58 +303,72 @@ func (e *ClusterEngine) Run(ctx context.Context, job Job) (*Result, error) {
 	return sess.Query(ctx, QuerySpec{Iterations: job.Iterations, Epsilon: job.Epsilon})
 }
 
-// Open stands a loopback cluster up — node registration, trusted-party
-// setup, standing control connections — and returns a Session whose
-// queries reuse the fleet (GMW handshakes happen once, on the first
-// query). budget is the total ε the session may spend (0 = unmetered).
-func (e *ClusterEngine) Open(ctx context.Context, job Job, budget float64) (*Session, error) {
-	sc, err := e.scenario(job)
-	if err != nil {
-		return nil, err
+// scenario is the deployment either engine stands up for a job.
+func scenario(cfg EngineConfig, job Job) (cluster.Scenario, error) {
+	if cfg.Group == nil {
+		return cluster.Scenario{}, fmt.Errorf("dstress: engine needs a group")
 	}
-	lb, err := cluster.OpenLoopback(ctx, sc)
-	if err != nil {
-		return nil, err
+	sc := cluster.Scenario{
+		Cfg: cluster.ConfigWire{
+			Group: cfg.Group.Name(), K: cfg.K, Alpha: cfg.Alpha,
+			Epsilon: job.Epsilon, NoiseShift: cfg.NoiseShift,
+			TablePFail: cfg.TablePFail, AggFanIn: cfg.AggFanIn,
+		},
+		Graph:        job.Graph,
+		Iterations:   job.Iterations,
+		Heartbeat:    cfg.HeartbeatInterval,
+		StallWindow:  cfg.StallWindow,
+		Recover:      cfg.Recover,
+		ChaosNode:    network.NodeID(cfg.ChaosNode),
+		ChaosBarrier: cfg.ChaosBarrier,
 	}
-	return newSession(&clusterBackend{lb: lb, nodes: job.Graph.N()}, job, budget), nil
+	if job.Spec != nil {
+		sc.Prog = *job.Spec
+	}
+	return sc, nil
 }
 
-type clusterBackend struct {
-	lb    *cluster.Loopback
-	nodes int
+// fleetBackend is a session's standing deployment on either engine: the
+// driver's session over the nodes it started.
+type fleetBackend struct {
+	sess      *cluster.Session
+	transport string
+	nodes     int
 }
 
-func (b *clusterBackend) query(ctx context.Context, seq int, q QuerySpec) (int64, *Report, error) {
-	sum, err := b.lb.Run(ctx, cluster.Query{Seq: seq, Iterations: q.Iterations, Epsilon: q.Epsilon})
+func (b *fleetBackend) query(ctx context.Context, seq int, q QuerySpec) (int64, *Report, error) {
+	sum, err := b.sess.Run(ctx, cluster.Query{Seq: seq, Iterations: q.Iterations, Epsilon: q.Epsilon})
 	if err != nil {
 		return 0, nil, err
 	}
-	// If the caller is tracing, fold the nodes' span tables and protocol
-	// counters (shipped back on the control plane) into its trace. Each
-	// node's spans arrive relative to that node's own trace epoch on its
-	// own clock; the health plane's NTP-style heartbeat exchange estimates
-	// each node's clock offset, so the merge rebases every table onto the
-	// driver's timeline: shift = nodeEpoch − offset − driverEpoch. Nodes
-	// without a clock estimate yet (e.g. the fleet died before the first
-	// beat) fall back to the old node-relative offsets.
-	if tr := obs.From(ctx); tr != nil {
-		base := tr.Epoch().UnixNano()
-		for _, n := range sum.Nodes {
-			spans := sum.Spans[n.Node]
-			if ci, ok := sum.Clock[n.Node]; ok && ci.Synced && ci.EpochUnixNS != 0 {
-				shift := ci.EpochUnixNS - int64(ci.Offset) - base
-				spans = obs.ShiftSpans(spans, shift)
-			}
-			tr.AddSpans(spans)
-			tr.AddCounters(sum.Counters[n.Node])
-		}
-	}
+	mergeTrace(obs.From(ctx), sum)
 	return sum.Result, &Report{
-		Report: *sum.Report, Transport: "tcp", Nodes: b.nodes,
+		Report: *sum.Report, Transport: b.transport, Nodes: b.nodes,
 		WallTime: sum.WallTime, NodePhases: sum.Nodes,
 	}, nil
 }
 
-func (b *clusterBackend) fleet() *FleetHealth { return b.lb.Health() }
+func (b *fleetBackend) fleet() *FleetHealth { return b.sess.Health() }
 
-func (b *clusterBackend) close() error { return b.lb.Close() }
+func (b *fleetBackend) close() error { return b.sess.Close() }
+
+// mergeTrace folds the nodes' span tables and protocol counters into the
+// caller's trace (a nil trace is a no-op), rebasing each node's table onto
+// the driver's timeline: shift = nodeEpoch − offset − driverEpoch, with the
+// health plane's estimate of the node's clock offset — zero while its first
+// heartbeat is out, and on an in-process fleet, which shares one clock.
+func mergeTrace(tr *obs.Trace, sum *cluster.Summary) {
+	if tr == nil {
+		return
+	}
+	base := tr.Epoch().UnixNano()
+	for _, n := range sum.Nodes {
+		ci := sum.Clock[n.Node]
+		shift := ci.EpochUnixNS - base
+		if ci.Synced {
+			shift -= int64(ci.Offset)
+		}
+		tr.AddSpans(obs.ShiftSpans(sum.Spans[n.Node], shift))
+		tr.AddCounters(sum.Counters[n.Node])
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"dstress"
 	"dstress/internal/obs"
@@ -15,8 +16,8 @@ import (
 // Report docs promise (internal/vertex/report.go): each cluster
 // node reports its own sent+received bytes per phase, and the facade folds
 // them into total bytes *sent* by halving the sum — every byte one node
-// sends, exactly one node receives. The sim engine reports the same
-// quantity directly, so both backends' reports are comparable.
+// sends, exactly one node receives. The sim engine runs the same driver
+// over in-process nodes, so its report is the same fold of the same rows.
 func TestClusterByteAccounting(t *testing.T) {
 	job, _ := enChainJob(t, 4)
 	ctx := context.Background()
@@ -72,20 +73,53 @@ func TestClusterByteAccounting(t *testing.T) {
 		}
 	}
 
-	// Sim reports have no per-node table (one process runs every role).
-	simRes, err := dstress.NewSimEngine(econf).Run(ctx, job)
+	// The simulation is the same driver over in-process nodes: its report
+	// carries the same per-node table, and its fleet is a live health plane.
+	sess, err := dstress.NewSimEngine(econf).Open(ctx, job, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(simRes.Report.NodePhases) != 0 {
-		t.Errorf("sim report has %d NodePhases rows, want none", len(simRes.Report.NodePhases))
+	defer sess.Close()
+	tr := obs.NewTrace(0)
+	from := time.Since(tr.Epoch())
+	simRes, err := sess.Query(obs.With(ctx, tr), dstress.QuerySpec{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if simRes.Report.SlowestNodes() != nil {
-		t.Error("sim report names stragglers; there is only one process")
-	}
-	// Both drivers fold the same engine's rows with the same function, so
-	// everything that is not a measurement agrees between them.
+	to := time.Since(tr.Epoch())
 	sim := simRes.Report
+	// The in-process nodes share the driver's clock, so their merged spans
+	// land exactly inside the query's own window on the driver's timeline.
+	for _, sp := range tr.Spans() {
+		if start, end := time.Duration(sp.Start), time.Duration(sp.Start+sp.Dur); start < from || end > to {
+			t.Fatalf("node %d span %s at [%v, %v] outside the query's window [%v, %v]", sp.Node, sp.Name, start, end, from, to)
+		}
+	}
+	if len(tr.Spans()) == 0 {
+		t.Error("sim query merged no node spans into the driver's trace")
+	}
+	if len(sim.NodePhases) != sim.Nodes {
+		t.Fatalf("sim NodePhases has %d rows, want one per node (%d)", len(sim.NodePhases), sim.Nodes)
+	}
+	for i, np := range sim.NodePhases {
+		if int(np.Node) != i+1 {
+			t.Errorf("sim NodePhases[%d].Node = %d, want %d (sorted by id)", i, np.Node, i+1)
+		}
+	}
+	if len(sim.SlowestNodes()) != 4 {
+		t.Errorf("sim report names %d stragglers, want one per phase", len(sim.SlowestNodes()))
+	}
+	if fh := sess.Fleet(); fh == nil || len(fh.Nodes) != sim.Nodes {
+		t.Errorf("sim fleet = %+v, want %d nodes", fh, sim.Nodes)
+	} else {
+		for _, n := range fh.Nodes {
+			if !n.Synced {
+				t.Errorf("sim node %d has no heartbeat clock estimate", n.Node)
+			}
+		}
+	}
+	// Both engines fold the same engine's rows with the same function, so
+	// everything that is not a measurement agrees between them.
 	if sim.Nodes != rep.Nodes || sim.Iterations != rep.Iterations ||
 		sim.UpdateAndGates != rep.UpdateAndGates || sim.AggAndGates != rep.AggAndGates {
 		t.Errorf("sim report (nodes %d, iterations %d, AND gates %d/%d) != tcp report (%d, %d, %d/%d)",

@@ -64,21 +64,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rt, err := dstress.NewRuntime(context.Background(), dstress.Config{
-		Group: dstress.TestGroup(), K: 2, Alpha: 0.9, Epsilon: 0.23,
-		OTMode: dstress.OTDealer,
-	}, prog, graph)
-	if err != nil {
-		log.Fatal(err)
-	}
-	raw, rep, err := rt.Run(context.Background(), iters)
+	eng := dstress.NewSimEngine(dstress.EngineConfig{
+		Group: dstress.TestGroup(), K: 2, Alpha: 0.9, OTMode: dstress.OTDealer,
+	})
+	res, err := eng.Run(context.Background(), dstress.Job{
+		Program: prog, Graph: graph, Iterations: iters, Epsilon: 0.23, Decode: cfg.Decode,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nprivate stress test (blocks of 3, ε=0.23, I=%d):\n", iters)
 	fmt.Printf("  exact TDS     = $%.1fM\n", cfg.Decode(exact)/1e6)
-	fmt.Printf("  released TDS  = $%.1fM  (Laplace noise drawn inside the aggregation MPC)\n", cfg.Decode(raw)/1e6)
-	fmt.Printf("  wall time %v, %.1f KB/node\n", rep.TotalTime(), rep.AvgNodeBytes/1024)
+	fmt.Printf("  released TDS  = $%.1fM  (Laplace noise drawn inside the aggregation MPC)\n", res.Value/1e6)
+	fmt.Printf("  wall time %v, %.1f KB/node\n", res.Report.WallTime, res.Report.AvgNodeBytes/1024)
 
 	// Privacy budgeting per §4.5: how often can this run?
 	up := dstress.DefaultUtilityParams()

@@ -64,20 +64,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rt, err := dstress.NewRuntime(context.Background(), dstress.Config{
-		Group: dstress.TestGroup(), K: 2, Alpha: 0.9, Epsilon: 1.0,
-		OTMode: dstress.OTDealer,
-	}, prog, graph)
-	if err != nil {
-		log.Fatal(err)
-	}
-	raw, rep, err := rt.Run(context.Background(), iters)
+	eng := dstress.NewSimEngine(dstress.EngineConfig{
+		Group: dstress.TestGroup(), K: 2, Alpha: 0.9, OTMode: dstress.OTDealer,
+	})
+	res, err := eng.Run(context.Background(), dstress.Job{
+		Program: prog, Graph: graph, Iterations: iters, Epsilon: 1.0, Decode: cfg.Decode,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nprivate EGJ stress test (blocks of 3, ε=1.0, I=%d):\n", iters)
 	fmt.Printf("  exact TDS    = %.1f\n", cfg.Decode(exact))
-	fmt.Printf("  released TDS = %.1f\n", cfg.Decode(raw))
+	fmt.Printf("  released TDS = %.1f\n", res.Value)
 	fmt.Printf("  update circuit: %d AND gates; wall time %v\n",
-		rep.UpdateAndGates, rep.TotalTime())
+		res.Report.UpdateAndGates, res.Report.WallTime)
 }

@@ -81,19 +81,16 @@ func main() {
 	}
 	fmt.Printf("exact edge count: %d (graph has %d edges)\n", exact, len(edges))
 
-	rt, err := dstress.NewRuntime(context.Background(), dstress.Config{
-		Group: dstress.TestGroup(), K: 2, Alpha: 0.5, Epsilon: 0.7,
-		OTMode: dstress.OTDealer,
-	}, prog, g)
+	eng := dstress.NewSimEngine(dstress.EngineConfig{
+		Group: dstress.TestGroup(), K: 2, Alpha: 0.5, OTMode: dstress.OTDealer,
+	})
+	res, err := eng.Run(context.Background(), dstress.Job{Program: prog, Graph: g, Iterations: 1, Epsilon: 0.7})
 	if err != nil {
 		log.Fatal(err)
 	}
-	noisy, rep, err := rt.Run(context.Background(), 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("privately released count (ε=0.7): %d\n", noisy)
+	rep := res.Report
+	fmt.Printf("privately released count (ε=0.7): %d\n", res.Raw)
 	fmt.Printf("blocks of 3, %d-AND update circuit, %v total, %.1f KB/node\n",
-		rep.UpdateAndGates, rep.TotalTime(), rep.AvgNodeBytes/1024)
+		rep.UpdateAndGates, rep.WallTime, rep.AvgNodeBytes/1024)
 	fmt.Println("no node observed any edge it was not an endpoint of.")
 }

@@ -46,10 +46,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// An Engine runs Jobs; NewSimEngine simulates the deployment in this
-	// process, NewClusterEngine runs the identical Job on real
-	// TCP-connected daemons (see examples/cluster). Canceling the context
-	// aborts a run instead of hanging on a dead counterparty.
+	// An Engine runs Jobs; NewSimEngine simulates the deployment with one
+	// node goroutine per bank in this process, NewClusterEngine runs the
+	// identical Job on real TCP-connected daemons (see examples/cluster) —
+	// both under the same coordinator. Canceling the context aborts a run
+	// instead of hanging on a dead counterparty.
 	eng := dstress.NewSimEngine(dstress.EngineConfig{
 		Group:  dstress.TestGroup(), // demo group; use dstress.P256() in deployment
 		K:      1,                   // tolerate 1 colluding node (blocks of 2)

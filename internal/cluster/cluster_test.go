@@ -46,13 +46,21 @@ func enChainScenario(t *testing.T, n int, cfg ConfigWire, iterations int) (Scena
 	return Scenario{Cfg: cfg, Prog: spec, Graph: graph, Iterations: iterations}, exact
 }
 
-// runLoopbackCluster runs the scenario through RunLoopback — a real-TCP
+// runLoopbackCluster runs the scenario's default query on a real-TCP
 // cluster of one coordinator plus one full daemon per vertex (registration
 // handshake, job download, engine execution, report upload), exactly as
-// separate processes would run it.
+// separate processes would run it, and tears the cluster down.
 func runLoopbackCluster(t *testing.T, sc Scenario) *Summary {
 	t.Helper()
-	sum, err := RunLoopback(context.Background(), sc)
+	ctx := context.Background()
+	sess, err := OpenLoopback(ctx, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := sess.Run(ctx, Query{Iterations: sc.Iterations, Epsilon: sc.Cfg.Epsilon})
+	if cerr := sess.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,11 +44,12 @@ type Scenario struct {
 	// matching the paper's prototype.
 	Recover bool
 
-	// ChaosNode and ChaosBarrier inject a deterministic kill into loopback
-	// clusters (OpenLoopback only): node ChaosNode dies right after it
-	// finishes the compute step of iteration ChaosBarrier of its first
-	// query. ChaosNode 0 disables. Multi-process deployments inject faults
-	// via NodeOptions.Chaos (or dstress-node's -chaos-barrier) instead.
+	// ChaosNode and ChaosBarrier inject a deterministic kill into a fleet
+	// started in this process (OpenLoopback, OpenHub): node ChaosNode dies
+	// right after it finishes the compute step of iteration ChaosBarrier of
+	// its first query. ChaosNode 0 disables. Multi-process deployments
+	// inject faults via NodeOptions.Chaos (or dstress-node's
+	// -chaos-barrier) instead.
 	ChaosNode    network.NodeID
 	ChaosBarrier int
 }
@@ -74,7 +75,7 @@ type Summary struct {
 	Result int64
 	// Nodes holds the row each live node reported — its own phase times,
 	// sent+received bytes and transport counters — sorted by node id, and
-	// Report their fold (vertex.Fold, the same one the simulation applies):
+	// Report their fold (vertex.Fold):
 	// slowest-node phase times, bytes sent per phase, traffic per node.
 	Nodes  []vertex.NodeResult
 	Report *vertex.Report
@@ -105,6 +106,9 @@ type Coordinator struct {
 	grp  group.Group
 	prog *vertex.Program
 	ln   net.Listener
+	// hub holds what the nodes of an in-process fleet share with their
+	// driver (OpenHub); nil when the nodes are daemons.
+	hub *hubFleet
 
 	// RegisterTimeout bounds the whole registration phase; if fewer than N
 	// nodes have connected and registered by then, Open fails with a clear
@@ -113,16 +117,28 @@ type Coordinator struct {
 	// are bounded only by their own context. Defaults to 2 minutes; set it
 	// between NewCoordinator and Open to override.
 	RegisterTimeout time.Duration
-
-	// HeartbeatInterval and StallWindow override the scenario's health
-	// plane parameters when set between NewCoordinator and Open.
-	HeartbeatInterval time.Duration
-	StallWindow       time.Duration
 }
 
 // NewCoordinator validates the scenario and starts listening on ctrlAddr
 // ("127.0.0.1:0" picks an ephemeral port; see Addr).
 func NewCoordinator(ctrlAddr string, sc Scenario) (*Coordinator, error) {
+	prog, err := sc.Prog.Build()
+	if err != nil {
+		return nil, err
+	}
+	c, err := newCoordinator(sc, prog)
+	if err != nil {
+		return nil, err
+	}
+	if c.ln, err = net.Listen("tcp", ctrlAddr); err != nil {
+		return nil, fmt.Errorf("cluster: control listen %s: %w", ctrlAddr, err)
+	}
+	return c, nil
+}
+
+// newCoordinator validates the scenario against its compiled program; the
+// caller attaches the control listener.
+func newCoordinator(sc Scenario, prog *vertex.Program) (*Coordinator, error) {
 	if sc.Graph == nil {
 		return nil, fmt.Errorf("cluster: scenario has no graph")
 	}
@@ -139,30 +155,14 @@ func NewCoordinator(ctrlAddr string, sc Scenario) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := sc.Prog.Build()
-	if err != nil {
-		return nil, err
-	}
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", ctrlAddr)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: control listen %s: %w", ctrlAddr, err)
-	}
-	return &Coordinator{
-		sc: sc, grp: grp, prog: prog, ln: ln,
-		RegisterTimeout:   2 * time.Minute,
-		HeartbeatInterval: sc.Heartbeat,
-		StallWindow:       sc.StallWindow,
-	}, nil
+	return &Coordinator{sc: sc, grp: grp, prog: prog, RegisterTimeout: 2 * time.Minute}, nil
 }
 
 // Addr returns the control-plane address nodes should dial.
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
-
-// Close releases the control listener (Open closes it itself on success).
-func (c *Coordinator) Close() error { return c.ln.Close() }
 
 // Run drives one full single-shot execution: Open, one query with the
 // scenario's default parameters, Close. It blocks until every node has
@@ -202,12 +202,17 @@ func (nc *nodeConn) send(m ctrlMsg) error {
 // jobMsg under its own query id and a per-node reader routes doneMsgs back
 // by Seq, so several queries can be in flight on one fleet concurrently.
 type Session struct {
-	c         *Coordinator
-	conns     map[network.NodeID]*nodeConn
-	ids       []network.NodeID
-	setup     *trustedparty.SetupResult
+	c     *Coordinator
+	conns map[network.NodeID]*nodeConn
+	ids   []network.NodeID
+	setup *trustedparty.SetupResult
+	// wireSetup is setup as node daemons receive it; an in-process fleet
+	// installs setup itself and leaves it empty.
 	wireSetup trustedparty.WireSetup
 	directory map[network.NodeID]string
+	// nodes are the session's node goroutines when its fleet was started
+	// in this process (OpenLoopback, OpenHub); nil when they run elsewhere.
+	nodes *localNodes
 
 	// dispatchMu serializes whole-fleet job dispatches: every node must see
 	// the session's jobs in the same order, and gob encoders are not
@@ -419,10 +424,13 @@ func (s *Session) Health() *FleetHealth {
 // of heartbeat intervals is whoever remains silent called the casualty
 // (the regular heartbeat loop keeps re-probing in the background, so a
 // live straggler's eventual reply shrinks the set and resets the clock).
-// Returns false when everyone answered (the failure was a protocol error
-// or a caller abort, not a death) — the caller then keeps its direct
-// attribution.
-func (s *Session) postMortem() (network.NodeID, bool) {
+// hint is the node the caller's evidence points at (its control
+// connection broke, or its report carried the failure); if it is still
+// silent once the set settles it is the casualty, however many loaded
+// survivors have not answered yet — else the lowest silent id is. Returns false when everyone answered (the failure
+// was a protocol error or a caller abort, not a death) — the caller then
+// keeps its direct attribution.
+func (s *Session) postMortem(hint network.NodeID) (network.NodeID, bool) {
 	probe := time.Now()
 	s.pingAll()
 	settle := 2 * s.hbEvery
@@ -452,6 +460,9 @@ func (s *Session) postMortem() (network.NodeID, bool) {
 			lastLen, lastShrink = len(dead), now
 		}
 		if now.Sub(lastShrink) >= settle || !now.Before(deadline) {
+			if slices.Contains(dead, hint) {
+				return hint, true
+			}
 			return dead[0], true
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -463,7 +474,7 @@ func (s *Session) postMortem() (network.NodeID, bool) {
 // and the flight-recorder tail (the node's own if it shipped one, the
 // coordinator-side ring otherwise).
 func (s *Session) queryError(seq int, node network.NodeID, lastPhase string, events []obs.FlightEvent, cause string) error {
-	if dead, ok := s.postMortem(); ok {
+	if dead, ok := s.postMortem(node); ok {
 		node = dead
 	}
 	ringPhase, beatAge, ring := s.health.failureInfo(node, seq)
@@ -623,17 +634,16 @@ func (c *Coordinator) Open(ctx context.Context) (*Session, error) {
 		directory[id] = nc.addr
 	}
 	ok = true
-	hbEvery := c.HeartbeatInterval
+	hbEvery := c.sc.Heartbeat
 	if hbEvery <= 0 {
 		hbEvery = defaultHeartbeat
 	}
-	stallWin := c.StallWindow
+	stallWin := c.sc.StallWindow
 	if stallWin <= 0 {
 		stallWin = defaultStallWindow
 	}
 	sess := &Session{
 		c: c, conns: conns, ids: ids, setup: setup,
-		wireSetup: trustedparty.MarshalSetup(c.grp, setup),
 		directory: directory,
 		pending:   make(map[int]chan doneMsg),
 		health:    newFleetHealth(ids),
@@ -648,6 +658,13 @@ func (c *Coordinator) Open(ctx context.Context) (*Session, error) {
 		deathCh:   make(chan network.NodeID, n),
 		attempts:  make(map[int]int),
 		specs:     make(map[int]querySpec),
+	}
+	if c.hub != nil {
+		// In-process nodes install the signed publication itself on their
+		// first job: nothing to marshal, nothing for them to re-verify.
+		c.hub.publish(0, &vertex.Recovery{Setup: setup})
+	} else {
+		sess.wireSetup = trustedparty.MarshalSetup(c.grp, setup)
 	}
 	for _, id := range ids {
 		go sess.readLoop(id, conns[id])
@@ -699,6 +716,9 @@ func (s *Session) Run(ctx context.Context, q Query) (*Summary, error) {
 		delete(s.specs, seq)
 		s.mu.Unlock()
 		s.ckpts.Drop(seq)
+		if s.c.hub != nil {
+			s.c.hub.retire(network.Tag("q", seq))
+		}
 	}()
 	// Register with the health plane: the stall watchdog tracks the query
 	// from dispatch, and a driver-side progress callback (if the context
@@ -730,6 +750,11 @@ func (s *Session) runQuery(ctx context.Context, q Query, cfg ConfigWire, g *vert
 	s.specs[seq] = querySpec{cfg: cfg, iterations: q.Iterations}
 	recStart, evStart := s.recoveries, len(s.recEvents)
 	s.mu.Unlock()
+	if s.c.hub != nil {
+		// The engines of an in-process fleet share one certificate cache,
+		// in which each key serves all K+1 senders of its edge.
+		s.c.hub.dep.ExpectCertUses(q.Iterations * (cfg.K + 1))
+	}
 	s.dispatchMu.Lock()
 	first := !s.setupSent
 	s.setupSent = true
@@ -819,15 +844,18 @@ collect:
 				continue
 			}
 			if d.Err != "" {
+				cause := d.Err
 				if s.recoverOn {
 					// The run failed but the node survives: some peer died
 					// mid-protocol. Attribute and re-block; the query
 					// resumes on the shrunken fleet.
-					if err := s.recoverDead(0, seq, attempt); err == nil {
+					err := s.recoverDead(0, seq, attempt)
+					if err == nil {
 						continue
 					}
+					cause += " (recovery: " + err.Error() + ")"
 				}
-				return nil, s.queryError(seq, d.ID, d.LastPhase, d.Flight, d.Err)
+				return nil, s.queryError(seq, d.ID, d.LastPhase, d.Flight, cause)
 			}
 			got[d.ID] = d
 			slog.Debug("cluster node reported", "query", seq, "node", d.ID,
@@ -840,6 +868,10 @@ collect:
 		sum.Spans[id] = d.Spans
 		sum.Counters[id] = d.Counters
 		ci := s.health.clockInfo(id)
+		if s.c.hub != nil {
+			// One process, one clock: the nodes' spans land exactly.
+			ci.Offset = 0
+		}
 		ci.EpochUnixNS = d.Epoch
 		sum.Clock[id] = ci
 	}
@@ -924,7 +956,7 @@ func (s *Session) recoverDead(hint network.NodeID, seq, attempt int) error {
 	// that silence is not a stall.
 	s.health.beginRecovery()
 	defer s.health.endRecovery(time.Now())
-	dead, ok := s.postMortem()
+	dead, ok := s.postMortem(hint)
 	if !ok {
 		if hint == 0 {
 			return fmt.Errorf("cluster: query %d failed but every node answers pings: unrecoverable protocol error", seq)
@@ -1003,6 +1035,12 @@ func (s *Session) recoverDead(hint network.NodeID, seq, attempt int) error {
 		deadConn.conn.Close()
 	}
 	s.health.markDead(dead)
+	if s.c.hub != nil {
+		// In-process nodes apply the driver's own re-blocking, so their
+		// engines keep sharing one publication (and its certificate cache).
+		rec.DeadBlobs = deadBlobs
+		s.c.hub.publish(epoch, rec)
+	}
 
 	var firstErr error
 	for _, id := range liveNow {
@@ -1053,8 +1091,19 @@ func (s *Session) abort() {
 
 // Close shuts the standing fleet down cleanly: every node receives a
 // shutdown message and exits with its last result. Safe to call after a
-// failed Run (the session is already aborted then).
+// failed Run (the session is already aborted then). Nodes started in this
+// process are waited for, and the first of their errors is reported.
 func (s *Session) Close() error {
+	err := s.shutdown()
+	if s.nodes != nil {
+		if nerr := s.nodes.wait(); err == nil {
+			err = nerr
+		}
+	}
+	return err
+}
+
+func (s *Session) shutdown() error {
 	s.stopHeartbeat()
 	s.mu.Lock()
 	if s.closed {
@@ -1085,120 +1134,4 @@ func (s *Session) Close() error {
 		nc.conn.Close()
 	}
 	return firstErr
-}
-
-// Loopback is a complete standing cluster in this process — a coordinator
-// session plus one node goroutine per vertex, each with its own TCP data
-// plane. Every message crosses a real socket. It exists for dstress-run's
-// -transport tcp, the end-to-end tests, and the facade's cluster engine;
-// multi-process deployments drive Coordinator and RunNode directly.
-type Loopback struct {
-	sess     *Session
-	cancel   context.CancelFunc
-	nodeWg   sync.WaitGroup
-	nodeErrs chan error
-}
-
-// OpenLoopback stands the cluster up: coordinator on an ephemeral loopback
-// port, one RunNode goroutine per vertex, registration and trusted-party
-// setup completed. The nodes live until Close (or a failed Run).
-func OpenLoopback(ctx context.Context, sc Scenario) (*Loopback, error) {
-	co, err := NewCoordinator("127.0.0.1:0", sc)
-	if err != nil {
-		return nil, err
-	}
-	n := sc.Graph.N()
-	// Node lifetime is the cluster's, not the opening context's: a
-	// canceled Open must still tear the fleet down, which nodeCtx does.
-	// WithoutCancel keeps ctx's values while detaching its cancellation.
-	nodeCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
-	lb := &Loopback{cancel: cancel, nodeErrs: make(chan error, n)}
-	for id := 1; id <= n; id++ {
-		id := network.NodeID(id)
-		opts := NodeOptions{ID: id, CoordAddr: co.Addr(), ListenAddr: "127.0.0.1:0"}
-		runCtx := nodeCtx
-		chaosVictim := sc.ChaosNode != 0 && id == sc.ChaosNode
-		if chaosVictim {
-			// The chaos victim gets its own cancelable context: Kill drops
-			// the whole node — control and data planes — exactly as a
-			// process death would, without touching its peers.
-			vctx, vcancel := context.WithCancel(nodeCtx)
-			runCtx = vctx
-			opts.Chaos = &NodeChaos{Barrier: sc.ChaosBarrier, Kill: vcancel}
-		}
-		lb.nodeWg.Add(1)
-		go func() {
-			defer lb.nodeWg.Done()
-			if _, err := RunNode(runCtx, opts); err != nil {
-				if chaosVictim {
-					return // its death is the experiment, not a failure
-				}
-				lb.nodeErrs <- fmt.Errorf("node %d: %w", id, err)
-			}
-		}()
-	}
-	sess, err := co.Open(ctx)
-	if err != nil {
-		cancel()
-		lb.nodeWg.Wait()
-		return nil, err
-	}
-	lb.sess = sess
-	return lb, nil
-}
-
-// Run executes one query on the standing loopback cluster.
-func (l *Loopback) Run(ctx context.Context, q Query) (*Summary, error) {
-	return l.sess.Run(ctx, q)
-}
-
-// Health returns the live fleet health of the standing loopback cluster.
-func (l *Loopback) Health() *FleetHealth {
-	return l.sess.Health()
-}
-
-// Close shuts the fleet down and reports the first node error, if any. The
-// shutdown handshake (or, after a failed Run, the closed control
-// connections) makes every node exit on its own; canceling their context
-// up front would race the in-flight shutdown message, so cancellation is
-// only the watchdog for a node that fails to exit.
-func (l *Loopback) Close() error {
-	err := l.sess.Close()
-	exited := make(chan struct{})
-	go func() {
-		l.nodeWg.Wait()
-		close(exited)
-	}()
-	select {
-	case <-exited:
-	case <-time.After(15 * time.Second):
-		l.cancel()
-		<-exited
-	}
-	l.cancel()
-	close(l.nodeErrs)
-	for nodeErr := range l.nodeErrs {
-		if err == nil {
-			err = nodeErr
-		}
-	}
-	return err
-}
-
-// RunLoopback stands up a loopback cluster, runs the scenario's default
-// query through it, and tears it down.
-func RunLoopback(ctx context.Context, sc Scenario) (*Summary, error) {
-	lb, err := OpenLoopback(ctx, sc)
-	if err != nil {
-		return nil, err
-	}
-	sum, runErr := lb.Run(ctx, Query{Iterations: sc.Iterations, Epsilon: sc.Cfg.Epsilon})
-	closeErr := lb.Close()
-	if runErr != nil {
-		return nil, runErr
-	}
-	if closeErr != nil {
-		return nil, closeErr
-	}
-	return sum, nil
 }

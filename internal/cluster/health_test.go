@@ -155,52 +155,140 @@ func TestHeartbeatLoopback(t *testing.T) {
 	}
 }
 
-// TestNodeKillProducesQueryError kills one node mid-query on a cluster with
-// a fast heartbeat and requires the health plane's post-mortem: the error
-// is a *QueryError naming the victim (even though a survivor's failure may
-// reach the coordinator first), its last reported phase is non-empty, and
-// the flight dump renders as valid JSON identifying the same node.
-func TestNodeKillProducesQueryError(t *testing.T) {
-	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}
-	sc, _ := enChainScenario(t, 4, cfg, 8)
-	sc.Heartbeat = 25 * time.Millisecond
-	co, err := NewCoordinator("127.0.0.1:0", sc)
+// TestFlightRingKeepsPhases runs a noised query — hundreds of AND rounds
+// on every node, the aggregation block's noise sampler alone more than the
+// 256-event ring holds — and checks that afterwards each node's flight
+// recorder, as mirrored at the coordinator from its heartbeats, still holds
+// the phase entries and spans a post-mortem needs: the two counter bumps
+// every AND round makes stay out of the ring.
+func TestFlightRingKeepsPhases(t *testing.T) {
+	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5, Epsilon: 2}
+	sc, _ := enChainScenario(t, 4, cfg, 1)
+	sc.Heartbeat = 20 * time.Millisecond
+	prog, err := sc.Prog.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	const victim = network.NodeID(2)
-	victimCtx, kill := context.WithCancel(context.Background())
-	defer kill()
-	exits := make(chan error, 4)
-	for id := network.NodeID(1); id <= 4; id++ {
-		id := id
-		ctx := context.Background()
-		if id == victim {
-			ctx = victimCtx
-		}
-		go func() {
-			_, err := RunNode(ctx, NodeOptions{
-				ID: id, CoordAddr: co.Addr(), ListenAddr: "127.0.0.1:0",
-			})
-			exits <- err
-		}()
-	}
-
-	sess, err := co.Open(context.Background())
+	ctx := context.Background()
+	sess, err := OpenHub(ctx, sc, prog, OTDealer)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
+	sum, err := sess.Run(ctx, Query{Iterations: 1, Epsilon: cfg.Epsilon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Let a few beats ship the rings' tails to the coordinator.
+	time.Sleep(10 * sc.Heartbeat)
+	for _, n := range sum.Nodes {
+		if rounds := sum.Counters[n.Node]["gmw/and_rounds"]; rounds <= 256 {
+			t.Fatalf("node %d ran %d AND rounds; the test needs more than the ring holds", n.Node, rounds)
+		}
+		_, _, events := sess.health.failureInfo(n.Node, 0)
+		kinds := map[string]int{}
+		for _, ev := range events {
+			kinds[ev.Kind]++
+		}
+		if kinds["phase"] == 0 || kinds["span"] == 0 || kinds["counter"] != 0 {
+			t.Errorf("node %d flight ring holds %v, want phase entries and spans and no counter bumps", n.Node, kinds)
+		}
+	}
+}
 
-	go func() {
-		time.Sleep(500 * time.Millisecond)
-		kill()
-	}()
+// TestNodeKillProducesQueryError kills one node mid-query on a fleet with
+// a fast heartbeat and no recovery, and requires the health plane's
+// post-mortem: the error is a *QueryError naming the victim (even though a
+// survivor's failure may reach the coordinator first), its last reported
+// phase is non-empty, and the flight dump renders as valid JSON identifying
+// the same node. On tcp the victim's daemon is canceled from outside while
+// the query runs; on the hub the victim dies at a barrier, the way chaos
+// kills it.
+func TestNodeKillProducesQueryError(t *testing.T) {
+	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}
+	const victim = network.NodeID(2)
+	t.Run("tcp", func(t *testing.T) {
+		sc, _ := enChainScenario(t, 4, cfg, 8)
+		sc.Heartbeat = 25 * time.Millisecond
+		co, err := NewCoordinator("127.0.0.1:0", sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		victimCtx, kill := context.WithCancel(context.Background())
+		defer kill()
+		exits := make(chan error, 4)
+		for id := network.NodeID(1); id <= 4; id++ {
+			ctx := context.Background()
+			if id == victim {
+				ctx = victimCtx
+			}
+			go func() {
+				_, err := RunNode(ctx, NodeOptions{
+					ID: id, CoordAddr: co.Addr(), ListenAddr: "127.0.0.1:0",
+				})
+				exits <- err
+			}()
+		}
 
+		sess, err := co.Open(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+
+		go func() {
+			time.Sleep(500 * time.Millisecond)
+			kill()
+		}()
+		checkQueryError(t, func(ctx context.Context) error {
+			_, err := sess.Run(ctx, Query{Iterations: 8})
+			return err
+		}, victim)
+
+		for i := 0; i < 4; i++ {
+			select {
+			case <-exits:
+			case <-time.After(30 * time.Second):
+				t.Fatal("a node is still blocked after the fleet died")
+			}
+		}
+	})
+	t.Run("hub", func(t *testing.T) {
+		sc, _ := enChainScenario(t, 4, cfg, 8)
+		sc.Heartbeat = 25 * time.Millisecond
+		sc.ChaosNode, sc.ChaosBarrier = victim, 2
+		prog, err := sc.Prog.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := OpenHub(context.Background(), sc, prog, OTDealer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkQueryError(t, func(ctx context.Context) error {
+			_, err := sess.Run(ctx, Query{Iterations: 8})
+			return err
+		}, victim)
+		closed := make(chan struct{})
+		go func() {
+			sess.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(30 * time.Second):
+			t.Fatal("a node is still blocked after the fleet died")
+		}
+	})
+}
+
+// checkQueryError runs a query that loses victim and checks the
+// post-mortem it fails with.
+func checkQueryError(t *testing.T, run func(context.Context) error, victim network.NodeID) {
+	t.Helper()
 	runCtx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	_, runErr := sess.Run(runCtx, Query{Iterations: 8})
+	runErr := run(runCtx)
 	if runErr == nil {
 		t.Fatal("run succeeded despite a killed node")
 	}
@@ -247,13 +335,5 @@ func TestNodeKillProducesQueryError(t *testing.T) {
 	}
 	if len(dump.Events) == 0 {
 		t.Error("flight dump carries no flight-recorder events")
-	}
-
-	for i := 0; i < 4; i++ {
-		select {
-		case <-exits:
-		case <-time.After(30 * time.Second):
-			t.Fatal("a node is still blocked after the fleet died")
-		}
 	}
 }

@@ -73,11 +73,12 @@ type jobProgress struct {
 	steps int64
 }
 
-// RunNode executes one participant: register with the coordinator, then
-// serve the standing session — run every role node ID plays in each
-// dispatched query, report back, and wait for the next job — until the
-// coordinator sends a shutdown, the control connection dies, or ctx is
-// canceled. It returns the last completed query's result.
+// RunNode executes one participant as a daemon on tcpnet: listen on the
+// data plane, dial the coordinator, then serve the standing session — run
+// every role node ID plays in each dispatched query, report back, and wait
+// for the next job — until the coordinator sends a shutdown, the control
+// connection dies, or ctx is canceled. It returns the last completed
+// query's result.
 func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 	if opt.ID < 1 {
 		return nil, fmt.Errorf("cluster: node id %d must be ≥ 1", opt.ID)
@@ -92,27 +93,87 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dialing coordinator %s: %w", opt.CoordAddr, err)
 	}
-	defer conn.Close()
-	// ctlCtx governs everything this daemon does: it ends when the caller
-	// cancels, when the control connection dies, or when RunNode returns.
-	ctlCtx, ctlCancel := context.WithCancel(ctx)
-	defer ctlCancel()
-	// On cancellation, close the control connection (releases blocked gob
-	// decodes — the registration handshake included) and the data plane
-	// (releases writes; reads are already ctx-aware).
-	stop := context.AfterFunc(ctlCtx, func() {
-		conn.Close()
-		peer.Close()
-	})
-	defer stop()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-
 	adv := opt.AdvertiseAddr
 	if adv == "" {
 		adv = peer.Addr()
 	}
-	if err := enc.Encode(helloMsg{ID: opt.ID, DataAddr: adv}); err != nil {
+	return nodeShell{
+		id: opt.ID, dataAddr: adv, chaos: opt.Chaos,
+		// Everything on the first job arrived from outside the process, so
+		// the engine is built from verified bytes and the peer directory.
+		engine: func(grp group.Group, job jobMsg, secrets trustedparty.NodeSecrets) (*vertex.Deployment, *vertex.Engine, error) {
+			dep, eng, err := newNodeEngine(opt.ID, peer, grp, job, secrets)
+			if err != nil {
+				return nil, nil, err
+			}
+			for id, addr := range job.Directory {
+				if id != opt.ID {
+					peer.Register(id, addr)
+				}
+			}
+			// Self-delivery (a node can be relay and block member at once)
+			// goes through the peer's own listener like any other traffic —
+			// dialed at the local listen address, never the advertised one,
+			// which may not be reachable from inside a NAT.
+			peer.Register(opt.ID, selfDialAddr(peer.Addr()))
+			return dep, eng, nil
+		},
+		recovery: parseRecovery,
+		// Closing the data plane releases writes; reads are ctx-aware.
+		release: func() { peer.Close() },
+	}.serve(ctx, conn)
+}
+
+// nodeShell is what differs between the two ways a node is started: a
+// daemon (RunNode) builds its engine on tcpnet from the verified bytes of
+// its first job, a node of an in-process fleet (OpenHub) on the hub from its
+// driver's own parts. Everything else is serve, and both run it.
+type nodeShell struct {
+	id network.NodeID
+	// dataAddr is the data-plane address peers dial ("" on the hub).
+	dataAddr string
+	chaos    *NodeChaos
+	// engine builds the node's engine on the session's first job. own is
+	// the deployment the node holds alone, or nil when it shares its
+	// driver's — whose certificate uses the driver then announces.
+	engine func(grp group.Group, job jobMsg, secrets trustedparty.NodeSecrets) (own *vertex.Deployment, e *vertex.Engine, err error)
+	// recovery turns a recovery announcement into the engine's
+	// instructions.
+	recovery func(grp group.Group, rm recoverMsg) (*vertex.Recovery, error)
+	// release, when set, unblocks the data plane once the node stops.
+	release func()
+}
+
+// serve registers the node over its control connection and serves the
+// standing session on it; it owns conn and closes it on return.
+func (sh nodeShell) serve(ctx context.Context, conn net.Conn) (*vertex.NodeResult, error) {
+	defer conn.Close()
+	// ctlCtx governs everything this node does: it ends when the caller
+	// cancels, when the control connection dies, or when serve returns.
+	ctlCtx, ctlCancel := context.WithCancel(ctx)
+	defer ctlCancel()
+	// On cancellation, close the control connection (releases blocked gob
+	// decodes — the registration handshake included) and the data plane.
+	stop := context.AfterFunc(ctlCtx, func() {
+		conn.Close()
+		if sh.release != nil {
+			sh.release()
+		}
+	})
+	defer stop()
+	if c := sh.chaos; c != nil {
+		// A dying process drops its connections before anything else: the
+		// killed run must get no failure report out, and the node must
+		// answer no further heartbeat.
+		sh.chaos = &NodeChaos{Barrier: c.Barrier, Kill: func() {
+			conn.Close()
+			c.Kill()
+		}}
+	}
+	enc := gob.NewEncoder(conn)
+	dec := gob.NewDecoder(conn)
+
+	if err := enc.Encode(helloMsg{ID: sh.id, DataAddr: sh.dataAddr}); err != nil {
 		return nil, fmt.Errorf("cluster: hello: %w", err)
 	}
 	var pm paramsMsg
@@ -124,7 +185,7 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 		return nil, err
 	}
 	tpParams := trustedparty.Params{Group: grp, K: pm.K, D: pm.D, L: pm.L}
-	reg, secrets, err := trustedparty.RegisterNode(tpParams, opt.ID)
+	reg, secrets, err := trustedparty.RegisterNode(tpParams, sh.id)
 	if err != nil {
 		return nil, err
 	}
@@ -134,16 +195,16 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 
 	// Jobs overlap: each runs in its own goroutine against per-query state
 	// (the engine keys share registers and GMW sessions by job.Seq), while
-	// the engine itself — substrate, setup, and the deployment state dep it
-	// was built on — stands for the whole session. encMu serializes
+	// the engine itself — substrate, setup, and the deployment state it was
+	// built on — stands for the whole session. encMu serializes
 	// control-plane encodes (done reports and heartbeat replies) on the
-	// shared connection; any job failure is fatal for the daemon
+	// shared connection; any job failure is fatal for the node
 	// (fail-stop). The health-plane state — live trace map,
 	// per-job progress, the flight-recorder ring every job's trace feeds —
 	// is declared before the decoder goroutine because heartbeats read it.
 	flight := obs.NewFlight(0)
 	var (
-		dep        *vertex.Deployment
+		own        *vertex.Deployment
 		eng        *vertex.Engine
 		inflight   sync.WaitGroup
 		encMu      sync.Mutex
@@ -164,7 +225,7 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		b := &beatMsg{
-			ID: opt.ID, T1: t1, T2: t2,
+			ID: sh.id, T1: t1, T2: t2,
 			Goroutines: runtime.NumGoroutine(),
 			HeapBytes:  ms.HeapAlloc,
 			GCPauseNS:  ms.PauseTotalNs,
@@ -243,7 +304,7 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 		// runs, the trace is also live: heartbeats snapshot its open spans,
 		// and the attached flight recorder retains the recent event tail
 		// for the failure path.
-		trace := obs.NewTrace(int32(opt.ID))
+		trace := obs.NewTrace(int32(sh.id))
 		trace.AttachFlight(flight)
 		var qtag string
 		if job.Seq > 0 {
@@ -261,7 +322,7 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 		stateMu.Unlock()
 		flight.Record(obs.FlightEvent{
 			At: time.Now().UnixNano(), Kind: "phase", Name: "dispatched",
-			Query: qtag, Node: int32(opt.ID),
+			Query: qtag, Node: int32(sh.id),
 		})
 		jobCtx := obs.With(runCtx, trace)
 		jobCtx = obs.WithProgress(jobCtx, func(phase string) {
@@ -274,18 +335,20 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 			// inside one long phase would otherwise leave an empty ring.
 			flight.Record(obs.FlightEvent{
 				At: time.Now().UnixNano(), Kind: "phase", Name: phase,
-				Query: qtag, Node: int32(opt.ID),
+				Query: qtag, Node: int32(sh.id),
 			})
 		})
 		slog.Debug("cluster job received",
-			"node", opt.ID, "query", job.Seq, "attempt", req.attempt, "iterations", job.Iterations)
-		// A cluster node is a single sender, so each certificate key it
-		// caches is used once per iteration.
-		dep.ExpectCertUses(job.Iterations)
+			"node", sh.id, "query", job.Seq, "attempt", req.attempt, "iterations", job.Iterations)
+		if own != nil {
+			// A node holding its deployment alone is a single sender, so
+			// each certificate key it caches is used once per iteration.
+			own.ExpectCertUses(job.Iterations)
+		}
 		res, runErr := eng.Run(jobCtx, vertex.Job{
 			Seq: job.Seq, Attempt: req.attempt, FromBarrier: req.fromBarrier,
 			Iterations: job.Iterations, Epsilon: job.Cfg.Epsilon,
-			Inputs: job.Inputs, Chaos: opt.Chaos,
+			Inputs: job.Inputs, Chaos: sh.chaos,
 		})
 		if runErr != nil {
 			res = &vertex.NodeResult{}
@@ -303,20 +366,20 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 			// A recovery canceled this attempt; a resumed attempt replaces
 			// it, so neither its error nor a report reaches the coordinator.
 			slog.Debug("cluster job superseded by recovery",
-				"node", opt.ID, "query", job.Seq, "attempt", req.attempt)
+				"node", sh.id, "query", job.Seq, "attempt", req.attempt)
 			return
 		}
 		done := doneMsg{
-			ID: opt.ID, Seq: job.Seq, Attempt: req.attempt, Row: *res,
+			ID: sh.id, Seq: job.Seq, Attempt: req.attempt, Row: *res,
 			Spans: trace.Spans(), Counters: trace.Counters(),
 			Epoch: trace.Epoch().UnixNano(), LastPhase: lastPhase,
 		}
 		if runErr != nil {
 			done.Err = runErr.Error()
 			done.Flight = flight.Events()
-			slog.Error("cluster job failed", "node", opt.ID, "query", job.Seq, "error", runErr)
+			slog.Error("cluster job failed", "node", sh.id, "query", job.Seq, "error", runErr)
 		} else {
-			args := []any{"node", opt.ID, "query", job.Seq, "bytes_sent", res.Stats.BytesSent}
+			args := []any{"node", sh.id, "query", job.Seq, "bytes_sent", res.Stats.BytesSent}
 			for _, ph := range res.Phases() {
 				args = append(args, ph.Key+"_ms", ph.Time.Milliseconds())
 			}
@@ -354,7 +417,7 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 		}
 		stateMu.Unlock()
 		if e == nil {
-			return fmt.Errorf("cluster: node %d got a recover message before any job", opt.ID)
+			return fmt.Errorf("cluster: node %d got a recover message before any job", sh.id)
 		}
 		// Superseded attempts must fully unwind before the engine's
 		// setup-derived state is swapped under them.
@@ -364,20 +427,20 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 		flight.Record(obs.FlightEvent{
 			At: time.Now().UnixNano(), Kind: "recover",
 			Name: fmt.Sprintf("reblock epoch=%d dead=%d repl=%d", rm.Epoch, rm.Dead, rm.Repl),
-			Node: int32(opt.ID),
+			Node: int32(sh.id),
 		})
-		rec, err := parseRecovery(grp, rm)
+		rec, err := sh.recovery(grp, rm)
 		if err == nil {
 			err = e.ApplyRecovery(rec)
 		}
 		if err != nil {
-			return fmt.Errorf("cluster: node %d applying reblock: %w", opt.ID, err)
+			return fmt.Errorf("cluster: node %d applying reblock: %w", sh.id, err)
 		}
 		for _, r := range rm.Resumes {
 			job := r.Job
 			job.Seq, job.Attempt = r.Seq, r.Attempt
 			slog.Info("cluster resuming query after reblock",
-				"node", opt.ID, "query", r.Seq, "attempt", r.Attempt, "barrier", r.Barrier)
+				"node", sh.id, "query", r.Seq, "attempt", r.Attempt, "barrier", r.Barrier)
 			inflight.Add(1)
 			go runOne(runReq{job: job, attempt: r.Attempt, fromBarrier: r.Barrier})
 		}
@@ -392,7 +455,7 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 		}
 		job := *m.Job
 		if job.Shutdown {
-			slog.Debug("cluster node shutting down", "node", opt.ID)
+			slog.Debug("cluster node shutting down", "node", sh.id)
 			inflight.Wait()
 			stateMu.Lock()
 			res, err := last, fatalErr
@@ -400,43 +463,28 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 			return res, err
 		}
 		if eng == nil {
-			// The engine (and the peer directory) is built synchronously on
-			// the first job, so overlapping later jobs always find it
-			// standing. The write is published under stateMu because the
-			// decoder goroutine reads eng when building heartbeat replies.
-			d, e, err := newNodeEngine(opt.ID, peer, grp, job, secrets)
+			// The engine is built synchronously on the first job, so
+			// overlapping later jobs always find it standing. The write is
+			// published under stateMu because the decoder goroutine reads
+			// eng when building heartbeat replies.
+			d, e, err := sh.engine(grp, job, secrets)
 			if err != nil {
-				send(nodeMsg{Done: &doneMsg{ID: opt.ID, Seq: job.Seq, Attempt: 1, Err: err.Error()}})
+				send(nodeMsg{Done: &doneMsg{ID: sh.id, Seq: job.Seq, Attempt: 1, Err: err.Error()}})
 				return nil, err
 			}
 			e.ShipCheckpoint = func(seq, attempt, barrier int, blob []byte) {
 				c := ckptMsg{Seq: seq, Attempt: attempt, Barrier: barrier, Blob: blob}
 				if err := send(nodeMsg{Ckpt: &c}); err != nil {
 					slog.Warn("cluster checkpoint ship failed",
-						"node", opt.ID, "query", seq, "barrier", barrier, "error", err)
+						"node", sh.id, "query", seq, "barrier", barrier, "error", err)
 				}
 			}
 			stateMu.Lock()
-			dep, eng = d, e
+			own, eng = d, e
 			stateMu.Unlock()
-			for id, addr := range job.Directory {
-				if id != opt.ID {
-					peer.Register(id, addr)
-				}
-			}
-			// Self-delivery (a node can be relay and block member at
-			// once) goes through the peer's own listener like any other
-			// traffic — dialed at the local listen address, never the
-			// advertised one, which may not be reachable from inside a
-			// NAT.
-			peer.Register(opt.ID, selfDialAddr(peer.Addr()))
-		}
-		attempt := job.Attempt
-		if attempt < 1 {
-			attempt = 1
 		}
 		inflight.Add(1)
-		go runOne(runReq{job: job, attempt: attempt, fromBarrier: -1})
+		go runOne(runReq{job: job, attempt: normAttempt(job.Attempt), fromBarrier: -1})
 	}
 	// The job channel closed without a shutdown message: the control plane
 	// is gone (coordinator abort, node failure elsewhere, caller
@@ -451,7 +499,7 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	return res, fmt.Errorf("cluster: node %d: control connection to coordinator lost", opt.ID)
+	return res, fmt.Errorf("cluster: node %d: control connection to coordinator lost", sh.id)
 }
 
 // selfDialAddr rewrites an unspecified listen host (0.0.0.0 / ::) to
@@ -524,10 +572,7 @@ func newNodeEngine(id network.NodeID, tr network.Transport, grp group.Group, job
 	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: node %d: %w", id, err)
 	}
-	dep, err := vertex.NewDeployment(vertex.Config{
-		Group: grp, K: job.Cfg.K, Alpha: job.Cfg.Alpha, NoiseShift: job.Cfg.NoiseShift,
-		TablePFail: job.Cfg.TablePFail, AggFanIn: job.Cfg.AggFanIn, Recover: job.Recover,
-	}, prog, g)
+	dep, err := newDeployment(grp, job.Cfg, job.Recover, prog, g)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -536,6 +581,16 @@ func newNodeEngine(id network.NodeID, tr network.Transport, grp group.Group, job
 		return nil, nil, err
 	}
 	return dep, eng, nil
+}
+
+// newDeployment is where the wire configuration becomes a vertex.Config:
+// for a node daemon's own deployment and for the one an in-process fleet
+// shares.
+func newDeployment(grp group.Group, cfg ConfigWire, recover bool, prog *vertex.Program, g *vertex.Graph) (*vertex.Deployment, error) {
+	return vertex.NewDeployment(vertex.Config{
+		Group: grp, K: cfg.K, Alpha: cfg.Alpha, NoiseShift: cfg.NoiseShift,
+		TablePFail: cfg.TablePFail, AggFanIn: cfg.AggFanIn, Recover: recover,
+	}, prog, g)
 }
 
 // verifiedSetup parses a trusted-party publication off the wire and checks

@@ -1,18 +1,19 @@
-// Package cluster is DStress's deployment subsystem: it runs a full
-// execution — trusted-party setup, block GMW sessions, ElGamal transfers,
-// in-MPC noising, flat or tree aggregation — across genuinely separate
-// processes connected by internal/tcpnet.
+// Package cluster is DStress's driver: it runs a full execution —
+// trusted-party setup, block GMW sessions, ElGamal transfers, in-MPC
+// noising, flat or tree aggregation — over a fleet of nodes, each of which
+// wraps exactly one protocol engine (vertex.Engine).
 //
-// The paper's evaluation (§5) runs one node per EC2 machine. The protocol
-// itself — every role a participant plays against a network.Transport — is
-// vertex.Engine; vertex.Runtime stands N of them on the in-memory hub. This
-// package is the other shell around the same engine: a Coordinator (the
-// experiment driver, which also plays the trusted party of §3.4) and node
-// daemons that each wrap exactly one engine in the TCP control plane —
-// registration, job dispatch, heartbeats, checkpoint shipping, recovery
-// announcements — and check every byte that arrives over it. Because both
-// shells run one engine, a cluster run and a simulated run of the same
-// scenario are byte-compatible on the wire by construction.
+// A Coordinator (the experiment driver, which also plays the trusted party
+// of §3.4) speaks a gob control plane to every node — registration, job
+// dispatch, heartbeats, checkpoint shipping, recovery announcements — and
+// folds what they report. The nodes start one of two ways: as daemons on
+// separate processes or machines connected by internal/tcpnet (RunNode;
+// the paper's evaluation, §5, runs one per EC2 machine), checking every
+// byte that arrives over the wire; or as goroutines of this process on the
+// in-memory hub (OpenHub, the simulation). Because it is one driver around
+// one engine, a cluster run and a simulated run of the same scenario are
+// byte-compatible on the wire and report the same phase table by
+// construction.
 package cluster
 
 import (

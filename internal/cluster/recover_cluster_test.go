@@ -10,13 +10,32 @@ import (
 	"dstress/internal/vertex"
 )
 
-// TestClusterChaosRecovery is the cluster recovery e2e: a real loopback TCP
-// fleet with recovery enabled loses one node right after the compute step
-// of iteration 2, re-blocks around the casualty, resumes from the last
-// common checkpoint barrier, and the ε=0 result still reproduces the
-// plaintext reference exactly. The session must stay usable for a second
-// query on the shrunken fleet.
+// TestClusterChaosRecovery is the cluster recovery e2e, on both ways of
+// starting the nodes — a real loopback TCP fleet and an in-process one on
+// the hub: with recovery enabled, the fleet loses one node right after the
+// compute step of iteration 2, re-blocks around the casualty, resumes from
+// the last common checkpoint barrier, and the ε=0 result still reproduces
+// the plaintext reference exactly. The session must stay usable for a
+// second query on the shrunken fleet.
 func TestClusterChaosRecovery(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		open func(context.Context, Scenario) (*Session, error)
+	}{
+		{"tcp", OpenLoopback},
+		{"hub", func(ctx context.Context, sc Scenario) (*Session, error) {
+			prog, err := sc.Prog.Build()
+			if err != nil {
+				return nil, err
+			}
+			return OpenHub(ctx, sc, prog, OTDealer)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { chaosRecovery(t, tc.open) })
+	}
+}
+
+func chaosRecovery(t *testing.T, open func(context.Context, Scenario) (*Session, error)) {
 	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}
 	const iters = 6
 	const victim = network.NodeID(3)
@@ -29,16 +48,16 @@ func TestClusterChaosRecovery(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 180*time.Second)
 	defer cancel()
 
-	// Each OpenLoopback draws a fresh random block assignment; rarely the
-	// draw leaves every survivor a co-member of the victim, recovery
-	// correctly refuses (trustedparty.ErrNoReplacement — here flattened
-	// into the QueryError cause string), and the fleet fail-stops. This
-	// test exercises the recoverable path, so an unlucky draw is redrawn.
-	var lb *Loopback
+	// Each open draws a fresh random block assignment; rarely the draw
+	// leaves every survivor a co-member of the victim, recovery correctly
+	// refuses (trustedparty.ErrNoReplacement — here flattened into the
+	// QueryError cause string), and the fleet fail-stops. This test
+	// exercises the recoverable path, so an unlucky draw is redrawn.
+	var lb *Session
 	var sum *Summary
 	for attempt := 1; ; attempt++ {
 		var err error
-		lb, err = OpenLoopback(ctx, sc)
+		lb, err = open(ctx, sc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,8 +8,8 @@ import (
 )
 
 // SyntheticOptions parameterize a synthetic core-periphery systemic-risk
-// scenario, mirroring cmd/dstress-run's flags so the simulated and
-// deployed paths run the identical experiment.
+// scenario. dstress-run and dstress-node's coordinator both build theirs
+// here, so the simulated and deployed paths run the identical experiment.
 type SyntheticOptions struct {
 	Model      string // "en" or "egj"
 	N          int    // number of banks

@@ -1,8 +1,9 @@
 package cluster
 
-// Control-plane protocol. Each node keeps one TCP connection to the
-// coordinator and the conversation on it is strictly ordered, so messages
-// are plain gob-encoded structs in a fixed sequence:
+// Control-plane protocol. Each node keeps one connection to the
+// coordinator — TCP for a daemon, an in-memory pipe for a node of an
+// in-process fleet — and the conversation on it is strictly ordered, so
+// messages are plain gob-encoded structs in a fixed sequence:
 //
 //	node → coordinator   helloMsg     (node id + data-plane address)
 //	coordinator → node   paramsMsg    (public system parameters, §3.4 step 1)
@@ -39,9 +40,10 @@ import (
 )
 
 // ConfigWire is the serializable subset of vertex.Config. The crypto group
-// travels by name; OT provisioning is not included because cluster runs
+// travels by name; OT provisioning is not included because node daemons
 // always use IKNP (a dealer broker is an in-process object and cannot span
-// machines — the paper-faithful configuration needs no dealer anyway).
+// machines — the paper-faithful configuration needs no dealer anyway); only
+// an in-process fleet picks it, when it is opened (OpenHub).
 type ConfigWire struct {
 	Group      string
 	K          int

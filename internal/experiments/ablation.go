@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"dstress/internal/circuit"
+	"dstress/internal/cluster"
 	"dstress/internal/cost"
 	"dstress/internal/risk"
 	"dstress/internal/secretshare"
@@ -171,16 +172,11 @@ func ablationAggTree(o Options, t *Table) {
 			}
 			g.Priv[v] = circuit.EncodeWord(int64(v), 8)
 		}
-		rt, err := vertex.New(context.Background(), vertex.Config{
-			Group: o.group(), K: 1, Alpha: 0, OTMode: vertex.OTDealer, AggFanIn: fanIn,
-		}, prog, g)
+		sum, _, err := runSim(o, 1, fanIn, 0, cluster.OTDealer, prog, g, 1)
 		if err != nil {
 			return 0, err
 		}
-		if _, _, err := rt.Run(context.Background(), 1); err != nil {
-			return 0, err
-		}
-		return rt.Net().AvgNodeBytes(), nil
+		return sum.Report.AvgNodeBytes, nil
 	}
 	flat, err1 := run(0)
 	tree, err2 := run(4)

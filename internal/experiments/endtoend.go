@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dstress/internal/circuit"
+	"dstress/internal/cluster"
 	"dstress/internal/cost"
 	"dstress/internal/finnet"
 	"dstress/internal/risk"
@@ -59,17 +60,37 @@ func runE2E(o Options, model string, blockSize, n, d, iters int) (*vertex.Report
 	if err != nil {
 		return nil, 0, err
 	}
-	rt, err := vertex.New(context.Background(), vertex.Config{
-		Group: o.group(), K: blockSize - 1, Alpha: 0.5, Epsilon: 0, OTMode: vertex.OTDealer,
-	}, prog, graph)
+	sum, open, err := runSim(o, blockSize-1, 0, 0.5, cluster.OTDealer, prog, graph, iters)
 	if err != nil {
 		return nil, 0, err
 	}
-	raw, rep, err := rt.Run(context.Background(), iters)
+	// The "setup" column is the deployment's whole one-time cost: opening
+	// it, plus the session joins its engines' first job pays.
+	rep := sum.Report
+	rep.SetupTime += open
+	return rep, cfg.Decode(sum.Result), nil
+}
+
+// runSim runs one ε=0 query of prog over g on a simulated deployment and
+// returns the driver's summary, with the wall time of opening the
+// deployment.
+func runSim(o Options, k, aggFanIn int, alpha float64, mode cluster.OTMode, prog *vertex.Program, g *vertex.Graph, iters int) (*cluster.Summary, time.Duration, error) {
+	ctx := context.Background()
+	sc := cluster.Scenario{
+		Cfg:   cluster.ConfigWire{Group: o.GroupName(), K: k, Alpha: alpha, AggFanIn: aggFanIn},
+		Graph: g, Iterations: iters,
+	}
+	start := time.Now()
+	sess, err := cluster.OpenHub(ctx, sc, prog, mode)
 	if err != nil {
 		return nil, 0, err
 	}
-	return rep, cfg.Decode(raw), nil
+	open := time.Since(start)
+	sum, err := sess.Run(ctx, cluster.Query{Iterations: iters})
+	if cerr := sess.Close(); err == nil {
+		err = cerr
+	}
+	return sum, open, err
 }
 
 // Fig5EndToEnd reproduces Figure 5: end-to-end computation time (split by

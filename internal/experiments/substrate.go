@@ -1,12 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
+	"dstress/internal/cluster"
 	"dstress/internal/risk"
-	"dstress/internal/vertex"
 )
 
 // OTSubstrateSetup measures the pairwise OT substrate (§5.3's OT-extension
@@ -36,16 +35,15 @@ func OTSubstrateSetup(o Options) *Table {
 			t.Notes = append(t.Notes, err.Error())
 			continue
 		}
-		start := time.Now()
-		rt, err := vertex.New(context.Background(), vertex.Config{
-			Group: o.group(), K: bs - 1, Alpha: 0.5, OTMode: vertex.OTIKNP,
-		}, prog, graph)
+		// The shortest query that joins every session: its engines pay the
+		// handshakes in its Init phase.
+		sum, open, err := runSim(o, bs-1, 0, 0.5, cluster.OTIKNP, prog, graph, 0)
 		if err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("block %d: %v", bs, err))
 			continue
 		}
-		setup := time.Since(start)
-		handshakes := rt.BaseOTHandshakes()
+		setup := open + sum.Report.SetupTime
+		handshakes := sum.Report.BaseOTHandshakes
 		sessions := graph.N() + 1 // one per vertex block plus the aggregation block
 		perSession := int64(sessions * bs * (bs - 1))
 		t.Add(fmt.Sprint(bs), fmt.Sprint(sessions),

@@ -2,17 +2,17 @@ package obs
 
 import "sync"
 
-// FlightEvent is one entry in a flight recorder: a completed span or a
-// counter bump, stamped with the wall clock of the machine that recorded
-// it. Fields are exported so events travel over the cluster control plane
-// (gob) and marshal into failure dumps (json).
+// FlightEvent is one entry in a flight recorder: a completed span, a phase
+// entry or a recovery step, stamped with the wall clock of the machine that
+// recorded it. Fields are exported so events travel over the cluster
+// control plane (gob) and marshal into failure dumps (json).
 type FlightEvent struct {
 	// At is the event's wall-clock time in Unix nanoseconds on the
 	// recording machine (span events use the span's end instant).
 	At int64 `json:"at_unix_ns"`
-	// Kind is "span", "counter", or "phase" (a protocol phase entry).
+	// Kind is "span", "phase" (a protocol phase entry) or "recover".
 	Kind string `json:"kind"`
-	// Name is the span taxonomy path or counter name.
+	// Name is the span taxonomy path, the phase, or the recovery step.
 	Name string `json:"name"`
 	// Query is the query tag ("q/<n>") current at record time, if any.
 	Query string `json:"query,omitempty"`
@@ -20,8 +20,6 @@ type FlightEvent struct {
 	Node int32 `json:"node"`
 	// Dur is the span length in nanoseconds (span events only).
 	Dur int64 `json:"dur_ns,omitempty"`
-	// Delta is the counter increment (counter events only).
-	Delta int64 `json:"delta,omitempty"`
 }
 
 // defaultFlightCap bounds the recorder when NewFlight is given no capacity;

@@ -70,8 +70,8 @@ type Trace struct {
 
 	counters sync.Map // string → *atomic.Int64
 
-	// flight, when attached, receives a copy of every completed span and
-	// counter bump — the ring the health plane dumps on failure.
+	// flight, when attached, receives a copy of every completed span — the
+	// ring the health plane dumps on failure.
 	flight atomic.Pointer[Flight]
 }
 
@@ -223,8 +223,10 @@ func (t *Trace) Live() []Span {
 	return out
 }
 
-// AttachFlight connects a flight recorder: every completed span and counter
-// bump recorded after this call is mirrored into f's ring. Attaching nil
+// AttachFlight connects a flight recorder: every span completed after this
+// call is mirrored into f's ring. Counter bumps are not: the protocol bumps
+// counters every AND round, and mirroring them would flush every span and
+// phase entry out of the ring within a few hundred rounds. Attaching nil
 // detaches.
 func (t *Trace) AttachFlight(f *Flight) {
 	if t == nil {
@@ -245,21 +247,6 @@ func (t *Trace) Add(name string, delta int64) {
 		c, _ = t.counters.LoadOrStore(name, new(atomic.Int64))
 	}
 	c.(*atomic.Int64).Add(delta)
-	if f := t.flight.Load(); f != nil {
-		// Only flight-attached traces (cluster node daemons) pay for the
-		// query-tag read; the common path above stays lock-free.
-		t.mu.Lock()
-		query := t.query
-		t.mu.Unlock()
-		f.Record(FlightEvent{
-			At:    time.Now().UnixNano(),
-			Kind:  "counter",
-			Name:  name,
-			Query: query,
-			Node:  t.node,
-			Delta: delta,
-		})
-	}
 }
 
 // Spans returns a copy of the recorded spans.

@@ -1,12 +1,10 @@
 package risk
 
 import (
-	"context"
 	"math"
 	"testing"
 
 	"dstress/internal/finnet"
-	"dstress/internal/group"
 	"dstress/internal/vertex"
 )
 
@@ -327,74 +325,5 @@ func TestEGJGraphShape(t *testing.T) {
 				t.Errorf("holding (%d,%d) edge mismatch", i, j)
 			}
 		}
-	}
-}
-
-// --- End-to-end MPC ------------------------------------------------------------
-
-func TestENEndToEndMPC(t *testing.T) {
-	if testing.Short() {
-		t.Skip("MPC end-to-end test skipped in -short mode")
-	}
-	cfg := CircuitConfig{Width: 32, Unit: 1}
-	net := smallENNet(t)
-	prog := ENProgram(cfg, 1, 0.1)
-	g, err := ENGraph(net, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const iters = 3
-	wantRaw, err := vertex.RunReference(prog, g, iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := vertex.New(context.Background(), vertex.Config{
-		Group: group.ModP256(), K: 1, Alpha: 0.5, Epsilon: 0, OTMode: vertex.OTDealer,
-	}, prog, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRaw, rep, err := rt.Run(context.Background(), iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotRaw != wantRaw {
-		t.Errorf("MPC TDS raw = %d, reference = %d", gotRaw, wantRaw)
-	}
-	if rep.UpdateAndGates < 1000 {
-		t.Errorf("EN update circuit suspiciously small: %d AND gates", rep.UpdateAndGates)
-	}
-	t.Logf("EN end-to-end: TDS = %v, update circuit %d ANDs, total %.1f KB/node avg",
-		cfg.Decode(gotRaw), rep.UpdateAndGates, rep.AvgNodeBytes/1024)
-}
-
-func TestEGJEndToEndMPC(t *testing.T) {
-	if testing.Short() {
-		t.Skip("MPC end-to-end test skipped in -short mode")
-	}
-	cfg := CircuitConfig{Width: 32, Unit: 1}
-	net := smallEGJNet(t)
-	prog := EGJProgram(cfg, 1, 0.1)
-	g, err := EGJGraph(net, cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const iters = 3
-	wantRaw, err := vertex.RunReference(prog, g, iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := vertex.New(context.Background(), vertex.Config{
-		Group: group.ModP256(), K: 1, Alpha: 0.5, Epsilon: 0, OTMode: vertex.OTDealer,
-	}, prog, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRaw, _, err := rt.Run(context.Background(), iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotRaw != wantRaw {
-		t.Errorf("MPC TDS raw = %d, reference = %d", gotRaw, wantRaw)
 	}
 }

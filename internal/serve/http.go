@@ -176,8 +176,9 @@ func wireQuery(st QueryStatus) queryWire {
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // fleetsWire is the GET /v1/fleet body: one entry per pool member with a
-// health plane (sim members have none, so the list can be shorter than the
-// pool — or empty, which still renders as [] not null).
+// standing session (a recycled member between sessions has none, so the
+// list can be shorter than the pool — or empty, which still renders as []
+// not null).
 type fleetsWire struct {
 	Fleets []fleetWire `json:"fleets"`
 }

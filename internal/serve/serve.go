@@ -197,8 +197,8 @@ type Metrics struct {
 	// Gauges are point-in-time process gauges (goroutines, heap, GC
 	// pause), sampled at snapshot time.
 	Gauges []obs.GaugeValue
-	// Fleets holds one health snapshot per pool member whose deployment
-	// has a health plane (cluster sessions; sim members contribute none).
+	// Fleets holds one health snapshot per pool member with a standing
+	// session; sim and tcp sessions both carry a health plane.
 	Fleets []FleetStatus
 	// StalledQueries counts queries the fleet stall watchdogs currently
 	// flag, summed across pool members.
@@ -685,10 +685,11 @@ func (s *Service) Do(ctx context.Context, req Request) (QueryStatus, error) {
 	return s.waitOn(ctx, q)
 }
 
-// Fleets snapshots the health plane of every pool member whose deployment
-// has one (cluster sessions — the runner type-asserts to Fleet()). Sim
-// members and recycled-away sessions contribute nothing. Member indices are
-// launch order and stable across the service's lifetime.
+// Fleets snapshots the health plane of every pool member with a standing
+// session (the runner type-asserts to Fleet(); a dstress.Session on either
+// engine has one). Members whose session was recycled away and not yet
+// reopened contribute nothing. Member indices are launch order and stable
+// across the service's lifetime.
 func (s *Service) Fleets() []FleetStatus {
 	s.mu.Lock()
 	members := append([]*member(nil), s.members...)

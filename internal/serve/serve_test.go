@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -485,6 +486,65 @@ func TestRealSessionPool(t *testing.T) {
 	}
 	if m := svc.Metrics(); m.Served != n {
 		t.Errorf("served %d, want %d", m.Served, n)
+	}
+}
+
+// TestPoisonedSimSessionIsRecycledWhole runs genuine simulation sessions
+// whose every deployment loses a node on its first query (no recovery):
+// the failure poisons the session, the worker resubmits the query once on a
+// fresh one, that one dies the same way, and the query is recorded failed
+// with the dead node named. Every sim session carries a whole fleet — node
+// goroutines, control-plane readers, a heartbeat loop — so recycling one
+// must tear all of it down: after Drain, no goroutine the service started
+// is left.
+func TestPoisonedSimSessionIsRecycledWhole(t *testing.T) {
+	job, err := loadJob()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	eng := dstress.NewSimEngine(dstress.EngineConfig{
+		Group: dstress.TestGroup(), K: 1, Alpha: 0.5, OTMode: dstress.OTDealer,
+		ChaosNode: 2, HeartbeatInterval: 20 * time.Millisecond,
+	})
+	var opened atomic.Int64
+	svc, err := New(context.Background(), Config{
+		Open: func(ctx context.Context) (QueryRunner, error) {
+			opened.Add(1)
+			return eng.Open(ctx, job, 0)
+		},
+		PoolCap: 1, Warm: 1,
+		DefaultBudget: math.Inf(1),
+		AllowUnnoised: true,
+		Logf:          func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := svc.Do(context.Background(), Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || !strings.Contains(st.Err, "node 2 failed") {
+		t.Errorf("query finished %s (%q), want failed naming node 2", st.State, st.Err)
+	}
+	if m := svc.Metrics(); m.Resubmits != 1 {
+		t.Errorf("resubmits = %d, want 1", m.Resubmits)
+	}
+	if got := opened.Load(); got != 2 {
+		t.Errorf("opened %d sessions, want 2 (original + recycled)", got)
+	}
+	if err := svc.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines outlive the drained service:\n%s",
+				runtime.NumGoroutine()-before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

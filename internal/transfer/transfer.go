@@ -213,6 +213,12 @@ func (p Params) PrecomputeWorthwhile(uses int) bool {
 // share one — there the K+1 senders of an edge ask for the same entry at
 // once, so each entry is built exactly once behind its own sync.Once and
 // the other askers wait for it.
+//
+// An entry remembers the certificate it was built from and serves only
+// that one. Engines sharing a cache apply a re-blocking one at a time, so
+// for a moment some still run on the old certificates while others already
+// hold the re-issued ones; a (vertex, slot) entry built by either is never
+// handed to the other.
 type CertKeyCache struct {
 	mu      sync.Mutex
 	m       map[[2]int]*certEntry
@@ -220,6 +226,7 @@ type CertKeyCache struct {
 }
 
 type certEntry struct {
+	src  *elgamal.PublicKey // the first key of the certificate the entry was built from
 	once sync.Once
 	keys RecipientKeys
 }
@@ -258,13 +265,13 @@ func (c *CertKeyCache) Len() int {
 func (c *CertKeyCache) Keys(vertex, slot int, raw RecipientKeys) RecipientKeys {
 	id := [2]int{vertex, slot}
 	c.mu.Lock()
-	if !c.enabled {
+	if !c.enabled || len(raw) == 0 || len(raw[0]) == 0 {
 		c.mu.Unlock()
 		return raw
 	}
 	e, ok := c.m[id]
-	if !ok {
-		e = &certEntry{}
+	if !ok || e.src != &raw[0][0] {
+		e = &certEntry{src: &raw[0][0]}
 		c.m[id] = e
 	}
 	c.mu.Unlock()

@@ -557,3 +557,30 @@ func TestPrecomputeWorthwhile(t *testing.T) {
 		t.Error("200 uses should precompute")
 	}
 }
+
+// TestCertKeyCacheFollowsCertificate pins that a cache entry serves only the
+// certificate it was built from: engines sharing a cache apply a re-blocking
+// one at a time, and an entry one of them built from a superseded
+// certificate must not reach another that already holds the re-issued one.
+func TestCertKeyCacheFollowsCertificate(t *testing.T) {
+	p := testParams()
+	old, reissued := newEnv(t, p).certKeys, newEnv(t, p).certKeys
+	c := NewCertKeyCache()
+	if got := c.Keys(0, 1, old); &got[0][0] != &old[0][0] {
+		t.Fatal("disabled cache did not pass the raw keys through")
+	}
+	c.Enable()
+	first := c.Keys(0, 1, old)
+	if again := c.Keys(0, 1, old); &again[0][0] != &first[0][0] {
+		t.Error("the same certificate rebuilt its entry instead of reusing it")
+	}
+	y := group.MustRandomScalar(p.Group)
+	got := c.Keys(0, 1, reissued)[0][0].EncryptWithEphemeral(1, y)
+	want := reissued[0][0].EncryptWithEphemeral(1, y)
+	if string(p.Group.Encode(got.C2)) != string(p.Group.Encode(want.C2)) {
+		t.Fatal("a re-issued certificate was served the entry built from the old one")
+	}
+	if c.Len() != 1 {
+		t.Errorf("cache holds %d entries, want the one slot", c.Len())
+	}
+}

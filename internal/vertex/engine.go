@@ -14,6 +14,7 @@ import (
 	"dstress/internal/dp"
 	"dstress/internal/elgamal"
 	"dstress/internal/gmw"
+	"dstress/internal/group"
 	"dstress/internal/network"
 	"dstress/internal/obs"
 	"dstress/internal/secretshare"
@@ -28,17 +29,44 @@ import (
 // block GMW plus §3.5 edge transfers, aggregation — and this file is its one
 // implementation: an Engine plays the roles of exactly one participant
 // (block member, relay, adjuster, aggregation member) against a
-// network.Transport. Two shells drive it. Runtime (runtime.go) stands N
-// engines on the in-process hub; a cluster node daemon
-// (internal/cluster/node.go) wraps one engine in the TCP control plane.
+// network.Transport. One driver runs it: a node of internal/cluster wraps
+// one engine in the control plane, whether the node is a daemon on tcpnet
+// or a goroutine of an in-process fleet on the hub.
 // ---------------------------------------------------------------------------
+
+// Config parameterizes a deployment.
+type Config struct {
+	// Group is the cyclic group for ElGamal and base OTs.
+	Group group.Group
+	// K is the collusion bound; blocks have K+1 members (§3.2).
+	K int
+	// Alpha is the transfer-noise parameter (§3.5); 0 disables edge noising.
+	Alpha float64
+	// NoiseShift samples output noise at a granularity of 2^NoiseShift raw
+	// LSBs (set to the program's fractional bits).
+	NoiseShift int
+	// TablePFail is the per-decryption failure budget used to size the
+	// ElGamal lookup table (Appendix B); 0 means 1e-12.
+	TablePFail float64
+	// AggFanIn enables hierarchical aggregation (§3.6): when positive and
+	// smaller than N, vertices are grouped into subtrees of at most
+	// AggFanIn states, each partially aggregated by an existing block,
+	// and a root block combines the partials and adds the noise. 0 keeps
+	// the single aggregation block. The paper suggests a fan-in of 100.
+	AggFanIn int
+	// Recover enables phase-barrier checkpointing: at every barrier each
+	// node archives its share state and ships it sealed under the fleet
+	// recovery key. Off by default — a failed run then surfaces as an
+	// error, matching the fail-stop behavior tests pin.
+	Recover bool
+}
 
 // Deployment is what every engine of one deployment holds in common and
 // never changes per query: the compiled update circuit, the ε-keyed
 // aggregation plans, the ElGamal lookup table, the transfer parameters and
-// the certificate-key cache. The in-process engines of a Runtime share one
-// by pointer, so their setup cost and memory do not multiply by N; a
-// cluster node holds its own.
+// the certificate-key cache. The engines of an in-process fleet share one
+// by pointer, so their setup cost and memory do not multiply by N; a node
+// daemon holds its own.
 type Deployment struct {
 	cfg   Config
 	prog  *Program
@@ -101,8 +129,9 @@ func NewDeployment(cfg Config, prog *Program, g *Graph) (*Deployment, error) {
 // and turns the fixed-base tables on once the running total amortizes
 // their build cost. Whoever holds the cache calls it once per query,
 // because only the holder knows how many senders share an entry: the
-// Runtime's engines all hit one cache ((K+1)·iterations per key), a cluster
-// node is a single sender (iterations).
+// engines of an in-process fleet all hit one cache ((K+1)·iterations per
+// key, announced by their driver), a node daemon is a single sender
+// (iterations).
 func (d *Deployment) ExpectCertUses(n int) {
 	d.certMu.Lock()
 	defer d.certMu.Unlock()
@@ -118,6 +147,14 @@ func (d *Deployment) ExpectCertUses(n int) {
 type aggPlan struct {
 	noise NoiseSpec
 	circ  *circuit.Circuit
+}
+
+// Prepare compiles the aggregation plan for a privacy budget ahead of the
+// first query that asks for it, so a driver can pay that cost when it opens
+// the deployment rather than inside a query.
+func (d *Deployment) Prepare(epsilon float64) error {
+	_, err := d.planFor(epsilon)
+	return err
 }
 
 // planFor returns (compiling and caching on first use) the aggregation plan
@@ -212,15 +249,14 @@ type Engine struct {
 	setup   *trustedparty.SetupResult
 	secrets trustedparty.NodeSecrets
 	// ShipCheckpoint, when set before the first Run, receives every sealed
-	// barrier snapshot this node produces (a cluster node sends it up the
-	// control plane; the Runtime files it in its checkpoint table).
-	// Shipping is best-effort — a lost blob only narrows which barrier a
-	// future recovery can resume from.
+	// barrier snapshot this node produces (the cluster node sends it up the
+	// control plane). Shipping is best-effort — a lost blob only narrows
+	// which barrier a future recovery can resume from.
 	ShipCheckpoint func(seq, attempt, barrier int, blob []byte)
 
 	// setupMu guards the one-time setup accounting: the pairwise base-OT
-	// handshakes are charged to whoever pays them first — Warm, or else the
-	// first job's Init phase.
+	// handshakes are charged to the first job's Init phase, whichever of
+	// several overlapping jobs that is.
 	setupMu   sync.Mutex
 	setupDone bool
 	setupTime time.Duration
@@ -317,51 +353,6 @@ func (e *Engine) Handshakes() int64 {
 		return s.Sub.Handshakes()
 	}
 	return 0
-}
-
-// Warm pays this node's pairwise base-OT handshakes up front, with every
-// peer it shares a block or the aggregation block with, so that per-query
-// session creation afterwards is purely local seed derivation. Every node
-// of the deployment must call it concurrently (the handshake is symmetric).
-// It claims the setup accounting: no later job's Init phase is charged for
-// handshakes. Dealer-provisioned engines have nothing to warm.
-func (e *Engine) Warm(ctx context.Context) error {
-	t0 := time.Now()
-	var firstErr error
-	if s, ok := e.ot.(gmw.SubstrateOT); ok {
-		peers := make(map[network.NodeID]bool)
-		for _, v := range e.memberVertices {
-			for _, id := range e.setup.Assignment.Blocks[e.dep.graph.NodeOf(v)] {
-				peers[id] = true
-			}
-		}
-		if e.aggIdx >= 0 {
-			for _, id := range e.setup.Assignment.AggBlock {
-				peers[id] = true
-			}
-		}
-		delete(peers, e.id)
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for id := range peers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := s.Sub.Warm(ctx, id); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	e.setupMu.Lock()
-	e.setupDone, e.setupTime = true, time.Since(t0)
-	e.setupMu.Unlock()
-	return firstErr
 }
 
 // nodeRun is one query's protocol state on one node: its GMW sessions (all
@@ -731,9 +722,9 @@ func (e *Engine) ApplyRecovery(rec *Recovery) error {
 // Run executes one query's full schedule on this node. The query's whole
 // wire footprint lives under its "q/<seq>" tag namespace — GMW sessions,
 // transfers, reshares — so overlapping jobs on one standing engine cannot
-// collide. If nobody warmed the engine, the first job to arrive pays the
-// pairwise base-OT handshakes in its Init phase; all other jobs pay only
-// seed derivation and share distribution. With recovery on, every phase
+// collide. The first job to arrive pays the pairwise base-OT handshakes in
+// its Init phase; all other jobs pay only seed derivation and share
+// distribution. With recovery on, every phase
 // barrier is checkpointed, and a resumed attempt (FromBarrier ≥ 0)
 // restores its registers instead of redistributing initial shares.
 func (e *Engine) Run(ctx context.Context, job Job) (*NodeResult, error) {

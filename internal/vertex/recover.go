@@ -26,9 +26,8 @@ type Recovery struct {
 	DeadBlobs map[int][]byte
 }
 
-// PlanRecovery decides the re-blocking around dead, for whoever plays
-// coordinator (the cluster coordinator, or the Runtime for an injected
-// death): the lowest live node that shares no block with the casualty
+// PlanRecovery decides the re-blocking around dead for the coordinator:
+// the lowest live node that shares no block with the casualty
 // replaces it, the trusted party re-blocks and re-issues certificates, and
 // the replacement is handed the neighbor keys of the vertices it adopts.
 // live lists the fleet in ascending id order. Chained deaths resolve

@@ -3,14 +3,10 @@ package vertex
 import (
 	"bytes"
 	"context"
-	"errors"
-	"fmt"
 	"testing"
-	"time"
 
 	"dstress/internal/network"
 	"dstress/internal/secretshare"
-	"dstress/internal/trustedparty"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -78,10 +74,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 func TestReconstructThenReshare(t *testing.T) {
 	p := sumProgram()
 	g := ringGraph(t, 5, p)
-	rt, err := New(context.Background(), Config{Group: tg, K: 2, OTMode: OTDealer, Recover: true}, p, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newTestFleet(t, Config{Group: tg, K: 2, Recover: true}, p, g, false)
 	const word = uint64(0x5a)
 	k1 := 3
 	shares := secretshare.SplitXOR(word, k1, p.StateBits)
@@ -109,9 +102,9 @@ func TestReconstructThenReshare(t *testing.T) {
 
 	// Every member of vertex 0's block plays both halves of the reshare on
 	// its own engine: all sends first, then all receives.
-	members := rt.setup.Assignment.Blocks[g.NodeOf(0)]
+	members := f.setup.Assignment.Blocks[g.NodeOf(0)]
 	tag := network.Tag("q", 999, "a", 2, "recover", 0, "st")
-	engineOf := func(id network.NodeID) *Engine { return rt.engines[int(id)-1] }
+	engineOf := func(id network.NodeID) *Engine { return f.engines[int(id)-1] }
 	for m, id := range members {
 		if err := engineOf(id).reshareSend(shares[m], p.StateBits, m, members, tag); err != nil {
 			t.Fatal(err)
@@ -138,133 +131,5 @@ func TestReconstructThenReshare(t *testing.T) {
 	}
 	if same {
 		t.Error("reshare did not re-randomize any share")
-	}
-}
-
-// runChaosRecovery stands up a fresh runtime and runs the query, redrawing
-// the whole deployment when the random block assignment made the chosen
-// victim unrecoverable (every survivor already a co-member — rare but
-// possible on tiny fleets, and correctly refused: see
-// trustedparty.ErrNoReplacement). The chaos e2e tests exercise the path
-// where recovery is possible, so an unlucky draw is re-rolled, not failed.
-func runChaosRecovery(t *testing.T, cfg Config, p *Program, g *Graph, iters int) (*Runtime, int64, *Report) {
-	t.Helper()
-	for attempt := 1; ; attempt++ {
-		rt, err := New(context.Background(), cfg, p, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, rep, err := rt.Run(context.Background(), iters)
-		if err == nil {
-			return rt, got, rep
-		}
-		if !errors.Is(err, trustedparty.ErrNoReplacement) || attempt >= 5 {
-			t.Fatal(err)
-		}
-		t.Logf("assignment draw %d left the victim unrecoverable, redrawing: %v", attempt, err)
-	}
-}
-
-// TestChaosRecoveryMatchesReference is the sim recovery e2e, over the whole
-// fault space of its small fixture: every victim × every barrier × flat
-// and tree aggregation. Whichever node dies wherever in the schedule, the
-// run must either re-block, resume, and reproduce the ε=0 reference exactly
-// with one recovery counted — or refuse with the typed ErrNoReplacement
-// when the drawn assignment left the victim no stand-in. It must never
-// hang: every cell runs under a deadline. The deployment must stay usable
-// for a subsequent query.
-func TestChaosRecoveryMatchesReference(t *testing.T) {
-	p := sumProgram()
-	g := ringGraph(t, 6, p)
-	const iters = 4
-	want, err := RunReference(p, g, iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want2, err := RunReference(p, g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, agg := range []struct {
-		name  string
-		fanIn int
-	}{{"flat", 0}, {"tree", 2}} {
-		for victim := 1; victim <= g.N(); victim++ {
-			for barrier := 0; barrier <= iters; barrier++ {
-				t.Run(fmt.Sprintf("%s/victim=%d/barrier=%d", agg.name, victim, barrier), func(t *testing.T) {
-					ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-					defer cancel()
-					rt, err := New(ctx, Config{
-						Group: tg, K: 1, Alpha: 0.5, OTMode: OTDealer, AggFanIn: agg.fanIn,
-						Recover: true,
-						Chaos:   &ChaosSpec{Victim: network.NodeID(victim), Barrier: barrier},
-					}, p, g)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, rep, err := rt.Run(ctx, iters)
-					if errors.Is(err, trustedparty.ErrNoReplacement) {
-						return // correctly refused: the draw left no stand-in
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Errorf("recovered run = %d, reference = %d", got, want)
-					}
-					if rep.Recoveries != 1 {
-						t.Errorf("Recoveries = %d, want 1", rep.Recoveries)
-					}
-					// The victim must be out of every block of the committed
-					// assignment.
-					for id, members := range rt.setup.Assignment.Blocks {
-						for _, m := range members {
-							if m == network.NodeID(victim) {
-								t.Fatalf("victim still a member of block %d", id)
-							}
-						}
-					}
-					// A later query runs on the re-blocked deployment (chaos
-					// fires only on the first attempt of the first query).
-					got2, rep2, err := rt.Run(ctx, 2)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got2 != want2 {
-						t.Errorf("post-recovery query = %d, reference = %d", got2, want2)
-					}
-					if rep2.Recoveries != 0 {
-						t.Errorf("post-recovery query reports %d recoveries", rep2.Recoveries)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestChaosRecoveryIKNP exercises the recovery path with the substrate OT
-// mode: the replacement's fresh block memberships must derive new streams
-// under the attempt-versioned tags (lazily handshaking any new pairs).
-func TestChaosRecoveryIKNP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("IKNP recovery is slow")
-	}
-	p := sumProgram()
-	g := ringGraph(t, 5, p)
-	const iters = 2
-	want, err := RunReference(p, g, iters)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, got, rep := runChaosRecovery(t, Config{
-		Group: tg, K: 1, OTMode: OTIKNP,
-		Recover: true,
-		Chaos:   &ChaosSpec{Victim: 2, Barrier: 1},
-	}, p, g, iters)
-	if got != want {
-		t.Errorf("recovered IKNP run = %d, reference = %d", got, want)
-	}
-	if rep.Recoveries != 1 {
-		t.Errorf("Recoveries = %d, want 1", rep.Recoveries)
 	}
 }

@@ -18,15 +18,12 @@ type Report struct {
 	// Phase wall-clock durations. Noising happens inside the aggregation
 	// MPC, matching the paper's "Aggregation & noising" bar in Figure 5.
 	// Init includes joining the query's GMW sessions. Folded: the slowest
-	// node's (phases barrier on the protocol's own communication) — except
-	// that a Runtime, which sees every node, reports a partition of the
-	// query's wall time instead (see phaseClock).
+	// node's (phases barrier on the protocol's own communication).
 	InitTime, ComputeTime, CommTime, AggTime time.Duration
-	// SetupTime is the one-time deployment-open cost. A Runtime measures it
-	// in New (trusted-party setup, circuit compilation, the pairwise
-	// base-OT warm-up); a cluster node reports the first job's session
-	// joins, which carry the handshakes. It is the same for every query of
-	// a standing deployment.
+	// SetupTime is the engine's one-time setup cost: the first job's
+	// session joins, which carry the pairwise base-OT handshakes (folded:
+	// the slowest node's). It is the same for every query of a standing
+	// deployment.
 	SetupTime time.Duration
 	// BaseOTHandshakes counts the pairwise base-OT bootstraps the node has
 	// performed (folded: summed over nodes). With the OT substrate the sum
@@ -34,8 +31,8 @@ type Report struct {
 	// — independent of the block count. Dealer-provisioned runs report 0.
 	BaseOTHandshakes int64
 	// Phase traffic. A node reports its own sent+received bytes under the
-	// query's tag namespace; the first job of an unwarmed engine
-	// additionally charges the base-OT handshakes to Init. Folded: total
+	// query's tag namespace; an engine's first job additionally charges the
+	// base-OT handshakes to Init. Folded: total
 	// bytes sent, i.e. Σ(sent+received) over nodes, halved — every byte
 	// one node sends, exactly one node receives (TestClusterByteAccounting
 	// pins the relationship).
@@ -136,9 +133,9 @@ type NodeResult struct {
 	Stats network.Stats
 }
 
-// Fold turns one query's per-node rows into its outcome — the one place a
-// driver (Runtime in-process, the cluster coordinator over TCP) learns what
-// a query released and what it cost. Every one of the aggMembers
+// Fold turns one query's per-node rows into its outcome — the one place the
+// driver (the cluster coordinator, on either transport) learns what a query
+// released and what it cost. Every one of the aggMembers
 // aggregation-block members opened the aggregate, and they must agree. See
 // the Report fields for how each quantity folds.
 func Fold(nodes []NodeResult, aggMembers int) (int64, *Report, error) {

@@ -2,8 +2,10 @@ package dstress_test
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"dstress"
 )
@@ -15,7 +17,9 @@ import (
 // in-process simulation and a loopback TCP cluster. Each query lives
 // under its own "q/<id>" tag namespace, so interleaved protocol
 // messages can never be delivered across queries; this test (run under
-// -race in CI) is the proof.
+// -race in CI) is the proof. Closing the session must then leave nothing
+// running: no heartbeat loop, control-plane reader, node goroutine or
+// transport outlives it on either engine.
 func TestSessionOverlappingQueriesBothBackends(t *testing.T) {
 	const overlap = 3
 	job, exact := enChainJob(t, 4)
@@ -32,6 +36,7 @@ func TestSessionOverlappingQueriesBothBackends(t *testing.T) {
 	for _, tc := range engines {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
 			sess, err := tc.eng.Open(ctx, job, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -62,7 +67,27 @@ func TestSessionOverlappingQueriesBothBackends(t *testing.T) {
 					t.Errorf("overlapping query %d has no per-query traffic report", i)
 				}
 			}
+			if err := sess.Close(); err != nil {
+				t.Fatal(err)
+			}
+			settleGoroutines(t, before)
 		})
+	}
+}
+
+// settleGoroutines waits for the goroutine count to return to before (the
+// count when the deployment was opened), failing with every live stack if
+// it has not within a few seconds.
+func settleGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines outlive the session (%d before it opened):\n%s",
+				runtime.NumGoroutine()-before, before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

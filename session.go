@@ -36,16 +36,15 @@ type QuerySpec struct {
 	Epsilon float64
 }
 
-// sessionBackend is a standing deployment that can answer queries; the
-// simulation and cluster engines each provide one. seq is the session's
-// query id: the backend namespaces every protocol message of the query
-// under the "q/<seq>" tag root, so overlapping calls (distinct seqs) never
-// collide on the shared transports.
+// sessionBackend is a standing deployment that can answer queries; both
+// engines provide one (fleetBackend). seq is the session's query id: the
+// backend namespaces every protocol message of the query under the
+// "q/<seq>" tag root, so overlapping calls (distinct seqs) never collide on
+// the shared transports.
 type sessionBackend interface {
 	query(ctx context.Context, seq int, q QuerySpec) (int64, *Report, error)
 	// fleet reports the deployment's live health plane: per-node heartbeat
-	// state, clock estimates, and in-flight query progress. Backends
-	// without a fleet (the in-process simulation) return nil.
+	// state, clock estimates, and in-flight query progress.
 	fleet() *FleetHealth
 	close() error
 }
@@ -153,9 +152,9 @@ func (s *Session) Query(ctx context.Context, q QuerySpec) (*Result, error) {
 
 	// Stamp the caller's trace (if any) with this query's sequence number:
 	// every span recorded from here on carries "q/<n>", keeping multi-query
-	// sessions separable in one trace file. Cluster nodes stamp their own
-	// span tables with the same number from the job's Seq field, and every
-	// backend namespaces the query's wire traffic under the same "q/<n>".
+	// sessions separable in one trace file. The nodes stamp their own span
+	// tables with the same number from the job's Seq field, and namespace
+	// the query's wire traffic under the same "q/<n>".
 	obs.From(ctx).SetQuery(fmt.Sprintf("q/%d", seq))
 
 	raw, rep, err := s.backend.query(ctx, seq, q)
@@ -176,8 +175,9 @@ func (s *Session) Query(ctx context.Context, q QuerySpec) (*Result, error) {
 
 // Fleet returns a live snapshot of the deployment's health plane: per-node
 // heartbeat freshness, clock-offset estimates, runtime stats, and in-flight
-// query progress as seen by the cluster coordinator. Simulation sessions
-// have no fleet and return nil.
+// query progress as seen by the coordinator. Both engines have one: a
+// simulated deployment's nodes beat over in-memory pipes, and share the
+// driver's clock.
 func (s *Session) Fleet() *FleetHealth {
 	return s.backend.fleet()
 }
