@@ -1,102 +1,38 @@
 // dstress-bench regenerates the paper's evaluation tables and figures
-// (§5, Appendices B–C). Without flags it runs the quick-scale suite; -full
-// switches to the paper's parameters (hours of CPU).
+// (§5, §4.5, Appendices B–C). Without flags it runs the quick-scale suite;
+// -full switches to the paper's parameters (hours of CPU). It exits 1 when
+// any experiment produces a table with no rows.
+//
+// Performance is measured by `bash bench/run.sh` against the contract in
+// BENCHMARK.json, not here: these tables reproduce the paper's shapes.
 //
 // Usage:
 //
 //	dstress-bench                     # all experiments, quick scale
 //	dstress-bench -experiment e6      # Figure 5 only
 //	dstress-bench -full -group p256   # paper-scale parameters
-//	dstress-bench -json BENCH.json    # machine-readable results
-//	dstress-bench -list               # experiment index (e1..e13)
-//
-// -load switches to the service-layer load generator instead: the same
-// query workload is pushed through internal/serve pools of the given
-// sizes and sustained queries/sec compared, on real simulation sessions
-// with an emulated remote-fleet latency per query (-load-wan; 0 measures
-// raw local CPU, which cannot scale with the pool on a single core).
-//
-//	dstress-bench -load 1,3           # queries/sec: pool of 1 vs pool of 3
-//	dstress-bench -load 1,2,4 -load-wan 500ms -load-queries 24
-//	dstress-bench -load 1,2 -load-concurrent 1,2 -load-json BENCH_load.json
-//
-// -load-concurrent compares per-session query multiplexing levels: every
-// pool size is measured at each level, so "2 fleets × 1 query" and
-// "1 fleet × 2 queries" land in one table with their RSS — the memory-per-
-// throughput tradeoff between scaling out and multiplexing.
+//	dstress-bench -list               # experiment index (e1..e11)
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"dstress/internal/experiments"
 	"dstress/internal/group"
-	"dstress/internal/serve"
 )
-
-// jsonExperiment is one experiment's machine-readable record: the table
-// cells (times, bytes, gate counts) exactly as rendered, plus wall time
-// and the deployment-open metadata (setup-phase time and pairwise base-OT
-// handshake count) so perf trajectories capture setup-cost changes
-// separately from steady-state latency.
-type jsonExperiment struct {
-	Experiment       string     `json:"experiment"`
-	Title            string     `json:"title"`
-	Header           []string   `json:"header"`
-	Rows             [][]string `json:"rows"`
-	Notes            []string   `json:"notes,omitempty"`
-	ElapsedMS        float64    `json:"elapsed_ms"`
-	SetupMS          float64    `json:"setup_ms,omitempty"`
-	BaseOTHandshakes int64      `json:"base_ot_handshakes,omitempty"`
-	// Phases carries structured per-phase times and bytes for the
-	// experiment's end-to-end runs (E6/E7), one entry per run.
-	Phases []experiments.PhaseBreakdown `json:"phases,omitempty"`
-}
-
-// jsonReport is the top-level -json document, with enough run metadata to
-// compare perf trajectories (BENCH_*.json) across commits and machines.
-type jsonReport struct {
-	Timestamp   string           `json:"timestamp"`
-	Group       string           `json:"group"`
-	Full        bool             `json:"full"`
-	GoVersion   string           `json:"go_version"`
-	GOOS        string           `json:"goos"`
-	GOARCH      string           `json:"goarch"`
-	NumCPU      int              `json:"num_cpu"`
-	ElapsedMS   float64          `json:"elapsed_ms"`
-	Experiments []jsonExperiment `json:"experiments"`
-}
 
 func main() {
 	var (
-		expID     = flag.String("experiment", "all", "experiment id (e1..e13) or 'all'")
+		expID     = flag.String("experiment", "all", "experiment id (e1..e11) or 'all'")
 		full      = flag.Bool("full", false, "use the paper-scale parameters (slow)")
 		groupName = flag.String("group", "", "crypto group: p256, p384, modp256 (default: modp256 quick / p256 full)")
-		jsonPath  = flag.String("json", "", "also write results as JSON to this file ('-' for stdout)")
 		list      = flag.Bool("list", false, "print the experiment index and exit")
-
-		loadPools   = flag.String("load", "", "service-layer load generator: comma-separated pool sizes to compare (e.g. 1,3); empty runs the experiment suite instead")
-		loadConc    = flag.String("load-concurrent", "1", "comma-separated per-session multiplexing levels to measure each pool size at in -load mode")
-		loadQueries = flag.Int("load-queries", 18, "queries served per pool size in -load mode")
-		loadClients = flag.Int("load-clients", 0, "concurrent submitters in -load mode (0 = 2x the largest pool x concurrency)")
-		loadWAN     = flag.Duration("load-wan", 300*time.Millisecond, "emulated remote-fleet latency each query holds its session for in -load mode (0 = raw local CPU)")
-		loadJSON    = flag.String("load-json", "", "also write -load results as JSON to this file ('-' for stdout)")
 	)
 	flag.Parse()
-
-	if *loadPools != "" {
-		runLoad(*loadPools, *loadConc, *loadQueries, *loadClients, *loadWAN, *loadJSON)
-		return
-	}
 
 	if *list {
 		for _, e := range experiments.Registry() {
@@ -114,42 +50,18 @@ func main() {
 		opts.Group = g
 	}
 
-	report := jsonReport{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Group:     opts.GroupName(),
-		Full:      *full,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-	}
-
-	// With -json - the JSON owns stdout, so the human tables move to
-	// stderr to keep the output parseable.
-	tableOut := os.Stdout
-	if *jsonPath == "-" {
-		tableOut = os.Stderr
-	}
+	empty := 0
 	run := func(id string) {
-		t0 := time.Now()
 		t := experiments.ByID(id, opts)
-		elapsed := time.Since(t0)
 		if t == nil {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", id)
 			os.Exit(2)
 		}
-		fmt.Fprintln(tableOut, t.String())
-		report.Experiments = append(report.Experiments, jsonExperiment{
-			Experiment:       t.ID,
-			Title:            t.Title,
-			Header:           t.Header,
-			Rows:             t.Rows,
-			Notes:            t.Notes,
-			ElapsedMS:        float64(elapsed) / float64(time.Millisecond),
-			SetupMS:          t.SetupMS,
-			BaseOTHandshakes: t.BaseOTHandshakes,
-			Phases:           t.Phases,
-		})
+		fmt.Println(t.String())
+		if len(t.Rows) == 0 {
+			fmt.Fprintf(os.Stderr, "experiment %s produced no rows\n", t.ID)
+			empty++
+		}
 	}
 
 	start := time.Now()
@@ -160,97 +72,8 @@ func main() {
 	} else {
 		run(*expID)
 	}
-	total := time.Since(start)
-	report.ElapsedMS = float64(total) / float64(time.Millisecond)
-
-	if *jsonPath != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		data = append(data, '\n')
-		if *jsonPath == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "completed in %v\n", total.Round(time.Millisecond))
-}
-
-// loadReport is the -load-json document: one row per (pool, concurrency)
-// measurement plus run metadata, the machine-readable form committed as
-// BENCH_pr7_multiplex.json.
-type loadReport struct {
-	Timestamp  string             `json:"timestamp"`
-	GoVersion  string             `json:"go_version"`
-	GOOS       string             `json:"goos"`
-	GOARCH     string             `json:"goarch"`
-	NumCPU     int                `json:"num_cpu"`
-	WANDelayMS float64            `json:"wan_delay_ms"`
-	Queries    int                `json:"queries_per_run"`
-	Results    []serve.LoadResult `json:"results"`
-}
-
-// runLoad parses the -load pool and -load-concurrent lists and runs the
-// service-layer load generator: queries/sec (and RSS) for every pool size
-// at every per-session multiplexing level.
-func runLoad(pools, concs string, queries, clients int, wan time.Duration, jsonPath string) {
-	parseList := func(flagName, s string) []int {
-		var out []int
-		for _, f := range strings.Split(s, ",") {
-			p, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || p <= 0 {
-				log.Fatalf("%s wants comma-separated positive integers, got %q", flagName, s)
-			}
-			out = append(out, p)
-		}
-		return out
-	}
-	sizes := parseList("-load", pools)
-	levels := parseList("-load-concurrent", concs)
-
-	var results []serve.LoadResult
-	for _, conc := range levels {
-		rs, err := serve.RunLoad(context.Background(), serve.LoadOptions{
-			Pools: sizes, Queries: queries, Clients: clients, WANDelay: wan,
-			Concurrency: conc,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		results = append(results, rs...)
-	}
-
-	tableOut := os.Stdout
-	if jsonPath == "-" {
-		tableOut = os.Stderr
-	}
-	fmt.Fprint(tableOut, serve.FormatLoadResults(results, wan))
-
-	if jsonPath != "" {
-		report := loadReport{
-			Timestamp:  time.Now().UTC().Format(time.RFC3339),
-			GoVersion:  runtime.Version(),
-			GOOS:       runtime.GOOS,
-			GOARCH:     runtime.GOARCH,
-			NumCPU:     runtime.NumCPU(),
-			WANDelayMS: float64(wan) / float64(time.Millisecond),
-			Queries:    queries,
-			Results:    results,
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		data = append(data, '\n')
-		if jsonPath == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-			log.Fatal(err)
-		}
+	fmt.Fprintf(os.Stderr, "completed in %v\n", time.Since(start).Round(time.Millisecond))
+	if empty > 0 {
+		os.Exit(1)
 	}
 }

@@ -168,66 +168,3 @@ func TestDStressBeatsNaiveAtScale(t *testing.T) {
 		t.Errorf("separation only %.1fx; paper reports ~500x-1000000x", float64(naive)/float64(dstress))
 	}
 }
-
-func enAndAt() func(int) int {
-	cfg := risk.CircuitConfig{Width: 32, Unit: 1e6}
-	prog := risk.ENProgram(cfg, 1e9, 0.1)
-	cache := map[int]int{}
-	return func(d int) int {
-		if v, ok := cache[d]; ok {
-			return v
-		}
-		c, err := prog.UpdateCircuit(d)
-		if err != nil {
-			panic(err)
-		}
-		cache[d] = c.NumAnd
-		return c.NumAnd
-	}
-}
-
-func TestPlanBuckets(t *testing.T) {
-	degrees := []int{1, 2, 3, 50, 90, 4, 2}
-	plan, err := PlanBuckets(degrees, []int{10, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Count[0] != 5 || plan.Count[1] != 2 {
-		t.Errorf("counts = %v", plan.Count)
-	}
-	if _, err := PlanBuckets([]int{200}, []int{100}); err == nil {
-		t.Error("overflow degree accepted")
-	}
-	if _, err := PlanBuckets(degrees, nil); err == nil {
-		t.Error("empty bounds accepted")
-	}
-}
-
-func TestBucketingSavesWork(t *testing.T) {
-	// A core-periphery degree profile: 10 hubs at degree ~100, 90
-	// peripheral banks at degree ≤ 10 (the §3.7 scenario).
-	degrees := make([]int, 100)
-	for i := range degrees {
-		if i < 10 {
-			degrees[i] = 90 + i%10
-		} else {
-			degrees[i] = 1 + i%9
-		}
-	}
-	andAt := enAndAt()
-	plan, err := PlanBuckets(degrees, []int{10, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	savings := plan.Savings(andAt)
-	if savings < 0.5 {
-		t.Errorf("bucketing saves only %.0f%%; expected most of the work gone", savings*100)
-	}
-	if plan.UpdateWork(andAt) >= SingleBoundWork(100, 100, andAt) {
-		t.Error("bucketed work not below single-bound work")
-	}
-	if plan.LeakageBits() != 1 {
-		t.Errorf("two buckets should leak 1 bit, got %v", plan.LeakageBits())
-	}
-	t.Logf("degree bucketing: %.1f%% update-work saved for 1 bit of degree leakage", savings*100)
-}

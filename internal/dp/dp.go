@@ -315,7 +315,7 @@ type EdgeBudgetParams struct {
 // DefaultEdgeBudgetParams returns Appendix B's concrete instantiation:
 // k = 19 (blocks of 20), L = 16, D = 100, N = 1750, I = 11, R = 3, Y = 10,
 // and an 8 GB lookup table of 384-bit entries (~230M entries... the paper's
-// arithmetic; see EXPERIMENTS.md).
+// arithmetic; experiment E10 prints the budget it yields).
 func DefaultEdgeBudgetParams() EdgeBudgetParams {
 	return EdgeBudgetParams{
 		K: 19, L: 16, D: 100, N: 1750, Iterations: 11, RunsPerYr: 3, Years: 10,

@@ -39,11 +39,11 @@ func e2eNetwork(n, d int) (*finnet.ENNetwork, *finnet.EGJNetwork, error) {
 }
 
 // runE2E executes one model end-to-end under MPC and returns the report.
-func runE2E(o Options, model string, blockSize, n, d, iters int) (*vertex.Report, float64, error) {
+func runE2E(o Options, model string, blockSize, n, d, iters int) (*vertex.Report, error) {
 	cfg := riskCfg()
 	en, egj, err := e2eNetwork(n, d)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	var prog *vertex.Program
 	var graph *vertex.Graph
@@ -55,42 +55,35 @@ func runE2E(o Options, model string, blockSize, n, d, iters int) (*vertex.Report
 		prog = risk.EGJProgram(cfg, 1e9, 0.1)
 		graph, err = risk.EGJGraph(egj, cfg, d)
 	default:
-		return nil, 0, fmt.Errorf("unknown model %q", model)
+		return nil, fmt.Errorf("unknown model %q", model)
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	sum, open, err := runSim(o, blockSize-1, 0, 0.5, cluster.OTDealer, prog, graph, iters)
-	if err != nil {
-		return nil, 0, err
-	}
-	// The "setup" column is the deployment's whole one-time cost: opening
-	// it, plus the session joins its engines' first job pays.
-	rep := sum.Report
-	rep.SetupTime += open
-	return rep, cfg.Decode(sum.Result), nil
-}
-
-// runSim runs one ε=0 query of prog over g on a simulated deployment and
-// returns the driver's summary, with the wall time of opening the
-// deployment.
-func runSim(o Options, k, aggFanIn int, alpha float64, mode cluster.OTMode, prog *vertex.Program, g *vertex.Graph, iters int) (*cluster.Summary, time.Duration, error) {
+	// One ε=0 query on a simulated deployment with dealer OTs. The "setup"
+	// column is the deployment's whole one-time cost: opening it, plus the
+	// session joins its engines' first job pays.
 	ctx := context.Background()
 	sc := cluster.Scenario{
-		Cfg:   cluster.ConfigWire{Group: o.GroupName(), K: k, Alpha: alpha, AggFanIn: aggFanIn},
-		Graph: g, Iterations: iters,
+		Cfg:   cluster.ConfigWire{Group: o.group().Name(), K: blockSize - 1, Alpha: 0.5},
+		Graph: graph, Iterations: iters,
 	}
 	start := time.Now()
-	sess, err := cluster.OpenHub(ctx, sc, prog, mode)
+	sess, err := cluster.OpenHub(ctx, sc, prog, cluster.OTDealer)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	open := time.Since(start)
 	sum, err := sess.Run(ctx, cluster.Query{Iterations: iters})
 	if cerr := sess.Close(); err == nil {
 		err = cerr
 	}
-	return sum, open, err
+	if err != nil {
+		return nil, err
+	}
+	rep := sum.Report
+	rep.SetupTime += open
+	return rep, nil
 }
 
 // Fig5EndToEnd reproduces Figure 5: end-to-end computation time (split by
@@ -108,7 +101,7 @@ func Fig5EndToEnd(o Options) *Table {
 	t.Header = append(t.Header, "total", "KB/node")
 	for _, model := range []string{"EN", "EGJ"} {
 		for _, bs := range o.blockSizes() {
-			rep, tds, err := runE2E(o, model, bs, n, d, iters)
+			rep, err := runE2E(o, model, bs, n, d, iters)
 			if err != nil {
 				t.Notes = append(t.Notes, fmt.Sprintf("%s block %d: %v", model, bs, err))
 				continue
@@ -118,10 +111,6 @@ func Fig5EndToEnd(o Options) *Table {
 				row = append(row, durStr(ph.Time))
 			}
 			t.Add(append(row, durStr(rep.TotalTime()), fmt.Sprintf("%.1f", rep.AvgNodeBytes/1024))...)
-			t.SetupMS += float64(rep.SetupTime) / float64(time.Millisecond)
-			t.BaseOTHandshakes += rep.BaseOTHandshakes
-			t.Phases = append(t.Phases, phaseBreakdown(fmt.Sprintf("%s/block=%d", model, bs), rep))
-			_ = tds
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -180,7 +169,7 @@ func Fig6Projection(o Options) *Table {
 		valBlock = 20
 	}
 	for _, n := range valN {
-		rep, _, err := runE2E(o, "EN", valBlock, n, 3, risk.RecommendedIterations(n))
+		rep, err := runE2E(o, "EN", valBlock, n, 3, risk.RecommendedIterations(n))
 		if err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("validation N=%d: %v", n, err))
 			continue
@@ -188,7 +177,6 @@ func Fig6Projection(o Options) *Table {
 		t.Add("measured", fmt.Sprint(n), "3",
 			rep.TotalTime().Round(time.Millisecond).String(),
 			fmt.Sprintf("%.2f", rep.AvgNodeBytes/(1<<20)))
-		t.Phases = append(t.Phases, phaseBreakdown(fmt.Sprintf("EN/N=%d", n), rep))
 	}
 	t.Notes = append(t.Notes,
 		"projection assumes the paper's deployment: 100 machines host all N nodes (work serializes beyond N=100)",

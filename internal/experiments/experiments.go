@@ -1,14 +1,15 @@
-// Package experiments regenerates every table and figure of the paper's
-// evaluation (§5 and Appendices B–C). Each experiment returns a Table whose
-// rows mirror the series the paper plots; cmd/dstress-bench prints them and
-// the repository-root benchmarks wrap them in testing.B targets.
+// Package experiments regenerates the tables and figures of the paper's
+// evaluation (§5, §4.5 and Appendices B–C) as experiments E1–E11. Each
+// experiment returns a Table whose rows mirror the series the paper plots;
+// cmd/dstress-bench prints them. Performance is measured elsewhere, by the
+// bench/ workloads against BENCHMARK.json.
 //
 // Experiments run at two scales:
 //
 //   - Quick (default): shrunken block sizes, degrees and populations so the
 //     whole suite finishes in minutes on a laptop. The *shapes* — linear in
 //     block size, linear in D, quadratic end-to-end in k, cubic naive-MPC
-//     blowup — are preserved; EXPERIMENTS.md compares them to the paper.
+//     blowup — are preserved; each table's notes state the paper's shape.
 //   - Full: the paper's parameters (blocks of 8–20, D up to 100, N = 100).
 //     Hours of CPU; intended for dedicated runs via dstress-bench -full.
 package experiments
@@ -16,10 +17,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"dstress/internal/group"
-	"dstress/internal/vertex"
 )
 
 // Options configures an experiment run.
@@ -40,11 +39,6 @@ func (o Options) group() group.Group {
 	}
 	return group.ModP256()
 }
-
-// GroupName returns the name of the group these options select, including
-// the scale-dependent default, so callers recording run metadata cannot
-// drift from the group that actually ran.
-func (o Options) GroupName() string { return o.group().Name() }
 
 // blockSizes returns the block-size sweep (k+1 values).
 func (o Options) blockSizes() []int {
@@ -111,37 +105,11 @@ const circuitWidth = 32
 
 // Table is a titled grid of results.
 type Table struct {
-	ID     string // experiment id (E1..E13)
+	ID     string // experiment id (E1..E11)
 	Title  string // paper reference
 	Header []string
 	Rows   [][]string
 	Notes  []string
-	// SetupMS is the summed deployment-open (setup-phase) wall time across
-	// the experiment's runs, in milliseconds; 0 when the experiment stands
-	// no deployment. Recorded per experiment so BENCH_*.json trajectories
-	// capture setup-cost changes separately from steady-state latency.
-	SetupMS float64
-	// BaseOTHandshakes is the summed pairwise base-OT handshake count
-	// across the experiment's deployments (0 for dealer-provisioned runs).
-	BaseOTHandshakes int64
-	// Phases holds one structured per-phase breakdown per end-to-end run
-	// (E6/E7 measured rows), so -json consumers read numbers instead of
-	// parsing the rendered duration strings back apart.
-	Phases []PhaseBreakdown
-}
-
-// PhaseBreakdown is one end-to-end run's per-phase wall times and traffic as
-// a JSON object: "label" (e.g. "EN/block=3" or "EN/N=16") plus "<key>_ms"
-// and "<key>_bytes" for every row of the report's phase table.
-type PhaseBreakdown map[string]any
-
-func phaseBreakdown(label string, rep *vertex.Report) PhaseBreakdown {
-	out := PhaseBreakdown{"label": label}
-	for _, ph := range rep.Phases() {
-		out[ph.Key+"_ms"] = float64(ph.Time) / float64(time.Millisecond)
-		out[ph.Key+"_bytes"] = ph.Bytes
-	}
-	return out
 }
 
 // Add appends a row.
@@ -201,8 +169,8 @@ type Entry struct {
 }
 
 // registry is the single list every experiment surface derives from —
-// All, ByID and cmd/dstress-bench's index — so an experiment added here
-// cannot be missing from any of them (the e1..e11-vs-E12 staleness bug).
+// ByID and cmd/dstress-bench's index and run order — so an experiment
+// added here cannot be missing from any of them.
 var registry = []Entry{
 	{"E1", "fig3left", "Figure 3 (left): MPC step time vs block size", Fig3Left},
 	{"E2", "fig3right", "Figure 3 (right): MPC step time vs degree bound and population", Fig3Right},
@@ -215,23 +183,12 @@ var registry = []Entry{
 	{"E9", "utility", "§4.5: utility / privacy-budget worked example", func(Options) *Table { return UtilityTable() }},
 	{"E10", "edgebudget", "Appendix B: edge-privacy budget", func(Options) *Table { return EdgeBudgetTable() }},
 	{"E11", "contagion", "Appendix C: core-periphery contagion scenarios", ContagionSim},
-	{"E12", "ablation", "Ablations: transfer aggregation, adders, bucketing, aggregation tree", Ablation},
-	{"E13", "otsubstrate", "§5.3: pairwise OT substrate — deployment-open base-OT handshakes and setup time", OTSubstrateSetup},
 }
 
 // Registry returns the experiment index in run order.
 func Registry() []Entry { return registry }
 
-// All runs every experiment in order.
-func All(o Options) []*Table {
-	out := make([]*Table, len(registry))
-	for i, e := range registry {
-		out[i] = e.Gen(o)
-	}
-	return out
-}
-
-// ByID returns the experiment with the given id (e1..e13, case
+// ByID returns the experiment with the given id (e1..e11, case
 // insensitive) or alias, or nil.
 func ByID(id string, o Options) *Table {
 	id = strings.ToLower(id)

@@ -228,7 +228,3 @@ func durStr(d time.Duration) string {
 func kbStr(b float64) string {
 	return fmt.Sprintf("%.1f KB", b/1024)
 }
-
-func mbStr(b float64) string {
-	return fmt.Sprintf("%.2f MB", b/(1<<20))
-}

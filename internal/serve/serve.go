@@ -48,7 +48,7 @@ var ErrQueueFull = errors.New("serve: query queue is full, retry later")
 var errZeroEpsilon = errors.New("serve: queries must carry epsilon > 0 (a metered service always noises releases)")
 
 // QueryRunner is one pool member: a standing deployment answering queries.
-// *dstress.Session satisfies it; tests and the load generator wrap it.
+// *dstress.Session satisfies it; tests substitute fakes.
 // When the service runs with SessionConcurrency > 1, the runner must admit
 // that many overlapping Query calls (for a Session, SetMaxConcurrent —
 // cmd/dstress-serve wires both to one flag).

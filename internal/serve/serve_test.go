@@ -61,6 +61,44 @@ func fakePool(delay time.Duration) (Config, *atomic.Int64, *atomic.Int64, *atomi
 	return cfg, &opened, &queries, &closed
 }
 
+// cycleJob is the real-session workload: a tiny degree-sum program over a
+// 4-cycle, one iteration, so pooled sessions run genuine MPC cheaply.
+func cycleJob() (dstress.Job, error) {
+	prog := &dstress.Program{
+		Name: "cycle-degree-sum", StateBits: 8, MsgBits: 8, AggBits: 16,
+		Sensitivity: 1,
+		PrivBits:    func(D int) int { return 1 },
+		BuildUpdate: func(b *dstress.CircuitBuilder, D int, state, priv dstress.Word, msgs []dstress.Word) (dstress.Word, []dstress.Word) {
+			acc := b.ConstWord(0, 8)
+			for _, m := range msgs {
+				acc = b.Add(acc, m)
+			}
+			out := make([]dstress.Word, D)
+			for d := range out {
+				out[d] = b.ConstWord(1, 8)
+			}
+			return acc, out
+		},
+		BuildAggregate: func(b *dstress.CircuitBuilder, states []dstress.Word) dstress.Word {
+			acc := b.ConstWord(0, 16)
+			for _, s := range states {
+				acc = b.Add(acc, b.ZeroExtend(s, 16))
+			}
+			return acc
+		},
+	}
+	g := dstress.NewGraph(4, 2)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			return dstress.Job{}, err
+		}
+	}
+	for v := 0; v < 4; v++ {
+		g.Priv[v] = []uint8{0}
+	}
+	return dstress.Job{Program: prog, Graph: g, Iterations: 1}, nil
+}
+
 // TestConcurrentBudgetEnforcement is the satellite load test: many
 // goroutines hammer a small pool with queries charged to small per-tenant
 // budgets. Exactly budget/ε queries per tenant may be admitted — no
@@ -441,7 +479,7 @@ func TestDoSurvivesRetentionTrim(t *testing.T) {
 // concurrently — the integration seam the fake runners skip: real MPC
 // protocol runs on pooled dstress.Sessions, race-detector clean.
 func TestRealSessionPool(t *testing.T) {
-	job, err := loadJob()
+	job, err := cycleJob()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +536,7 @@ func TestRealSessionPool(t *testing.T) {
 // must tear all of it down: after Drain, no goroutine the service started
 // is left.
 func TestPoisonedSimSessionIsRecycledWhole(t *testing.T) {
-	job, err := loadJob()
+	job, err := cycleJob()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,9 @@ import (
 	"dstress/internal/secretshare"
 )
 
-// Strawman protocols from §3.5, kept for tests, documentation, and the
-// ablation benchmarks that quantify what each protocol refinement costs.
+// Strawman protocols from §3.5, kept as the reference implementations the
+// tests compare the final protocol against (TestAggregationCompressesTraffic
+// measures what homomorphic aggregation saves over Strawman #2).
 //
 //   - Strawman #1: each member of B_u encrypts its *whole share* for one
 //     member of B_v. Flaw: a single node sitting in (or colluding across)
