@@ -147,23 +147,22 @@ func main() {
 		slog.Info("coordinator waiting for nodes", "addr", co.Addr(), "nodes", sc.Graph.N(),
 			"model", *model, "n", *n, "d", *d, "k", *k, "iterations", sc.Iterations,
 			"epsilon", *epsilon, "alpha", *alpha)
-		sum, err := co.Run(ctx)
+		res, err := co.Run(ctx)
 		if err != nil {
 			writeFlightDump(*flightDump, err)
 			fatal("coordinator run failed", "err", err)
 		}
-		released := cluster.DecodeDollars(sc, sum.Result)
-		writeRunDump(*flightDump, sc, sum, released, exactTDS)
+		rep := res.Report
+		writeRunDump(*flightDump, sc, rep, res.Value, exactTDS)
 		fmt.Printf("exact TDS (trusted baseline): $%.2fM\n", exactTDS/1e6)
-		fmt.Printf("released TDS (ε=%v):          $%.2fM\n", *epsilon, released/1e6)
-		rep := sum.Report
+		fmt.Printf("released TDS (ε=%v):          $%.2fM\n", *epsilon, res.Value/1e6)
 		if rep.Recoveries > 0 {
 			fmt.Printf("recoveries: survived %d node death(s) by re-blocking\n", rep.Recoveries)
 		}
 		fmt.Printf("\nwall time %v, cluster traffic %.1f KB (per node: avg %.1f KB, max %.1f KB)\n",
-			sum.WallTime.Round(1e6), float64(rep.TotalBytes())/1024,
+			rep.WallTime.Round(1e6), float64(rep.TotalBytes())/1024,
 			rep.AvgNodeBytes/1024, float64(rep.MaxNodeBytes)/1024)
-		vertex.WriteNodeTable(os.Stdout, sum.Nodes)
+		vertex.WriteNodeTable(os.Stdout, rep.NodePhases)
 
 	default:
 		fatal("unknown -mode (want node or coordinator)", "mode", *mode)
@@ -215,14 +214,14 @@ func startHealth(ctx context.Context, addr string) {
 // reference of the same fixed-point iterative program — an ε=0 run must
 // equal it to the bit; exact_dollars is the continuous solver's baseline,
 // which the bounded-iteration program only approximates.
-func writeRunDump(path string, sc cluster.Scenario, sum *cluster.Summary, released, exact float64) {
+func writeRunDump(path string, sc cluster.Scenario, rep *cluster.Report, released, exact float64) {
 	if path == "" {
 		return
 	}
 	reference := math.NaN()
 	if prog, err := sc.Prog.Build(); err == nil {
 		if raw, err := vertex.RunReference(prog, sc.Graph, sc.Iterations); err == nil {
-			reference = cluster.DecodeDollars(sc, raw)
+			reference = sc.Decode(raw)
 		}
 	}
 	dump := struct {
@@ -231,7 +230,7 @@ func writeRunDump(path string, sc cluster.Scenario, sum *cluster.Summary, releas
 		ReferenceDollars float64           `json:"reference_dollars"`
 		ExactDollars     float64           `json:"exact_dollars"`
 		Events           []obs.FlightEvent `json:"events"`
-	}{sum.Report.Recoveries, released, reference, exact, sum.RecoveryEvents}
+	}{rep.Recoveries, released, reference, exact, rep.RecoveryEvents}
 	if dump.Events == nil {
 		dump.Events = []obs.FlightEvent{}
 	}
@@ -244,7 +243,7 @@ func writeRunDump(path string, sc cluster.Scenario, sum *cluster.Summary, releas
 		slog.Error("writing run dump", "path", path, "err", err)
 		return
 	}
-	slog.Info("run dump written", "path", path, "recoveries", sum.Report.Recoveries)
+	slog.Info("run dump written", "path", path, "recoveries", rep.Recoveries)
 }
 
 // writeFlightDump writes the health plane's post-mortem (dead node, last

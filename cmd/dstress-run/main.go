@@ -143,7 +143,7 @@ func main() {
 
 	res, err := eng.Run(ctx, dstress.Job{
 		Spec: &sc.Prog, Graph: sc.Graph, Iterations: sc.Iterations, Epsilon: *epsilon,
-		Decode: func(raw int64) float64 { return cluster.DecodeDollars(sc, raw) },
+		Decode: sc.Decode,
 	})
 	if err != nil {
 		writeFlightDump(*flightDump, err)

@@ -109,7 +109,7 @@ func main() {
 	}
 	job := dstress.Job{
 		Spec: &sc.Prog, Graph: sc.Graph, Iterations: sc.Iterations, Epsilon: *epsilon,
-		Decode: func(raw int64) float64 { return cluster.DecodeDollars(sc, raw) },
+		Decode: sc.Decode,
 	}
 	econf := dstress.EngineConfig{
 		Group: g, K: *k, Alpha: *alpha, AggFanIn: *aggFanIn,

@@ -12,8 +12,9 @@
 //
 // This package is the public facade over the implementation packages in
 // internal/: it provides the unified execution API (Engine over both the
-// in-process simulation and real TCP clusters, Session for multi-query
-// deployments with an ε budget), the programming model (Program, Graph),
+// in-process simulation and real TCP clusters; Session, the driver's own
+// standing deployment, for multi-query use under an ε budget), the
+// programming model (Program, Graph),
 // the systemic-risk case studies (Eisenberg–Noe and
 // Elliott–Golub–Jackson, §4 of the paper), the synthetic financial-network
 // generators, and the differential-privacy budget helpers. The quickest
@@ -37,6 +38,9 @@
 //	r1, _ := sess.Query(ctx, dstress.QuerySpec{Iterations: 11, Epsilon: 0.23})
 //	r2, _ := sess.Query(ctx, dstress.QuerySpec{Iterations: 11, Epsilon: 0.23})
 //	// ...up to the paper's 3 queries/year; the 4th 0.23 query is refused
+//
+// Open hands every node the whole deployment; each Query then ships only
+// its ε, iteration count and the owners' inputs.
 //
 // NewClusterEngine runs the same Job on real TCP-connected node daemons;
 // see examples/ for runnable programs and DESIGN.md for the system map.

@@ -7,7 +7,6 @@ import (
 
 	"dstress/internal/cluster"
 	"dstress/internal/network"
-	"dstress/internal/obs"
 	"dstress/internal/vertex"
 )
 
@@ -20,7 +19,8 @@ import (
 // process on the in-memory hub, the cluster deployment as real daemons
 // over TCP. Both run the identical protocol and are byte-compatible on the
 // wire; the Engine interface runs the same Job through either, and Session
-// keeps a deployment standing across multiple budgeted queries.
+// (the driver's own session type) keeps a deployment standing across
+// multiple budgeted queries.
 // ---------------------------------------------------------------------------
 
 // Job describes one query against a deployment: which program over which
@@ -61,44 +61,27 @@ func (j *Job) program() (*Program, error) {
 	return nil, fmt.Errorf("dstress: job has neither Program nor Spec")
 }
 
-// Result is the outcome of one query.
-type Result struct {
-	// Raw is the opened (noised) aggregate in raw fixed-point units.
-	Raw int64
-	// Value is Decode(Raw), or float64(Raw) when the job has no decoder.
-	Value float64
-	// Epsilon is the privacy budget this release consumed.
-	Epsilon float64
-	// Report describes the execution that produced the result.
-	Report *Report
-}
+// Session is a standing deployment answering a sequence of budgeted
+// queries; see cluster.Session.
+type Session = cluster.Session
 
-// Report summarizes one execution with the same fields on both engines. It
-// is the engine's folded phase table (vertex.Report: the per-phase wall
-// times and traffic of the paper's Figures 3–6, setup cost, traffic per
-// node, circuit sizes, recoveries — see its fields for how each folds) plus
-// what only the driver of a deployment knows.
-//
-// Both engines run the same driver, which folds the per-node rows of the
-// one protocol engine with one function (vertex.Fold): each phase's
-// duration is the slowest node's, and the first query's Init (and
-// SetupTime) additionally carries the base-OT handshakes, which the
-// simulation's dealer-provisioned OT does not have.
-type Report struct {
-	vertex.Report
-	// Transport is "sim" or "tcp".
-	Transport string
-	// Nodes is the number of participants.
-	Nodes int
-	// WallTime is the end-to-end duration observed by the driver, from job
-	// dispatch to the last node's report.
-	WallTime time.Duration
-	// NodePhases is the per-node table behind the folded numbers — one row
-	// per live participant, sorted by node id. "sim" nodes share one
-	// process's cores, so a straggler there says as much about scheduling
-	// as about the node.
-	NodePhases []NodePhase
-}
+// QuerySpec parameterizes one query against a standing Session.
+type QuerySpec = cluster.Query
+
+// Result is the outcome of one query.
+type Result = cluster.Result
+
+// Report summarizes one execution with the same fields on both engines:
+// the folded phase table (vertex.Report) plus what only the driver of a
+// deployment knows. See cluster.Report.
+type Report = cluster.Report
+
+// ErrSessionBusy reports a Query refused by the session's admission limit
+// (charged nothing); ErrSessionClosed a Query after Close.
+var (
+	ErrSessionBusy   = cluster.ErrSessionBusy
+	ErrSessionClosed = cluster.ErrSessionClosed
+)
 
 // NodePhase is one node's row: its own per-phase wall times and
 // sent+received traffic, as reported by the node itself.
@@ -108,11 +91,6 @@ type NodePhase = vertex.NodeResult
 // wall time the folded Report shows, since every phase barriers on the
 // protocol's own communication.
 type PhaseLeader = vertex.PhaseLeader
-
-// SlowestNodes returns the straggler per phase (init, compute, communicate,
-// aggregate), in execution order; nil when the report has no per-node
-// table.
-func (r *Report) SlowestNodes() []PhaseLeader { return vertex.SlowestNodes(r.NodePhases) }
 
 // Engine runs jobs. Both backends implement it: NewSimEngine executes
 // in-process against the simulated hub, NewClusterEngine stands up real
@@ -147,16 +125,10 @@ type EngineConfig struct {
 	// Alpha is the transfer-noise parameter (§3.5); 0 disables edge
 	// noising.
 	Alpha float64
-	// NoiseShift samples output noise at a granularity of 2^NoiseShift raw
-	// LSBs (set to the program's fractional bits).
-	NoiseShift int
 	// OTMode selects dealer vs IKNP OT provisioning. Simulation only:
 	// cluster runs always use IKNP (a dealer broker is an in-process
 	// object and cannot span machines).
 	OTMode OTMode
-	// TablePFail is the per-decryption failure budget used to size the
-	// ElGamal lookup table (Appendix B); 0 means 1e-12.
-	TablePFail float64
 	// AggFanIn enables hierarchical aggregation (§3.6); 0 keeps the single
 	// aggregation block.
 	AggFanIn int
@@ -244,15 +216,11 @@ func (e *SimEngine) Open(ctx context.Context, job Job, budget float64) (*Session
 	if err != nil {
 		return nil, err
 	}
-	sc, err := scenario(e.cfg, job)
+	sc, err := scenario(e.cfg, job, budget)
 	if err != nil {
 		return nil, err
 	}
-	sess, err := cluster.OpenHub(ctx, sc, prog, e.cfg.OTMode)
-	if err != nil {
-		return nil, err
-	}
-	return newSession(&fleetBackend{sess: sess, transport: "sim", nodes: job.Graph.N()}, job, budget), nil
+	return cluster.OpenHub(ctx, sc, prog, e.cfg.OTMode)
 }
 
 // ClusterEngine executes jobs on a loopback TCP cluster: one coordinator
@@ -274,22 +242,19 @@ func (e *ClusterEngine) Run(ctx context.Context, job Job) (*Result, error) {
 }
 
 // Open stands a loopback cluster up — node registration, trusted-party
-// setup, standing control connections — and returns a Session whose
-// queries reuse the fleet (GMW handshakes happen once, on the first
-// query). budget is the total ε the session may spend (0 = unmetered).
+// setup, the deployment handed to every node, standing control connections
+// — and returns a Session whose queries reuse the fleet (GMW handshakes
+// happen once, on the first query). budget is the total ε the session may
+// spend (0 = unmetered).
 func (e *ClusterEngine) Open(ctx context.Context, job Job, budget float64) (*Session, error) {
 	if job.Spec == nil {
 		return nil, fmt.Errorf("dstress: cluster jobs need a Spec (closures cannot cross the control plane); register the program and name it")
 	}
-	sc, err := scenario(e.cfg, job)
+	sc, err := scenario(e.cfg, job, budget)
 	if err != nil {
 		return nil, err
 	}
-	sess, err := cluster.OpenLoopback(ctx, sc)
-	if err != nil {
-		return nil, err
-	}
-	return newSession(&fleetBackend{sess: sess, transport: "tcp", nodes: job.Graph.N()}, job, budget), nil
+	return cluster.OpenLoopback(ctx, sc)
 }
 
 // runOnce is both engines' Run: open, one query with the job's own
@@ -303,19 +268,22 @@ func runOnce(ctx context.Context, e SessionEngine, job Job) (*Result, error) {
 	return sess.Query(ctx, QuerySpec{Iterations: job.Iterations, Epsilon: job.Epsilon})
 }
 
-// scenario is the deployment either engine stands up for a job.
-func scenario(cfg EngineConfig, job Job) (cluster.Scenario, error) {
+// scenario is the deployment either engine stands up for a job: the job's
+// Iterations and Decode become the session's defaults, and budget its ε
+// budget.
+func scenario(cfg EngineConfig, job Job, budget float64) (cluster.Scenario, error) {
 	if cfg.Group == nil {
 		return cluster.Scenario{}, fmt.Errorf("dstress: engine needs a group")
 	}
 	sc := cluster.Scenario{
 		Cfg: cluster.ConfigWire{
 			Group: cfg.Group.Name(), K: cfg.K, Alpha: cfg.Alpha,
-			Epsilon: job.Epsilon, NoiseShift: cfg.NoiseShift,
-			TablePFail: cfg.TablePFail, AggFanIn: cfg.AggFanIn,
+			Epsilon: job.Epsilon, AggFanIn: cfg.AggFanIn,
 		},
 		Graph:        job.Graph,
 		Iterations:   job.Iterations,
+		Budget:       budget,
+		Decode:       job.Decode,
 		Heartbeat:    cfg.HeartbeatInterval,
 		StallWindow:  cfg.StallWindow,
 		Recover:      cfg.Recover,
@@ -326,49 +294,4 @@ func scenario(cfg EngineConfig, job Job) (cluster.Scenario, error) {
 		sc.Prog = *job.Spec
 	}
 	return sc, nil
-}
-
-// fleetBackend is a session's standing deployment on either engine: the
-// driver's session over the nodes it started.
-type fleetBackend struct {
-	sess      *cluster.Session
-	transport string
-	nodes     int
-}
-
-func (b *fleetBackend) query(ctx context.Context, seq int, q QuerySpec) (int64, *Report, error) {
-	sum, err := b.sess.Run(ctx, cluster.Query{Seq: seq, Iterations: q.Iterations, Epsilon: q.Epsilon})
-	if err != nil {
-		return 0, nil, err
-	}
-	mergeTrace(obs.From(ctx), sum)
-	return sum.Result, &Report{
-		Report: *sum.Report, Transport: b.transport, Nodes: b.nodes,
-		WallTime: sum.WallTime, NodePhases: sum.Nodes,
-	}, nil
-}
-
-func (b *fleetBackend) fleet() *FleetHealth { return b.sess.Health() }
-
-func (b *fleetBackend) close() error { return b.sess.Close() }
-
-// mergeTrace folds the nodes' span tables and protocol counters into the
-// caller's trace (a nil trace is a no-op), rebasing each node's table onto
-// the driver's timeline: shift = nodeEpoch − offset − driverEpoch, with the
-// health plane's estimate of the node's clock offset — zero while its first
-// heartbeat is out, and on an in-process fleet, which shares one clock.
-func mergeTrace(tr *obs.Trace, sum *cluster.Summary) {
-	if tr == nil {
-		return
-	}
-	base := tr.Epoch().UnixNano()
-	for _, n := range sum.Nodes {
-		ci := sum.Clock[n.Node]
-		shift := ci.EpochUnixNS - base
-		if ci.Synced {
-			shift -= int64(ci.Offset)
-		}
-		tr.AddSpans(obs.ShiftSpans(sum.Spans[n.Node], shift))
-		tr.AddCounters(sum.Counters[n.Node])
-	}
 }

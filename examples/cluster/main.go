@@ -62,7 +62,7 @@ func main() {
 		procs = append(procs, cmd)
 	}
 
-	sum, err := co.Run(context.Background())
+	res, err := co.Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,9 +73,9 @@ func main() {
 	}
 
 	fmt.Printf("\nexact TDS (what a trusted regulator would compute): $%.2fM\n", exactTDS/1e6)
-	fmt.Printf("released TDS (ε=0.5, noised inside MPC):            $%.2fM\n", cluster.DecodeDollars(sc, sum.Result)/1e6)
+	fmt.Printf("released TDS (ε=0.5, noised inside MPC):            $%.2fM\n", res.Value/1e6)
 	fmt.Printf("3 OS processes, %d TCP-transported bytes, wall time %v\n",
-		sum.Report.TotalBytes(), sum.WallTime.Round(1e6))
+		res.Report.TotalBytes(), res.Report.WallTime.Round(1e6))
 }
 
 func runChildNode() {

@@ -352,26 +352,6 @@ func (b *Builder) ConstWord(v int64, width int) Word {
 	return w
 }
 
-// XorWords returns the bitwise XOR of equal-width words.
-func (b *Builder) XorWords(x, y Word) Word {
-	mustSameWidth(x, y)
-	out := make(Word, len(x))
-	for i := range x {
-		out[i] = b.Xor(x[i], y[i])
-	}
-	return out
-}
-
-// AndWords returns the bitwise AND of equal-width words.
-func (b *Builder) AndWords(x, y Word) Word {
-	mustSameWidth(x, y)
-	out := make(Word, len(x))
-	for i := range x {
-		out[i] = b.And(x[i], y[i])
-	}
-	return out
-}
-
 // MuxWord selects x when s is 1, else y, bitwise.
 func (b *Builder) MuxWord(s Wire, x, y Word) Word {
 	mustSameWidth(x, y)

@@ -60,7 +60,7 @@ func TestNodeKillMidRunAbortsFleet(t *testing.T) {
 	runCtx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	start := time.Now()
-	if _, err := sess.Run(runCtx, Query{Iterations: 8}); err == nil {
+	if _, err := sess.Query(runCtx, Query{Iterations: 8}); err == nil {
 		t.Fatal("coordinator run succeeded despite a killed node")
 	} else {
 		t.Logf("coordinator failed after %v: %v", time.Since(start), err)

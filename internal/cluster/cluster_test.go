@@ -50,21 +50,21 @@ func enChainScenario(t *testing.T, n int, cfg ConfigWire, iterations int) (Scena
 // cluster of one coordinator plus one full daemon per vertex (registration
 // handshake, job download, engine execution, report upload), exactly as
 // separate processes would run it, and tears the cluster down.
-func runLoopbackCluster(t *testing.T, sc Scenario) *Summary {
+func runLoopbackCluster(t *testing.T, sc Scenario) *Result {
 	t.Helper()
 	ctx := context.Background()
 	sess, err := OpenLoopback(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := sess.Run(ctx, Query{Iterations: sc.Iterations, Epsilon: sc.Cfg.Epsilon})
+	res, err := sess.Query(ctx, Query{Iterations: sc.Iterations, Epsilon: sc.Cfg.Epsilon})
 	if cerr := sess.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sum
+	return res
 }
 
 // TestClusterExactEN clears a 4-bank Eisenberg–Noe network on a loopback
@@ -73,17 +73,18 @@ func runLoopbackCluster(t *testing.T, sc Scenario) *Summary {
 func TestClusterExactEN(t *testing.T) {
 	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}
 	sc, exact := enChainScenario(t, 4, cfg, risk.RecommendedIterations(4)+2)
-	sum := runLoopbackCluster(t, sc)
-	if sum.Result != exact {
-		t.Errorf("cluster result %d != reference %d", sum.Result, exact)
+	res := runLoopbackCluster(t, sc)
+	if res.Raw != exact {
+		t.Errorf("cluster result %d != reference %d", res.Raw, exact)
 	}
-	if len(sum.Nodes) != 4 {
-		t.Errorf("got %d node rows, want 4", len(sum.Nodes))
+	rows := res.Report.NodePhases
+	if len(rows) != 4 {
+		t.Errorf("got %d node rows, want 4", len(rows))
 	}
-	if rep := sum.Report; rep.TotalBytes() <= 0 || rep.MaxNodeBytes <= 0 || rep.AvgNodeBytes <= 0 {
+	if rep := res.Report; rep.TotalBytes() <= 0 || rep.MaxNodeBytes <= 0 || rep.AvgNodeBytes <= 0 {
 		t.Error("traffic counters not populated")
 	}
-	for i, n := range sum.Nodes {
+	for i, n := range rows {
 		if int(n.Node) != i+1 {
 			t.Errorf("Nodes[%d] is node %d, want rows sorted by id", i, n.Node)
 		}
@@ -104,7 +105,7 @@ func TestClusterNoisyEN(t *testing.T) {
 	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5, Epsilon: epsilon}
 	iters := risk.RecommendedIterations(4) + 2
 	sc, exact := enChainScenario(t, 4, cfg, iters)
-	sum := runLoopbackCluster(t, sc)
+	released := runLoopbackCluster(t, sc).Raw
 
 	// The in-MPC sampler truncates each geometric variable at Trials, so
 	// |noise| ≤ Trials·2^Shift is a structural bound, not a tail estimate.
@@ -112,17 +113,17 @@ func TestClusterNoisyEN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := vertex.DefaultNoiseSpec(epsilon, prog.Sensitivity, cfg.NoiseShift)
+	spec := vertex.DefaultNoiseSpec(epsilon, prog.Sensitivity, 0)
 	bound := int64(spec.Trials) << spec.Shift
-	diff := sum.Result - exact
+	diff := released - exact
 	if diff < 0 {
 		diff = -diff
 	}
 	if diff > bound {
 		t.Errorf("noisy result %d is %d away from reference %d, beyond noise bound %d",
-			sum.Result, diff, exact, bound)
+			released, diff, exact, bound)
 	}
-	t.Logf("reference %d, released %d (noise %+d, bound ±%d)", exact, sum.Result, sum.Result-exact, bound)
+	t.Logf("reference %d, released %d (noise %+d, bound ±%d)", exact, released, released-exact, bound)
 }
 
 // TestClusterTreeAggregation forces the two-level aggregation tree (§3.6)
@@ -131,9 +132,8 @@ func TestClusterNoisyEN(t *testing.T) {
 func TestClusterTreeAggregation(t *testing.T) {
 	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5, AggFanIn: 2}
 	sc, exact := enChainScenario(t, 5, cfg, risk.RecommendedIterations(5)+2)
-	sum := runLoopbackCluster(t, sc)
-	if sum.Result != exact {
-		t.Errorf("tree-aggregated result %d != reference %d", sum.Result, exact)
+	if got := runLoopbackCluster(t, sc).Raw; got != exact {
+		t.Errorf("tree-aggregated result %d != reference %d", got, exact)
 	}
 }
 

@@ -3,14 +3,17 @@ package cluster
 import (
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"dstress/internal/dp"
 	"dstress/internal/group"
 	"dstress/internal/network"
 	"dstress/internal/obs"
@@ -28,6 +31,12 @@ type Scenario struct {
 	Prog       ProgramSpec
 	Graph      *vertex.Graph
 	Iterations int
+
+	// Budget is the total ε the session's queries may spend under
+	// sequential composition (0 = unmetered). Decode converts a released
+	// raw aggregate to Result.Value; nil leaves the raw value.
+	Budget float64
+	Decode func(int64) float64
 
 	// Heartbeat is the health plane's probe interval (coordinator-local,
 	// never on the wire); 0 means one second. StallWindow is how long an
@@ -54,50 +63,6 @@ type Scenario struct {
 	ChaosBarrier int
 }
 
-// Query parameterizes one execution against a standing deployment.
-type Query struct {
-	// Iterations is the number of computation+communication steps.
-	Iterations int
-	// Epsilon is the output-privacy budget for this query; 0 disables the
-	// final Laplace noise (correctness tests only).
-	Epsilon float64
-	// Seq optionally fixes the query id ("q/<Seq>" tag namespace). 0 lets
-	// the session assign the next unused id. Callers that bring their own
-	// ids (the dstress session facade) must keep them unique per session;
-	// a Seq that is still in flight is rejected.
-	Seq int
-}
-
-// Summary is the coordinator's view of one completed query.
-type Summary struct {
-	// Result is the opened noised aggregate, agreed by every
-	// aggregation-block member.
-	Result int64
-	// Nodes holds the row each live node reported — its own phase times,
-	// sent+received bytes and transport counters — sorted by node id, and
-	// Report their fold (vertex.Fold):
-	// slowest-node phase times, bytes sent per phase, traffic per node.
-	Nodes  []vertex.NodeResult
-	Report *vertex.Report
-	// Spans holds each node's span table (offsets relative to that node's
-	// own job start on its own clock) and Counters its protocol counters.
-	// Nodes always record; both ride the control plane after the query, so
-	// collecting them is free on the data-plane path. Clock carries what a
-	// merger needs to rebase the offsets onto one timeline: each node's
-	// job-start epoch and the heartbeat-estimated clock offset.
-	Spans    map[network.NodeID][]obs.Span
-	Counters map[network.NodeID]map[string]int64
-	Clock    map[network.NodeID]ClockInfo
-	// WallTime is the coordinator-observed duration from job dispatch to
-	// the last node's report.
-	WallTime time.Duration
-	// RecoveryEvents is the coordinator-side timeline (death, reblock, and
-	// resume events) of the re-blockings Report.Recoveries counts: those
-	// that happened while this query was in flight. Empty unless the
-	// scenario enabled Recover and a node actually died.
-	RecoveryEvents []obs.FlightEvent
-}
-
 // Coordinator serves the control plane for one deployment: it collects node
 // registrations, plays the trusted party of §3.4, and then drives one or
 // more queries through the standing fleet.
@@ -109,15 +74,14 @@ type Coordinator struct {
 	// hub holds what the nodes of an in-process fleet share with their
 	// driver (OpenHub); nil when the nodes are daemons.
 	hub *hubFleet
-
-	// RegisterTimeout bounds the whole registration phase; if fewer than N
-	// nodes have connected and registered by then, Open fails with a clear
-	// error instead of hanging a partially launched fleet forever. A
-	// deadline on Open's context tightens it further. Queries themselves
-	// are bounded only by their own context. Defaults to 2 minutes; set it
-	// between NewCoordinator and Open to override.
-	RegisterTimeout time.Duration
 }
+
+// registerTimeout bounds the whole registration phase: if fewer than N
+// nodes have connected and registered by then, Open fails with a clear
+// error instead of hanging a partially launched fleet forever. A deadline
+// on Open's context tightens it further. Queries themselves are bounded
+// only by their own context.
+const registerTimeout = 2 * time.Minute
 
 // NewCoordinator validates the scenario and starts listening on ctrlAddr
 // ("127.0.0.1:0" picks an ephemeral port; see Addr).
@@ -158,7 +122,7 @@ func newCoordinator(sc Scenario, prog *vertex.Program) (*Coordinator, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	return &Coordinator{sc: sc, grp: grp, prog: prog, RegisterTimeout: 2 * time.Minute}, nil
+	return &Coordinator{sc: sc, grp: grp, prog: prog}, nil
 }
 
 // Addr returns the control-plane address nodes should dial.
@@ -167,13 +131,13 @@ func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 // Run drives one full single-shot execution: Open, one query with the
 // scenario's default parameters, Close. It blocks until every node has
 // reported (or a control-plane error / context cancellation).
-func (c *Coordinator) Run(ctx context.Context) (*Summary, error) {
+func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 	sess, err := c.Open(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer sess.Close()
-	return sess.Run(ctx, Query{Iterations: c.sc.Iterations, Epsilon: c.sc.Cfg.Epsilon})
+	return sess.Query(ctx, Query{Epsilon: c.sc.Cfg.Epsilon})
 }
 
 type nodeConn struct {
@@ -196,90 +160,9 @@ func (nc *nodeConn) send(m ctrlMsg) error {
 	return nc.enc.Encode(m)
 }
 
-// Session is a standing deployment: registration and trusted-party setup
-// have completed, every node keeps its control connection, and OT
-// handshakes survive across queries. Runs may overlap: each dispatches a
-// jobMsg under its own query id and a per-node reader routes doneMsgs back
-// by Seq, so several queries can be in flight on one fleet concurrently.
-type Session struct {
-	c     *Coordinator
-	conns map[network.NodeID]*nodeConn
-	ids   []network.NodeID
-	setup *trustedparty.SetupResult
-	// wireSetup is setup as node daemons receive it; an in-process fleet
-	// installs setup itself and leaves it empty.
-	wireSetup trustedparty.WireSetup
-	directory map[network.NodeID]string
-	// nodes are the session's node goroutines when its fleet was started
-	// in this process (OpenLoopback, OpenHub); nil when they run elsewhere.
-	nodes *localNodes
-
-	// dispatchMu serializes whole-fleet job dispatches: every node must see
-	// the session's jobs in the same order, and gob encoders are not
-	// otherwise concurrency-safe. It also guards setupSent: topology,
-	// directory and signed setup ride on whichever job is dispatched first,
-	// decided inside the dispatch's own critical section — so no job can
-	// reach a node ahead of the one that carries them.
-	dispatchMu sync.Mutex
-	setupSent  bool
-
-	mu       sync.Mutex
-	jobsSent int
-	pending  map[int]chan doneMsg // in-flight queries by Seq
-	closed   bool
-
-	// --- Failure-recovery plane (active when the scenario sets Recover).
-	recoverOn bool
-	// tp and regs are retained from Open so a recovery can re-run the
-	// trusted party's blocking over the surviving registrations.
-	tp   *trustedparty.TrustedParty
-	regs []trustedparty.NodeRegistration
-	// recMu single-flights re-blocking: several collect loops (and death
-	// notices) can observe the same casualty concurrently, and exactly one
-	// recovery must win.
-	recMu sync.Mutex
-	// deathCh carries read-loop death notices to whichever collect loop
-	// selects first. Buffered to fleet size so readers never block.
-	deathCh chan network.NodeID
-	// ckpts is the table of the nodes' sealed barrier snapshots (opaque to
-	// the coordinator). Under mu: per-seq attempt numbers and dispatch
-	// specs, the recovery counter, and the recovery event log.
-	ckpts      vertex.Checkpoints
-	attempts   map[int]int
-	specs      map[int]querySpec
-	recoveries int
-	recEvents  []obs.FlightEvent
-
-	// Health plane state: the live fleet model fed by heartbeats, the
-	// probe/watchdog parameters, and the pinger goroutine's stop signal.
-	health   *fleetHealth
-	hbEvery  time.Duration
-	stallWin time.Duration
-	hbStop   chan struct{}
-	hbOnce   sync.Once
-	hbDone   chan struct{}
-
-	// Reader failure state: any control-plane read error is fatal for the
-	// whole session (fail-stop), so the first one is recorded — with the
-	// connection it happened on — and readDone closed to wake every
-	// in-flight Run.
-	readOnce sync.Once
-	readErr  error
-	failNode network.NodeID
-	readDone chan struct{}
-}
-
-// querySpec retains what the coordinator needs to rebuild a query's job
-// messages when a recovery resumes it: the per-query config (epsilon
-// included) and iteration count.
-type querySpec struct {
-	cfg        ConfigWire
-	iterations int
-}
-
 // readLoop is the per-node message router: it owns node id's decoder for
 // the session's lifetime, folds heartbeat replies into the health model,
-// archives checkpoint blobs, and delivers each report to the Run that is
+// archives checkpoint blobs, and delivers each report to the query that is
 // waiting on its Seq. Without recovery, any decode error, identity
 // mismatch, or report for an unknown query kills the session; with it, a
 // decode error becomes a death notice and stray reports from superseded
@@ -327,7 +210,7 @@ func (s *Session) readLoop(id network.NodeID, nc *nodeConn) {
 			s.failReads(id, fmt.Errorf("cluster: node %d reported unknown query %d", id, d.Seq))
 			return
 		}
-		ch <- d // buffered past fleet size; see Run
+		ch <- d // buffered past fleet size; see admit
 	}
 }
 
@@ -409,13 +292,6 @@ func (s *Session) stopHeartbeat() {
 	s.hbOnce.Do(func() { close(s.hbStop) })
 }
 
-// Health returns a live snapshot of the standing fleet: per-node heartbeat
-// age, clock offset, runtime stats, open spans, and the in-flight/stalled
-// query sets.
-func (s *Session) Health() *FleetHealth {
-	return s.health.snapshot(time.Now())
-}
-
 // postMortem names the dead node after a query failure: probe the whole
 // fleet once more and watch who answers. Live nodes reply to a ping within
 // a round trip, but under heavy load a slow survivor can take much longer
@@ -492,9 +368,10 @@ func (s *Session) queryError(seq int, node network.NodeID, lastPhase string, eve
 
 // Open runs the registration phase — accept one control connection per
 // node, hand out the public parameters, collect registrations — and the
-// trusted-party setup of §3.4 over them, returning the standing session.
-// Registration is bounded by ctx's deadline and RegisterTimeout, whichever
-// is earlier; cancellation aborts the accept loop.
+// trusted-party setup of §3.4 over them, hands every node the deployment
+// it builds its engine from (setupMsg), and returns the standing session.
+// Registration is bounded by ctx's deadline and a two-minute limit,
+// whichever is earlier; cancellation aborts the accept loop.
 func (c *Coordinator) Open(ctx context.Context) (*Session, error) {
 	g := c.sc.Graph
 	n := g.N()
@@ -527,19 +404,12 @@ func (c *Coordinator) Open(ctx context.Context) (*Session, error) {
 			c.ln.Close()
 		}
 	}()
-	// RegisterTimeout ≤ 0 disables the coordinator-side bound; ctx's
-	// deadline (if any) still applies.
-	var regDeadline time.Time
-	if c.RegisterTimeout > 0 {
-		regDeadline = time.Now().Add(c.RegisterTimeout)
-	}
-	if d, has := ctx.Deadline(); has && (regDeadline.IsZero() || d.Before(regDeadline)) {
+	regDeadline := time.Now().Add(registerTimeout)
+	if d, has := ctx.Deadline(); has && d.Before(regDeadline) {
 		regDeadline = d
 	}
-	if !regDeadline.IsZero() {
-		if tl, isTCP := c.ln.(*net.TCPListener); isTCP {
-			tl.SetDeadline(regDeadline)
-		}
+	if tl, isTCP := c.ln.(*net.TCPListener); isTCP {
+		tl.SetDeadline(regDeadline)
 	}
 	// Cancellation closes the listener so a blocked Accept returns.
 	stopAccept := context.AfterFunc(ctx, func() { c.ln.Close() })
@@ -547,7 +417,7 @@ func (c *Coordinator) Open(ctx context.Context) (*Session, error) {
 	for i := 0; i < n; i++ {
 		conn, err := c.ln.Accept()
 		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
+			if ctxErr := ctx.Err(); errors.Is(ctxErr, context.Canceled) {
 				return nil, fmt.Errorf("cluster: registration canceled after %d of %d nodes: %w", i, n, ctxErr)
 			}
 			return nil, fmt.Errorf("cluster: control accept (%d of %d nodes registered before the registration deadline): %w",
@@ -603,12 +473,6 @@ func (c *Coordinator) Open(ctx context.Context) (*Session, error) {
 			conns[r.id] = r.nc
 		}
 	}
-	// Registration is complete; queries may take arbitrarily long, so lift
-	// the handshake deadline from the control connections and stop
-	// accepting new ones.
-	for _, nc := range conns {
-		nc.conn.SetDeadline(time.Time{})
-	}
 	c.ln.Close()
 
 	// --- Trusted-party setup over the collected registrations.
@@ -629,9 +493,34 @@ func (c *Coordinator) Open(ctx context.Context) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	directory := make(map[network.NodeID]string, n)
+
+	// --- Hand every node the deployment, still under the registration
+	// deadline. Open does not wait for the nodes to build their engines:
+	// each node builds before it reads anything else off its ordered
+	// control connection, so it has its engine before its first job.
+	msg := setupMsg{
+		Cfg: c.sc.Cfg, Prog: c.sc.Prog, Topo: TopologyWire{D: g.D, Out: g.Out},
+		Directory: make(map[network.NodeID]string, n), Recover: c.sc.Recover,
+	}
 	for id, nc := range conns {
-		directory[id] = nc.addr
+		msg.Directory[id] = nc.addr
+	}
+	if c.hub != nil {
+		// In-process nodes install the driver's own publication: nothing
+		// to marshal, nothing for them to re-verify.
+		c.hub.publish(0, &vertex.Recovery{Setup: setup})
+	} else {
+		msg.Setup = trustedparty.MarshalSetup(c.grp, setup)
+	}
+	for _, id := range ids {
+		if err := conns[id].enc.Encode(msg); err != nil {
+			return nil, fmt.Errorf("cluster: sending setup to node %d: %w", id, err)
+		}
+	}
+	// Queries may take arbitrarily long, so lift the handshake deadline
+	// from the control connections.
+	for _, nc := range conns {
+		nc.conn.SetDeadline(time.Time{})
 	}
 	ok = true
 	hbEvery := c.sc.Heartbeat
@@ -642,30 +531,29 @@ func (c *Coordinator) Open(ctx context.Context) (*Session, error) {
 	if stallWin <= 0 {
 		stallWin = defaultStallWindow
 	}
+	budget := c.sc.Budget
+	if budget <= 0 {
+		budget = math.Inf(1) // unmetered
+	}
 	sess := &Session{
 		c: c, conns: conns, ids: ids, setup: setup,
-		directory: directory,
-		pending:   make(map[int]chan doneMsg),
-		health:    newFleetHealth(ids),
-		hbEvery:   hbEvery,
-		stallWin:  stallWin,
-		hbStop:    make(chan struct{}),
-		hbDone:    make(chan struct{}),
-		readDone:  make(chan struct{}),
-		recoverOn: c.sc.Recover,
-		tp:        tp,
-		regs:      regs,
-		deathCh:   make(chan network.NodeID, n),
-		attempts:  make(map[int]int),
-		specs:     make(map[int]querySpec),
+		maxConcurrent: 1,
+		pending:       make(map[int]chan doneMsg),
+		health:        newFleetHealth(ids),
+		hbEvery:       hbEvery,
+		stallWin:      stallWin,
+		hbStop:        make(chan struct{}),
+		hbDone:        make(chan struct{}),
+		readDone:      make(chan struct{}),
+		recoverOn:     c.sc.Recover,
+		tp:            tp,
+		regs:          regs,
+		deathCh:       make(chan network.NodeID, n),
+		attempts:      make(map[int]int),
+		specs:         make(map[int]Query),
+		acct:          dp.NewAccountant(budget),
 	}
-	if c.hub != nil {
-		// In-process nodes install the signed publication itself on their
-		// first job: nothing to marshal, nothing for them to re-verify.
-		c.hub.publish(0, &vertex.Recovery{Setup: setup})
-	} else {
-		sess.wireSetup = trustedparty.MarshalSetup(c.grp, setup)
-	}
+	sess.idle.L = &sess.mu
 	for _, id := range ids {
 		go sess.readLoop(id, conns[id])
 	}
@@ -673,153 +561,45 @@ func (c *Coordinator) Open(ctx context.Context) (*Session, error) {
 	return sess, nil
 }
 
-// Run dispatches one query to the standing fleet and collects the reports.
-// The first query ships the topology, directory, and signed setup; later
-// queries ship only the per-query parameters and the owners' (possibly
-// updated) private inputs. Runs may overlap: each query's protocol traffic
-// lives under its own "q/<Seq>" tag namespace and its reports are routed
-// back by Seq. Without Scenario.Recover, a node failure or context
-// cancellation aborts the whole session — fail-stop, matching the paper's
-// prototype. With it, an attributed node death re-blocks the fleet around
-// the casualty and resumes the query from its last common checkpoint
-// barrier; only unattributable failures (or a failed recovery) abort.
-func (s *Session) Run(ctx context.Context, q Query) (*Summary, error) {
-	if q.Iterations < 0 {
-		return nil, fmt.Errorf("cluster: negative iteration count %d", q.Iterations)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("cluster: session is closed")
-	}
-	seq := q.Seq
-	if seq <= 0 {
-		seq = s.jobsSent + 1
-	}
-	if _, dup := s.pending[seq]; dup {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("cluster: query %d is already in flight", seq)
-	}
-	if seq > s.jobsSent {
-		s.jobsSent = seq
-	}
-	// Buffered past fleet size so the per-node readers never block on a
-	// collect loop that is busy recovering: with re-blocking, one query can
-	// see up to one report per node per attempt.
-	ch := make(chan doneMsg, 4*len(s.ids))
-	s.pending[seq] = ch
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.pending, seq)
-		delete(s.attempts, seq)
-		delete(s.specs, seq)
-		s.mu.Unlock()
-		s.ckpts.Drop(seq)
-		if s.c.hub != nil {
-			s.c.hub.retire(network.Tag("q", seq))
-		}
-	}()
-	// Register with the health plane: the stall watchdog tracks the query
-	// from dispatch, and a driver-side progress callback (if the context
-	// carries one) receives the fleet's slowest-node phase live.
-	s.health.watch(seq, obs.ProgressFrom(ctx))
-	defer s.health.unwatch(seq)
-
-	g := s.c.sc.Graph
-	n := g.N()
-	cfg := s.c.sc.Cfg
-	cfg.Epsilon = q.Epsilon
-
-	// On any failure below the session is unusable: release the fleet so
-	// every node fails fast instead of waiting on dead counterparties.
-	sum, err := s.runQuery(ctx, q, cfg, g, n, seq, ch)
-	if err != nil {
-		s.abort()
-		return nil, err
-	}
-	return sum, nil
-}
-
-func (s *Session) runQuery(ctx context.Context, q Query, cfg ConfigWire, g *vertex.Graph, n int, seq int, ch chan doneMsg) (*Summary, error) {
-	// --- Dispatch the job; this triggers the query. The whole fleet loop
-	// holds dispatchMu so overlapping Runs cannot interleave their jobs
-	// across connections: every node sees the same job order.
+// runQuery dispatches one admitted query to the standing fleet and
+// collects the reports. Queries may overlap: each one's protocol traffic
+// lives under its own "q/<seq>" tag namespace and its reports are routed
+// back by seq. Without Scenario.Recover, a node failure or context
+// cancellation fails the query (and Query then aborts the session) —
+// fail-stop, matching the paper's prototype. With it, an attributed node
+// death re-blocks the fleet around the casualty and resumes the query from
+// its last common checkpoint barrier; only unattributable failures (or a
+// failed recovery) fail it.
+func (s *Session) runQuery(ctx context.Context, tr *obs.Trace, q Query, seq int, ch chan doneMsg) (*Result, error) {
 	start := time.Now()
 	s.mu.Lock()
-	s.specs[seq] = querySpec{cfg: cfg, iterations: q.Iterations}
 	recStart, evStart := s.recoveries, len(s.recEvents)
 	s.mu.Unlock()
 	if s.c.hub != nil {
 		// The engines of an in-process fleet share one certificate cache,
 		// in which each key serves all K+1 senders of its edge.
-		s.c.hub.dep.ExpectCertUses(q.Iterations * (cfg.K + 1))
+		s.c.hub.dep.ExpectCertUses(q.Iterations * (s.c.sc.Cfg.K + 1))
 	}
-	s.dispatchMu.Lock()
-	first := !s.setupSent
-	s.setupSent = true
-	slog.Debug("cluster query dispatch", "query", seq, "nodes", n, "iterations", q.Iterations, "epsilon", q.Epsilon, "first", first)
-	// Snapshot the fleet while holding dispatchMu: a recovery both shrinks
-	// ids and sends its own control traffic under the same lock, so the
-	// snapshot can never name a retired connection.
-	s.mu.Lock()
-	live := append([]network.NodeID(nil), s.ids...)
-	assignment := s.setup.Assignment
-	s.mu.Unlock()
-	for _, id := range live {
-		job := jobMsg{
-			Cfg:        cfg,
-			Prog:       s.c.sc.Prog,
-			Inputs:     vertex.OwnerInputs(g, assignment, id),
-			Iterations: q.Iterations,
-			Seq:        seq,
-			Attempt:    1,
-			Recover:    s.recoverOn,
-		}
-		if first {
-			job.Topo = TopologyWire{D: g.D, Out: g.Out}
-			job.Directory = s.directory
-			job.Setup = s.wireSetup
-		}
-		if err := s.conns[id].send(ctrlMsg{Job: &job}); err != nil {
-			s.dispatchMu.Unlock()
-			// With recovery on, a mid-dispatch connection loss is a death
-			// like any other: re-block around it, which also resumes this
-			// very query (it is already pending) on the shrunken fleet.
-			if s.recoverOn && !first {
-				if rerr := s.recoverDead(id, seq, 0); rerr == nil {
-					goto collect
-				}
-			}
-			return nil, fmt.Errorf("cluster: dispatching job to node %d: %w", id, err)
-		}
+	if err := s.dispatch(seq, q); err != nil {
+		return nil, err
 	}
-	s.dispatchMu.Unlock()
 
-collect:
 	// --- Collect this query's reports, routed here by the session readers.
-	// With recovery off, the fleet is fixed and exactly n clean reports
-	// complete the query. With it, completion means: every currently-live
+	// With recovery off, the fleet is fixed and one clean report per node
+	// completes the query. With it, completion means: every currently-live
 	// node has reported for the query's current attempt — a re-blocking
 	// mid-collect shrinks the fleet, bumps the attempt, and discards
 	// superseded reports.
-	sum := &Summary{
-		Spans:    make(map[network.NodeID][]obs.Span, n),
-		Counters: make(map[network.NodeID]map[string]int64, n),
-		Clock:    make(map[network.NodeID]ClockInfo, n),
-	}
-	got := make(map[network.NodeID]doneMsg, n)
+	var live []network.NodeID
+	got := make(map[network.NodeID]doneMsg)
 	for {
 		s.mu.Lock()
 		attempt := s.attempts[seq]
-		if attempt == 0 {
-			attempt = 1
-		}
 		liveNow := append([]network.NodeID(nil), s.ids...)
 		s.mu.Unlock()
 		complete := true
 		for _, id := range liveNow {
-			if d, ok := got[id]; !ok || normAttempt(d.Attempt) != attempt {
+			if d, ok := got[id]; !ok || d.Attempt != attempt {
 				complete = false
 				break
 			}
@@ -838,7 +618,7 @@ collect:
 				return nil, s.queryError(seq, dead, "", nil, err.Error())
 			}
 		case d := <-ch:
-			if normAttempt(d.Attempt) != attempt {
+			if d.Attempt != attempt {
 				slog.Debug("cluster: discarding superseded report",
 					"query", seq, "node", d.ID, "attempt", d.Attempt, "current", attempt)
 				continue
@@ -862,68 +642,96 @@ collect:
 				"bytes_sent", d.Row.Stats.BytesSent, "spans", len(d.Spans))
 		}
 	}
-	for _, id := range live {
-		d := got[id]
-		sum.Nodes = append(sum.Nodes, d.Row)
-		sum.Spans[id] = d.Spans
-		sum.Counters[id] = d.Counters
-		ci := s.health.clockInfo(id)
-		if s.c.hub != nil {
-			// One process, one clock: the nodes' spans land exactly.
-			ci.Offset = 0
-		}
-		ci.EpochUnixNS = d.Epoch
-		sum.Clock[id] = ci
+	rep := &Report{Transport: "tcp", Nodes: s.c.sc.Graph.N()}
+	if s.c.hub != nil {
+		rep.Transport = "sim"
 	}
-	slices.SortFunc(sum.Nodes, func(a, b vertex.NodeResult) int { return int(a.Node - b.Node) })
-	sum.WallTime = time.Since(start)
+	for _, id := range live {
+		rep.NodePhases = append(rep.NodePhases, got[id].Row)
+		s.mergeTrace(tr, got[id])
+	}
+	slices.SortFunc(rep.NodePhases, func(a, b vertex.NodeResult) int { return int(a.Node - b.Node) })
+	rep.WallTime = time.Since(start)
 	s.mu.Lock()
 	recoveries := s.recoveries - recStart
 	if evEnd := len(s.recEvents); evEnd > evStart {
-		sum.RecoveryEvents = append([]obs.FlightEvent(nil), s.recEvents[evStart:evEnd]...)
+		rep.RecoveryEvents = append([]obs.FlightEvent(nil), s.recEvents[evStart:evEnd]...)
 	}
 	aggMembers := len(s.setup.Assignment.AggBlock)
 	s.mu.Unlock()
 
-	var err error
-	if sum.Result, sum.Report, err = vertex.Fold(sum.Nodes, aggMembers); err != nil {
+	raw, folded, err := vertex.Fold(rep.NodePhases, aggMembers)
+	if err != nil {
 		return nil, err
 	}
-	sum.Report.Recoveries = recoveries
-	slog.Debug("cluster query complete", "query", seq, "wall_ms", sum.WallTime.Milliseconds(),
-		"total_bytes", sum.Report.TotalBytes(), "recoveries", recoveries)
-	return sum, nil
+	rep.Report = *folded
+	rep.Recoveries = recoveries
+	slog.Debug("cluster query complete", "query", seq, "wall_ms", rep.WallTime.Milliseconds(),
+		"total_bytes", rep.TotalBytes(), "recoveries", recoveries)
+	res := &Result{Raw: raw, Value: float64(raw), Epsilon: q.Epsilon, Report: rep}
+	if s.c.sc.Decode != nil {
+		res.Value = s.c.sc.Decode(raw)
+	}
+	return res, nil
 }
 
-// normAttempt maps the wire attempt field (0 on pre-recovery builds and
-// fresh dispatches) to its logical value.
-func normAttempt(a int) int {
-	if a < 1 {
-		return 1
+// dispatch triggers query seq: its attempt-1 job goes to every live node.
+// The whole fleet loop holds dispatchMu so overlapping queries cannot
+// interleave their jobs across connections: every node sees the same job
+// order. With recovery on, a death is re-blocked around instead of failing
+// the query — one noticed while the fleet idled before the query goes out,
+// one met by a failed send mid-dispatch — and the re-blocking resumes this
+// query (already pending) on the survivors.
+func (s *Session) dispatch(seq int, q Query) error {
+	select {
+	case dead := <-s.deathCh:
+		if err := s.recoverDead(dead, seq, 0); err != nil {
+			return s.queryError(seq, dead, "", nil, err.Error())
+		}
+	default:
 	}
-	return a
+	s.dispatchMu.Lock()
+	slog.Debug("cluster query dispatch", "query", seq, "iterations", q.Iterations, "epsilon", q.Epsilon)
+	// Snapshot the fleet while holding dispatchMu: a recovery both shrinks
+	// ids and sends its own control traffic under the same lock, so the
+	// snapshot can never name a retired connection — and a recovery that
+	// already resumed this query has started it on the survivors.
+	s.mu.Lock()
+	resumed := s.attempts[seq] > 1
+	live := append([]network.NodeID(nil), s.ids...)
+	assignment := s.setup.Assignment
+	s.mu.Unlock()
+	if resumed {
+		s.dispatchMu.Unlock()
+		return nil
+	}
+	for _, id := range live {
+		job := s.job(id, seq, 1, q, assignment)
+		if err := s.conns[id].send(ctrlMsg{Job: &job}); err != nil {
+			s.dispatchMu.Unlock()
+			if s.recoverOn && s.recoverDead(id, seq, 0) == nil {
+				return nil
+			}
+			return s.queryError(seq, id, "", nil, "dispatching job: "+err.Error())
+		}
+	}
+	s.dispatchMu.Unlock()
+	return nil
 }
 
 // resumePlan is the coordinator's decision for one in-flight query during a
 // recovery: its new attempt number and the barrier it resumes from.
 type resumePlan struct {
 	seq, attempt, barrier int
-	spec                  querySpec
+	q                     Query
 }
 
-// resumeJob rebuilds node id's job message for a resumed attempt of one
-// in-flight query under the re-blocked assignment. Topology, directory, and
-// setup are omitted: the fleet is standing and the enclosing recoverMsg
-// carries the new setup.
-func (s *Session) resumeJob(id network.NodeID, p resumePlan, a trustedparty.Assignment) jobMsg {
+// job builds node id's job message for one attempt of query seq under
+// assignment a.
+func (s *Session) job(id network.NodeID, seq, attempt int, q Query, a trustedparty.Assignment) jobMsg {
 	return jobMsg{
-		Cfg:        p.spec.cfg,
-		Prog:       s.c.sc.Prog,
-		Inputs:     vertex.OwnerInputs(s.c.sc.Graph, a, id),
-		Iterations: p.spec.iterations,
-		Seq:        p.seq,
-		Attempt:    p.attempt,
-		Recover:    true,
+		Seq: seq, Attempt: attempt, Iterations: q.Iterations, Epsilon: q.Epsilon,
+		Inputs: vertex.OwnerInputs(s.c.sc.Graph, a, id),
 	}
 }
 
@@ -940,7 +748,7 @@ func (s *Session) recoverDead(hint network.NodeID, seq, attempt int) error {
 	s.mu.Lock()
 	closed := s.closed
 	hintLive := hint != 0 && slices.Contains(s.ids, hint)
-	cur := normAttempt(s.attempts[seq])
+	cur := s.attempts[seq]
 	s.mu.Unlock()
 	if closed {
 		return fmt.Errorf("cluster: session closed during recovery")
@@ -998,16 +806,15 @@ func (s *Session) recoverDead(hint network.NodeID, seq, attempt int) error {
 	deadBlobs := make(map[int][]byte)
 	for q := range s.pending {
 		b := s.ckpts.ResumeBarrier(q, s.ids)
-		na := normAttempt(s.attempts[q]) + 1
+		na := s.attempts[q] + 1
 		s.attempts[q] = na
-		plans = append(plans, resumePlan{seq: q, attempt: na, barrier: b, spec: s.specs[q]})
+		plans = append(plans, resumePlan{seq: q, attempt: na, barrier: b, q: s.specs[q]})
 		if b >= 0 {
 			deadBlobs[q] = s.ckpts.Blob(q, dead, b)
 		}
 	}
 	sort.Slice(plans, func(i, j int) bool { return plans[i].seq < plans[j].seq })
 	s.setup = next
-	s.wireSetup = wireNext
 	deadConn := s.conns[dead]
 	delete(s.conns, dead)
 	liveNow := make([]network.NodeID, 0, len(s.ids)-1)
@@ -1051,8 +858,7 @@ func (s *Session) recoverDead(hint network.NodeID, seq, attempt int) error {
 		}
 		for _, p := range plans {
 			rm.Resumes = append(rm.Resumes, resumeSpec{
-				Seq: p.seq, Attempt: p.attempt, Barrier: p.barrier,
-				Job: s.resumeJob(id, p, next.Assignment),
+				Barrier: p.barrier, Job: s.job(id, p.seq, p.attempt, p.q, next.Assignment),
 			})
 		}
 		s.mu.Lock()
@@ -1089,27 +895,19 @@ func (s *Session) abort() {
 	}
 }
 
-// Close shuts the standing fleet down cleanly: every node receives a
-// shutdown message and exits with its last result. Safe to call after a
-// failed Run (the session is already aborted then). Nodes started in this
-// process are waited for, and the first of their errors is reported.
+// Close shuts the standing fleet down cleanly, waiting first for every
+// in-flight query to finish so the protocol is never torn down under a
+// live run (cancel the queries' contexts to hurry them along): every node
+// receives a shutdown message and exits with its last result. Idempotent,
+// and safe after a failed query (the session is already aborted then).
+// Nodes started in this process are waited for, and the first of their
+// errors is reported.
 func (s *Session) Close() error {
-	err := s.shutdown()
-	if s.nodes != nil {
-		if nerr := s.nodes.wait(); err == nil {
-			err = nerr
-		}
-	}
-	return err
-}
-
-func (s *Session) shutdown() error {
-	s.stopHeartbeat()
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
+	for s.inflight > 0 {
+		s.idle.Wait()
 	}
+	wasClosed := s.closed
 	s.closed = true
 	// Copy: a recovery may have shrunk the map, and the map itself must not
 	// be iterated outside mu.
@@ -1118,6 +916,20 @@ func (s *Session) shutdown() error {
 		conns = append(conns, nc)
 	}
 	s.mu.Unlock()
+	s.stopHeartbeat()
+	var err error
+	if !wasClosed {
+		err = s.shutdown(conns)
+	}
+	if s.nodes != nil {
+		if nerr := s.nodes.wait(); err == nil {
+			err = nerr
+		}
+	}
+	return err
+}
+
+func (s *Session) shutdown(conns []*nodeConn) error {
 	// The pinger must be fully stopped before the shutdown handshake: a
 	// ping interleaved after a node processed its shutdown job would race
 	// the connection teardown.

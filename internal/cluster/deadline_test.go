@@ -16,9 +16,10 @@ func TestRegistrationDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co.RegisterTimeout = 300 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	_, err = co.Run(context.Background()) // no nodes ever connect
+	_, err = co.Run(ctx) // no nodes ever connect
 	if err == nil {
 		t.Fatal("Run succeeded with zero nodes")
 	}
@@ -40,7 +41,8 @@ func TestPartialFleetAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co.RegisterTimeout = 500 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
 	nodeErrs := make(chan error, 3)
 	for id := 1; id <= 3; id++ {
 		id := id
@@ -51,7 +53,7 @@ func TestPartialFleetAborts(t *testing.T) {
 			nodeErrs <- err
 		}()
 	}
-	if _, err := co.Run(context.Background()); err == nil {
+	if _, err := co.Run(ctx); err == nil {
 		t.Fatal("coordinator succeeded with a missing node")
 	}
 	for i := 0; i < 3; i++ {

@@ -9,11 +9,11 @@ import (
 	"dstress/internal/risk"
 )
 
-// gateCtx parks its first Value lookup until released. Session.Run consults
-// its context (for the caller's progress callback) after admitting a query
-// and before dispatching it, so the gate holds one query at exactly the
-// point where the first-job claim and the fleet dispatch used to be two
-// critical sections.
+// gateCtx parks its first Value lookup until released. Session.Query
+// consults its context (for the caller's trace) right after admitting a
+// query — its id assigned, its ε charged, its admission slot taken — and
+// before dispatching it, so the gate holds one query in flight at exactly
+// that point.
 type gateCtx struct {
 	context.Context
 	once             sync.Once
@@ -28,12 +28,12 @@ func (c *gateCtx) Value(key any) any {
 	return c.Context.Value(key)
 }
 
-// TestOverlappingFirstJobCarriesSetup pins that a session's topology,
-// directory and signed setup ride on whichever job reaches the fleet first.
-// The first query to be admitted is held before its dispatch while a second runs to
-// completion: the second must carry the setup (nodes that get a job without
-// one die building their engine and the session aborts), and the first must
-// then run on the standing fleet without it.
+// TestOverlappingFirstJobCarriesSetup pins that the first two queries of a
+// standing fleet both return the reference however their dispatches
+// overlap: the first query to be admitted is held before its dispatch while
+// a second overtakes it and runs to completion, and the first then runs on
+// the same fleet. Open handed every node its deployment, so no job carries
+// it and neither order can leave a node without an engine.
 func TestOverlappingFirstJobCarriesSetup(t *testing.T) {
 	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}
 	sc, exact := enChainScenario(t, 4, cfg, risk.RecommendedIterations(4))
@@ -44,16 +44,17 @@ func TestOverlappingFirstJobCarriesSetup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lb.Close()
+	lb.SetMaxConcurrent(2)
 
 	held := &gateCtx{Context: ctx, entered: make(chan struct{}), release: make(chan struct{})}
 	type outcome struct {
-		sum *Summary
+		res *Result
 		err error
 	}
 	heldDone := make(chan outcome, 1)
 	go func() {
-		sum, err := lb.Run(held, Query{Iterations: sc.Iterations})
-		heldDone <- outcome{sum, err}
+		res, err := lb.Query(held, Query{})
+		heldDone <- outcome{res, err}
 	}()
 	select {
 	case <-held.entered:
@@ -61,19 +62,19 @@ func TestOverlappingFirstJobCarriesSetup(t *testing.T) {
 		t.Fatalf("held query finished (%v) without consulting its context before dispatch; the test needs another seam", o.err)
 	}
 
-	sum, err := lb.Run(ctx, Query{Iterations: sc.Iterations})
+	res, err := lb.Query(ctx, Query{})
 	if err != nil {
 		t.Fatalf("query dispatched ahead of the first-admitted one: %v", err)
 	}
-	if sum.Result != exact {
-		t.Errorf("overtaking query released %d, reference %d", sum.Result, exact)
+	if res.Raw != exact {
+		t.Errorf("overtaking query released %d, reference %d", res.Raw, exact)
 	}
 	close(held.release)
 	o := <-heldDone
 	if o.err != nil {
 		t.Fatalf("held query: %v", o.err)
 	}
-	if o.sum.Result != exact {
-		t.Errorf("held query released %d, reference %d", o.sum.Result, exact)
+	if o.res.Raw != exact {
+		t.Errorf("held query released %d, reference %d", o.res.Raw, exact)
 	}
 }

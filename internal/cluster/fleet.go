@@ -18,7 +18,7 @@ import (
 // OpenLoopback stands a loopback TCP cluster up: coordinator on an
 // ephemeral loopback port, one RunNode goroutine per vertex, registration
 // and trusted-party setup completed, every message crossing a real socket.
-// The nodes live until Close (or a failed Run).
+// The nodes live until Close (or a failed query).
 func OpenLoopback(ctx context.Context, sc Scenario) (*Session, error) {
 	co, err := NewCoordinator("127.0.0.1:0", sc)
 	if err != nil {
@@ -63,7 +63,7 @@ func OpenHub(ctx context.Context, sc Scenario, prog *vertex.Program, mode OTMode
 		ln.conns <- coord
 		_, err := nodeShell{
 			id: id, chaos: chaos,
-			engine: func(_ group.Group, _ jobMsg, secrets trustedparty.NodeSecrets) (*vertex.Deployment, *vertex.Engine, error) {
+			engine: func(_ group.Group, _ setupMsg, secrets trustedparty.NodeSecrets) (*vertex.Deployment, *vertex.Engine, error) {
 				eng, err := co.hub.engine(id, secrets)
 				return nil, eng, err
 			},
@@ -121,7 +121,7 @@ type localNodes struct {
 }
 
 // wait lets the nodes exit and returns the first node error. The shutdown
-// handshake (or, after a failed Run, the closed control connections) makes
+// handshake (or, after a failed query, the closed control connections) makes
 // every node exit on its own; canceling their context up front would race
 // the in-flight shutdown message, so cancellation is only the watchdog for
 // a node that fails to exit.

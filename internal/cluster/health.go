@@ -56,7 +56,7 @@ type nodeHealth struct {
 
 // fleetHealth is the coordinator's model of the standing fleet, fed by
 // heartbeats and consulted by the watchdog, the failure path, and snapshot
-// callers (Session.Health, the serve layer's /v1/fleet).
+// callers (Session.Fleet, the serve layer's /v1/fleet).
 type fleetHealth struct {
 	mu       sync.Mutex
 	opened   time.Time
@@ -374,19 +374,17 @@ func (h *fleetHealth) snapshot(now time.Time) *FleetHealth {
 	return out
 }
 
-// clockInfo renders one node's current clock estimate for Summary.Clock.
-func (h *fleetHealth) clockInfo(id network.NodeID) ClockInfo {
+// clockOffset is the current estimate of node id's clock minus the
+// coordinator's; zero before the first heartbeat exchange completes.
+func (h *fleetHealth) clockOffset(id network.NodeID) time.Duration {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	nh := h.nodes[id]
-	if nh == nil {
-		return ClockInfo{}
+	if nh := h.nodes[id]; nh != nil {
+		if s, ok := nh.est.Best(); ok {
+			return s.Offset
+		}
 	}
-	ci := ClockInfo{}
-	if s, ok := nh.est.Best(); ok {
-		ci.Offset, ci.RTT, ci.Synced = s.Offset, s.RTT, true
-	}
-	return ci
+	return 0
 }
 
 // FleetHealth is a point-in-time view of the standing fleet, assembled from
@@ -425,20 +423,6 @@ type NodeHealth struct {
 	Open []obs.Span
 	// Phases maps in-flight query seq → the node's last entered phase.
 	Phases map[int]string
-}
-
-// ClockInfo is the coordinator's clock model for one node at query
-// completion, carried in Summary.Clock.
-type ClockInfo struct {
-	// Offset is the estimated node-clock minus coordinator-clock
-	// difference; zero (with Synced false) before the first heartbeat
-	// exchange completes.
-	Offset time.Duration
-	RTT    time.Duration
-	Synced bool
-	// EpochUnixNS is the node's span-table epoch (its job start) on its
-	// own clock, from the node's done message.
-	EpochUnixNS int64
 }
 
 // QueryError is the failure the health plane produces when a cluster query

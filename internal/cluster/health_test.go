@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dstress/internal/network"
+	"dstress/internal/obs"
 )
 
 // TestStallWatchdog drives the watchdog on fabricated heartbeats: a query
@@ -88,8 +89,8 @@ func TestWatchdogUnstartedNode(t *testing.T) {
 
 // TestHeartbeatLoopback runs a real loopback cluster with a fast heartbeat
 // and checks the health plane end to end: every node beats, clock offsets
-// converge (Synced), runtime stats arrive, and the query summary carries a
-// clock row per node so the span merge can rebase timelines.
+// converge (Synced), runtime stats arrive, and every node's span table lands
+// on the caller's trace rebased onto the driver's timeline.
 func TestHeartbeatLoopback(t *testing.T) {
 	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}
 	sc, exact := enChainScenario(t, 4, cfg, 6)
@@ -100,17 +101,20 @@ func TestHeartbeatLoopback(t *testing.T) {
 	}
 	defer lb.Close()
 
-	sum, err := lb.Run(context.Background(), Query{Iterations: 6})
+	tr := obs.NewTrace(0)
+	from := time.Since(tr.Epoch())
+	res, err := lb.Query(obs.With(context.Background(), tr), Query{Iterations: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Result != exact {
-		t.Errorf("cluster result %d != reference %d", sum.Result, exact)
+	to := time.Since(tr.Epoch())
+	if res.Raw != exact {
+		t.Errorf("cluster result %d != reference %d", res.Raw, exact)
 	}
 
 	// Give the fleet a few more beats while idle.
 	time.Sleep(100 * time.Millisecond)
-	fh := lb.Health()
+	fh := lb.Fleet()
 	if len(fh.Nodes) != 4 {
 		t.Fatalf("health has %d nodes, want 4", len(fh.Nodes))
 	}
@@ -136,21 +140,27 @@ func TestHeartbeatLoopback(t *testing.T) {
 		t.Errorf("idle fleet reports in-flight queries: %v", fh.InFlight)
 	}
 
-	if len(sum.Clock) != 4 {
-		t.Fatalf("summary has %d clock rows, want 4", len(sum.Clock))
-	}
-	for id, ci := range sum.Clock {
-		if !ci.Synced {
-			t.Errorf("node %d clock row not synced", id)
-		}
-		if ci.EpochUnixNS == 0 {
-			t.Errorf("node %d clock row has no span epoch", id)
-		}
+	for _, n := range fh.Nodes {
 		// The merge shifts by nodeEpoch − offset − driverEpoch; an offset
 		// bigger than the run itself would mean the estimator diverged on
 		// loopback, where true offset ≈ 0 and RTT is microseconds.
-		if off := ci.Offset; off > time.Second || off < -time.Second {
-			t.Errorf("node %d loopback clock offset %v is implausible", id, off)
+		if off := n.ClockOffset; off > time.Second || off < -time.Second {
+			t.Errorf("node %d loopback clock offset %v is implausible", n.Node, off)
+		}
+	}
+	// Every node's spans were rebased by its job-start epoch: on loopback
+	// they land inside the query's own window on the driver's timeline,
+	// give or take the offset estimate's error.
+	spans := map[int32]int{}
+	for _, sp := range tr.Spans() {
+		spans[sp.Node]++
+		if start, end := time.Duration(sp.Start), time.Duration(sp.Start+sp.Dur); start < from-time.Second || end > to+time.Second {
+			t.Errorf("node %d span %s at [%v, %v] outside the query's window [%v, %v]", sp.Node, sp.Name, start, end, from, to)
+		}
+	}
+	for id := int32(1); id <= 4; id++ {
+		if spans[id] == 0 {
+			t.Errorf("node %d merged no spans into the caller's trace", id)
 		}
 	}
 }
@@ -175,16 +185,19 @@ func TestFlightRingKeepsPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	sum, err := sess.Run(ctx, Query{Iterations: 1, Epsilon: cfg.Epsilon})
+	tr := obs.NewTrace(0)
+	res, err := sess.Query(obs.With(ctx, tr), Query{Iterations: 1, Epsilon: cfg.Epsilon})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The trace folds the nodes' counters into fleet totals.
+	nodes := res.Report.NodePhases
+	if rounds := tr.Counters()["gmw/and_rounds"]; rounds <= 256*int64(len(nodes)) {
+		t.Fatalf("the fleet ran %d AND rounds over %d nodes; the test needs more per node than the ring holds", rounds, len(nodes))
+	}
 	// Let a few beats ship the rings' tails to the coordinator.
 	time.Sleep(10 * sc.Heartbeat)
-	for _, n := range sum.Nodes {
-		if rounds := sum.Counters[n.Node]["gmw/and_rounds"]; rounds <= 256 {
-			t.Fatalf("node %d ran %d AND rounds; the test needs more than the ring holds", n.Node, rounds)
-		}
+	for _, n := range nodes {
 		_, _, events := sess.health.failureInfo(n.Node, 0)
 		kinds := map[string]int{}
 		for _, ev := range events {
@@ -241,7 +254,7 @@ func TestNodeKillProducesQueryError(t *testing.T) {
 			kill()
 		}()
 		checkQueryError(t, func(ctx context.Context) error {
-			_, err := sess.Run(ctx, Query{Iterations: 8})
+			_, err := sess.Query(ctx, Query{Iterations: 8})
 			return err
 		}, victim)
 
@@ -266,7 +279,7 @@ func TestNodeKillProducesQueryError(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkQueryError(t, func(ctx context.Context) error {
-			_, err := sess.Run(ctx, Query{Iterations: 8})
+			_, err := sess.Query(ctx, Query{Iterations: 8})
 			return err
 		}, victim)
 		closed := make(chan struct{})

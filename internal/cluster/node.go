@@ -34,11 +34,6 @@ type NodeOptions struct {
 	// AdvertiseAddr, when set, is the address peers dial instead of the
 	// literal listen address (NAT / container setups).
 	AdvertiseAddr string
-	// DialWindow bounds how long the initial coordinator dial retries when
-	// the context carries no deadline of its own (fleet launchers routinely
-	// start node processes before the coordinator's listener is up).
-	// 0 means 10 seconds.
-	DialWindow time.Duration
 	// Chaos, when set, injects one deterministic fault: see NodeChaos.
 	Chaos *NodeChaos
 }
@@ -55,15 +50,6 @@ type runHandle struct {
 	done       chan struct{}
 	attempt    int
 	superseded bool
-}
-
-// runReq is one run invocation: the archived or dispatched job, the
-// attempt number (1 for a coordinator dispatch), and the barrier to resume
-// from (−1 runs from initialization).
-type runReq struct {
-	job         jobMsg
-	attempt     int
-	fromBarrier int
 }
 
 // jobProgress is a node's live position in one in-flight job: the last
@@ -89,7 +75,7 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 	}
 	defer peer.Close()
 
-	conn, err := dialRetry(ctx, opt.CoordAddr, opt.DialWindow)
+	conn, err := dialRetry(ctx, opt.CoordAddr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dialing coordinator %s: %w", opt.CoordAddr, err)
 	}
@@ -99,14 +85,14 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 	}
 	return nodeShell{
 		id: opt.ID, dataAddr: adv, chaos: opt.Chaos,
-		// Everything on the first job arrived from outside the process, so
-		// the engine is built from verified bytes and the peer directory.
-		engine: func(grp group.Group, job jobMsg, secrets trustedparty.NodeSecrets) (*vertex.Deployment, *vertex.Engine, error) {
-			dep, eng, err := newNodeEngine(opt.ID, peer, grp, job, secrets)
+		// Everything in the setup arrived from outside the process, so the
+		// engine is built from verified bytes and the peer directory.
+		engine: func(grp group.Group, sm setupMsg, secrets trustedparty.NodeSecrets) (*vertex.Deployment, *vertex.Engine, error) {
+			dep, eng, err := newNodeEngine(opt.ID, peer, grp, sm, secrets)
 			if err != nil {
 				return nil, nil, err
 			}
-			for id, addr := range job.Directory {
+			for id, addr := range sm.Directory {
 				if id != opt.ID {
 					peer.Register(id, addr)
 				}
@@ -126,17 +112,17 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 
 // nodeShell is what differs between the two ways a node is started: a
 // daemon (RunNode) builds its engine on tcpnet from the verified bytes of
-// its first job, a node of an in-process fleet (OpenHub) on the hub from its
+// its setup, a node of an in-process fleet (OpenHub) on the hub from its
 // driver's own parts. Everything else is serve, and both run it.
 type nodeShell struct {
 	id network.NodeID
 	// dataAddr is the data-plane address peers dial ("" on the hub).
 	dataAddr string
 	chaos    *NodeChaos
-	// engine builds the node's engine on the session's first job. own is
-	// the deployment the node holds alone, or nil when it shares its
-	// driver's — whose certificate uses the driver then announces.
-	engine func(grp group.Group, job jobMsg, secrets trustedparty.NodeSecrets) (own *vertex.Deployment, e *vertex.Engine, err error)
+	// engine builds the node's engine from the session's setup. own is the
+	// deployment the node holds alone, or nil when it shares its driver's —
+	// whose certificate uses the driver then announces.
+	engine func(grp group.Group, sm setupMsg, secrets trustedparty.NodeSecrets) (own *vertex.Deployment, e *vertex.Engine, err error)
 	// recovery turns a recovery announcement into the engine's
 	// instructions.
 	recovery func(grp group.Group, rm recoverMsg) (*vertex.Recovery, error)
@@ -192,22 +178,42 @@ func (sh nodeShell) serve(ctx context.Context, conn net.Conn) (*vertex.NodeResul
 	if err := enc.Encode(regMsg{Reg: trustedparty.MarshalRegistration(grp, reg)}); err != nil {
 		return nil, fmt.Errorf("cluster: sending registration: %w", err)
 	}
+	// The deployment arrives once, before any job: the engine is built from
+	// it before anything else is read, so every job finds it standing.
+	var sm setupMsg
+	if err := dec.Decode(&sm); err != nil {
+		return nil, fmt.Errorf("cluster: reading setup: %w", err)
+	}
+	own, eng, err := sh.engine(grp, sm, secrets)
+	if err != nil {
+		return nil, err
+	}
+	// encMu serializes control-plane encodes (done reports, checkpoints and
+	// heartbeat replies) on the shared connection.
+	var encMu sync.Mutex
+	send := func(m nodeMsg) error {
+		encMu.Lock()
+		defer encMu.Unlock()
+		return enc.Encode(m)
+	}
+	eng.ShipCheckpoint = func(seq, attempt, barrier int, blob []byte) {
+		c := ckptMsg{Seq: seq, Attempt: attempt, Barrier: barrier, Blob: blob}
+		if err := send(nodeMsg{Ckpt: &c}); err != nil {
+			slog.Warn("cluster checkpoint ship failed",
+				"node", sh.id, "query", seq, "barrier", barrier, "error", err)
+		}
+	}
 
 	// Jobs overlap: each runs in its own goroutine against per-query state
 	// (the engine keys share registers and GMW sessions by job.Seq), while
 	// the engine itself — substrate, setup, and the deployment state it was
-	// built on — stands for the whole session. encMu serializes
-	// control-plane encodes (done reports and heartbeat replies) on the
-	// shared connection; any job failure is fatal for the node
-	// (fail-stop). The health-plane state — live trace map,
+	// built on — stands for the whole session. Any job failure is fatal for
+	// the node (fail-stop). The health-plane state — live trace map,
 	// per-job progress, the flight-recorder ring every job's trace feeds —
 	// is declared before the decoder goroutine because heartbeats read it.
 	flight := obs.NewFlight(0)
 	var (
-		own        *vertex.Deployment
-		eng        *vertex.Engine
 		inflight   sync.WaitGroup
-		encMu      sync.Mutex
 		stateMu    sync.Mutex
 		last       *vertex.NodeResult
 		fatalErr   error
@@ -215,11 +221,6 @@ func (sh nodeShell) serve(ctx context.Context, conn net.Conn) (*vertex.NodeResul
 		progress   = make(map[int]*jobProgress)
 		runs       = make(map[int]*runHandle)
 	)
-	send := func(m nodeMsg) error {
-		encMu.Lock()
-		defer encMu.Unlock()
-		return enc.Encode(m)
-	}
 	buildBeat := func(t1 int64) *beatMsg {
 		t2 := time.Now().UnixNano()
 		var ms runtime.MemStats
@@ -229,12 +230,10 @@ func (sh nodeShell) serve(ctx context.Context, conn net.Conn) (*vertex.NodeResul
 			Goroutines: runtime.NumGoroutine(),
 			HeapBytes:  ms.HeapAlloc,
 			GCPauseNS:  ms.PauseTotalNs,
+			Handshakes: eng.Handshakes(),
 			Flight:     flight.DrainNew(),
 		}
 		stateMu.Lock()
-		if eng != nil {
-			b.Handshakes = eng.Handshakes()
-		}
 		for seq, p := range progress {
 			b.Progress = append(b.Progress, queryProgress{Seq: seq, Phase: p.phase, Steps: p.steps})
 		}
@@ -290,12 +289,11 @@ func (sh nodeShell) serve(ctx context.Context, conn net.Conn) (*vertex.NodeResul
 		stateMu.Unlock()
 		ctlCancel()
 	}
-	runOne := func(req runReq) {
+	// runOne runs one attempt of a job from barrier fromBarrier (−1 runs
+	// from initialization).
+	runOne := func(runCtx context.Context, h *runHandle, job jobMsg, fromBarrier int) {
 		defer inflight.Done()
-		job := req.job
-		runCtx, runCancel := context.WithCancel(ctlCtx)
-		defer runCancel()
-		h := &runHandle{cancel: runCancel, done: make(chan struct{}), attempt: req.attempt}
+		defer h.cancel()
 		defer close(h.done)
 		// Nodes always record: a per-job trace is a few hundred spans and
 		// ships over the control plane only after the query, so the data
@@ -306,11 +304,8 @@ func (sh nodeShell) serve(ctx context.Context, conn net.Conn) (*vertex.NodeResul
 		// for the failure path.
 		trace := obs.NewTrace(int32(sh.id))
 		trace.AttachFlight(flight)
-		var qtag string
-		if job.Seq > 0 {
-			qtag = network.Tag("q", job.Seq)
-			trace.SetQuery(qtag)
-		}
+		qtag := network.Tag("q", job.Seq)
+		trace.SetQuery(qtag)
 		// "dispatched" counts as the first step: a node that dies during
 		// engine setup — before the protocol's first ReportProgress — still
 		// ships a phase the post-mortem can name, instead of an empty one.
@@ -318,7 +313,6 @@ func (sh nodeShell) serve(ctx context.Context, conn net.Conn) (*vertex.NodeResul
 		stateMu.Lock()
 		liveTraces[job.Seq] = trace
 		progress[job.Seq] = prog
-		runs[job.Seq] = h
 		stateMu.Unlock()
 		flight.Record(obs.FlightEvent{
 			At: time.Now().UnixNano(), Kind: "phase", Name: "dispatched",
@@ -339,15 +333,15 @@ func (sh nodeShell) serve(ctx context.Context, conn net.Conn) (*vertex.NodeResul
 			})
 		})
 		slog.Debug("cluster job received",
-			"node", sh.id, "query", job.Seq, "attempt", req.attempt, "iterations", job.Iterations)
+			"node", sh.id, "query", job.Seq, "attempt", job.Attempt, "iterations", job.Iterations)
 		if own != nil {
 			// A node holding its deployment alone is a single sender, so
 			// each certificate key it caches is used once per iteration.
 			own.ExpectCertUses(job.Iterations)
 		}
 		res, runErr := eng.Run(jobCtx, vertex.Job{
-			Seq: job.Seq, Attempt: req.attempt, FromBarrier: req.fromBarrier,
-			Iterations: job.Iterations, Epsilon: job.Cfg.Epsilon,
+			Seq: job.Seq, Attempt: job.Attempt, FromBarrier: fromBarrier,
+			Iterations: job.Iterations, Epsilon: job.Epsilon,
 			Inputs: job.Inputs, Chaos: sh.chaos,
 		})
 		if runErr != nil {
@@ -366,11 +360,11 @@ func (sh nodeShell) serve(ctx context.Context, conn net.Conn) (*vertex.NodeResul
 			// A recovery canceled this attempt; a resumed attempt replaces
 			// it, so neither its error nor a report reaches the coordinator.
 			slog.Debug("cluster job superseded by recovery",
-				"node", sh.id, "query", job.Seq, "attempt", req.attempt)
+				"node", sh.id, "query", job.Seq, "attempt", job.Attempt)
 			return
 		}
 		done := doneMsg{
-			ID: sh.id, Seq: job.Seq, Attempt: req.attempt, Row: *res,
+			ID: sh.id, Seq: job.Seq, Attempt: job.Attempt, Row: *res,
 			Spans: trace.Spans(), Counters: trace.Counters(),
 			Epoch: trace.Epoch().UnixNano(), LastPhase: lastPhase,
 		}
@@ -395,7 +389,7 @@ func (sh nodeShell) serve(ctx context.Context, conn net.Conn) (*vertex.NodeResul
 			// whether to re-block and resume or abort the session. Without
 			// it (or when even the report could not be sent) the daemon
 			// fail-stops as before.
-			if !job.Recover || encErr != nil {
+			if !sm.Recover || encErr != nil {
 				setFatal(runErr)
 			}
 			return
@@ -404,21 +398,29 @@ func (sh nodeShell) serve(ctx context.Context, conn net.Conn) (*vertex.NodeResul
 		last = res
 		stateMu.Unlock()
 	}
+	// start registers a run's handle before its goroutine exists, so a
+	// recovery announced right behind the job on the control connection
+	// always finds — and supersedes — the attempt it replaces.
+	start := func(job jobMsg, fromBarrier int) {
+		runCtx, cancel := context.WithCancel(ctlCtx)
+		h := &runHandle{cancel: cancel, done: make(chan struct{}), attempt: job.Attempt}
+		stateMu.Lock()
+		runs[job.Seq] = h
+		stateMu.Unlock()
+		inflight.Add(1)
+		go runOne(runCtx, h, job, fromBarrier)
+	}
 	handleRecover := func(rm recoverMsg) error {
 		stateMu.Lock()
-		e := eng
 		var waits []*runHandle
 		for _, r := range rm.Resumes {
-			if h := runs[r.Seq]; h != nil && h.attempt < r.Attempt {
+			if h := runs[r.Job.Seq]; h != nil && h.attempt < r.Job.Attempt {
 				h.superseded = true
 				h.cancel()
 				waits = append(waits, h)
 			}
 		}
 		stateMu.Unlock()
-		if e == nil {
-			return fmt.Errorf("cluster: node %d got a recover message before any job", sh.id)
-		}
 		// Superseded attempts must fully unwind before the engine's
 		// setup-derived state is swapped under them.
 		for _, h := range waits {
@@ -431,18 +433,15 @@ func (sh nodeShell) serve(ctx context.Context, conn net.Conn) (*vertex.NodeResul
 		})
 		rec, err := sh.recovery(grp, rm)
 		if err == nil {
-			err = e.ApplyRecovery(rec)
+			err = eng.ApplyRecovery(rec)
 		}
 		if err != nil {
 			return fmt.Errorf("cluster: node %d applying reblock: %w", sh.id, err)
 		}
 		for _, r := range rm.Resumes {
-			job := r.Job
-			job.Seq, job.Attempt = r.Seq, r.Attempt
 			slog.Info("cluster resuming query after reblock",
-				"node", sh.id, "query", r.Seq, "attempt", r.Attempt, "barrier", r.Barrier)
-			inflight.Add(1)
-			go runOne(runReq{job: job, attempt: r.Attempt, fromBarrier: r.Barrier})
+				"node", sh.id, "query", r.Job.Seq, "attempt", r.Job.Attempt, "barrier", r.Barrier)
+			start(r.Job, r.Barrier)
 		}
 		return nil
 	}
@@ -462,29 +461,7 @@ func (sh nodeShell) serve(ctx context.Context, conn net.Conn) (*vertex.NodeResul
 			stateMu.Unlock()
 			return res, err
 		}
-		if eng == nil {
-			// The engine is built synchronously on the first job, so
-			// overlapping later jobs always find it standing. The write is
-			// published under stateMu because the decoder goroutine reads
-			// eng when building heartbeat replies.
-			d, e, err := sh.engine(grp, job, secrets)
-			if err != nil {
-				send(nodeMsg{Done: &doneMsg{ID: sh.id, Seq: job.Seq, Attempt: 1, Err: err.Error()}})
-				return nil, err
-			}
-			e.ShipCheckpoint = func(seq, attempt, barrier int, blob []byte) {
-				c := ckptMsg{Seq: seq, Attempt: attempt, Barrier: barrier, Blob: blob}
-				if err := send(nodeMsg{Ckpt: &c}); err != nil {
-					slog.Warn("cluster checkpoint ship failed",
-						"node", sh.id, "query", seq, "barrier", barrier, "error", err)
-				}
-			}
-			stateMu.Lock()
-			own, eng = d, e
-			stateMu.Unlock()
-		}
-		inflight.Add(1)
-		go runOne(runReq{job: job, attempt: normAttempt(job.Attempt), fromBarrier: -1})
+		start(job, -1)
 	}
 	// The job channel closed without a shutdown message: the control plane
 	// is gone (coordinator abort, node failure elsewhere, caller
@@ -519,15 +496,12 @@ func selfDialAddr(listenAddr string) string {
 // starts node processes before the coordinator's listener is up, so early
 // refusals are retried — quickly at first (a coordinator racing us up is
 // ready within milliseconds), backing off to 1s between attempts. The
-// retry window is capped by ctx's deadline; when ctx has none, `window`
-// (default 10s) bounds it.
-func dialRetry(ctx context.Context, addr string, window time.Duration) (net.Conn, error) {
-	if window <= 0 {
-		window = 10 * time.Second
-	}
+// retry window is capped by ctx's deadline; when ctx has none, ten seconds
+// bound it.
+func dialRetry(ctx context.Context, addr string) (net.Conn, error) {
 	if _, has := ctx.Deadline(); !has {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, window)
+		ctx, cancel = context.WithTimeout(ctx, 10*time.Second)
 		defer cancel()
 	}
 	var d net.Dialer
@@ -550,29 +524,29 @@ func dialRetry(ctx context.Context, addr string, window time.Duration) (net.Conn
 	}
 }
 
-// newNodeEngine builds the node's protocol engine from the first job of a
-// session. Everything on that message arrived from outside the process, so
-// this is where it is checked: the topology is rebuilt edge by edge, and
-// the trusted party's signatures over the assignment and over every block
+// newNodeEngine builds the node's protocol engine from the session's setup.
+// Everything on that message arrived from outside the process, so this is
+// where it is checked: the topology is rebuilt edge by edge, and the
+// trusted party's signatures over the assignment and over every block
 // certificate are verified before the engine ever sees the setup.
-func newNodeEngine(id network.NodeID, tr network.Transport, grp group.Group, job jobMsg, secrets trustedparty.NodeSecrets) (*vertex.Deployment, *vertex.Engine, error) {
-	prog, err := job.Prog.Build()
+func newNodeEngine(id network.NodeID, tr network.Transport, grp group.Group, sm setupMsg, secrets trustedparty.NodeSecrets) (*vertex.Deployment, *vertex.Engine, error) {
+	prog, err := sm.Prog.Build()
 	if err != nil {
 		return nil, nil, err
 	}
-	g := vertex.NewGraph(len(job.Topo.Out), job.Topo.D)
-	for u, outs := range job.Topo.Out {
+	g := vertex.NewGraph(len(sm.Topo.Out), sm.Topo.D)
+	for u, outs := range sm.Topo.Out {
 		for _, v := range outs {
 			if err := g.AddEdge(u, v); err != nil {
 				return nil, nil, err
 			}
 		}
 	}
-	setup, err := verifiedSetup(grp, job.Setup)
+	setup, err := verifiedSetup(grp, sm.Setup)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: node %d: %w", id, err)
 	}
-	dep, err := newDeployment(grp, job.Cfg, job.Recover, prog, g)
+	dep, err := newDeployment(grp, sm.Cfg, sm.Recover, prog, g)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -588,8 +562,7 @@ func newNodeEngine(id network.NodeID, tr network.Transport, grp group.Group, job
 // shares.
 func newDeployment(grp group.Group, cfg ConfigWire, recover bool, prog *vertex.Program, g *vertex.Graph) (*vertex.Deployment, error) {
 	return vertex.NewDeployment(vertex.Config{
-		Group: grp, K: cfg.K, Alpha: cfg.Alpha, NoiseShift: cfg.NoiseShift,
-		TablePFail: cfg.TablePFail, AggFanIn: cfg.AggFanIn, Recover: recover,
+		Group: grp, K: cfg.K, Alpha: cfg.Alpha, AggFanIn: cfg.AggFanIn, Recover: recover,
 	}, prog, g)
 }
 

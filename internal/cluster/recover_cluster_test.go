@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dstress/internal/network"
+	"dstress/internal/trustedparty"
 	"dstress/internal/vertex"
 )
 
@@ -18,20 +19,85 @@ import (
 // the plaintext reference exactly. The session must stay usable for a
 // second query on the shrunken fleet.
 func TestClusterChaosRecovery(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		open func(context.Context, Scenario) (*Session, error)
-	}{
-		{"tcp", OpenLoopback},
-		{"hub", func(ctx context.Context, sc Scenario) (*Session, error) {
-			prog, err := sc.Prog.Build()
-			if err != nil {
-				return nil, err
-			}
-			return OpenHub(ctx, sc, prog, OTDealer)
-		}},
-	} {
+	for _, tc := range fleetStarts {
 		t.Run(tc.name, func(t *testing.T) { chaosRecovery(t, tc.open) })
+	}
+}
+
+// fleetStarts are the two ways of starting a fleet in this process: real
+// node daemons on loopback TCP, and node goroutines on the hub.
+var fleetStarts = []struct {
+	name string
+	open func(context.Context, Scenario) (*Session, error)
+}{
+	{"tcp", OpenLoopback},
+	{"hub", func(ctx context.Context, sc Scenario) (*Session, error) {
+		prog, err := sc.Prog.Build()
+		if err != nil {
+			return nil, err
+		}
+		return OpenHub(ctx, sc, prog, OTDealer)
+	}},
+}
+
+// TestRecoveryBeforeFirstQuery severs one node's control connection right
+// after Open, before any query has run, on both ways of starting the nodes.
+// With recovery on, the first query meets the death like any other: the
+// fleet re-blocks around the casualty before dispatching, the query runs
+// from initialization on the survivors, and the ε=0 result still
+// reproduces the plaintext reference exactly with one recovery counted.
+func TestRecoveryBeforeFirstQuery(t *testing.T) {
+	for _, tc := range fleetStarts {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}
+			const victim = network.NodeID(3)
+			sc, exact := enChainScenario(t, 6, cfg, 4)
+			sc.Heartbeat = 25 * time.Millisecond
+			sc.Recover = true
+			ctx, cancel := context.WithTimeout(context.Background(), 180*time.Second)
+			defer cancel()
+			// An unlucky assignment draw leaves the victim no stand-in
+			// (trustedparty.ErrNoReplacement); redraw as chaosRecovery does.
+			for attempt := 1; ; attempt++ {
+				sess, err := tc.open(ctx, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess.mu.Lock()
+				sess.conns[victim].conn.Close()
+				sess.mu.Unlock()
+				// The coordinator's reader notices the loss on its own; the
+				// query goes out once it has, so the death is one the fleet
+				// met while idle.
+				for len(sess.deathCh) == 0 {
+					if ctx.Err() != nil {
+						t.Fatal("the severed connection was never noticed")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				res, err := sess.Query(ctx, Query{})
+				sess.Close() // reports the severed node's exit; not under test
+				if err != nil {
+					if !strings.Contains(err.Error(), trustedparty.ErrNoReplacement.Error()) || attempt >= 5 {
+						t.Fatalf("first query after the death failed: %v", err)
+					}
+					t.Logf("assignment draw %d left the victim unrecoverable, redrawing: %v", attempt, err)
+					continue
+				}
+				if res.Raw != exact {
+					t.Errorf("recovered result %d != reference %d", res.Raw, exact)
+				}
+				if res.Report.Recoveries != 1 {
+					t.Errorf("Recoveries = %d, want 1", res.Report.Recoveries)
+				}
+				for _, n := range res.Report.NodePhases {
+					if n.Node == victim {
+						t.Error("report still carries a row from the dead node")
+					}
+				}
+				return
+			}
+		})
 	}
 }
 
@@ -54,14 +120,14 @@ func chaosRecovery(t *testing.T, open func(context.Context, Scenario) (*Session,
 	// QueryError cause string), and the fleet fail-stops. This test
 	// exercises the recoverable path, so an unlucky draw is redrawn.
 	var lb *Session
-	var sum *Summary
+	var res *Result
 	for attempt := 1; ; attempt++ {
 		var err error
 		lb, err = open(ctx, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, err = lb.Run(ctx, Query{Iterations: iters})
+		res, err = lb.Query(ctx, Query{Iterations: iters})
 		if err == nil {
 			break
 		}
@@ -75,25 +141,26 @@ func chaosRecovery(t *testing.T, open func(context.Context, Scenario) (*Session,
 	if ctx.Err() != nil {
 		t.Fatal("test deadline expired")
 	}
-	if sum.Result != exact {
-		t.Errorf("recovered result %d != reference %d", sum.Result, exact)
+	rep := res.Report
+	if res.Raw != exact {
+		t.Errorf("recovered result %d != reference %d", res.Raw, exact)
 	}
-	if sum.Report.Recoveries != 1 {
-		t.Errorf("Recoveries = %d, want 1", sum.Report.Recoveries)
+	if rep.Recoveries != 1 {
+		t.Errorf("Recoveries = %d, want 1", rep.Recoveries)
 	}
-	if len(sum.Nodes) != 5 {
-		t.Errorf("got %d node rows, want 5 survivors", len(sum.Nodes))
+	if len(rep.NodePhases) != 5 {
+		t.Errorf("got %d node rows, want 5 survivors", len(rep.NodePhases))
 	}
-	for _, n := range sum.Nodes {
+	for _, n := range rep.NodePhases {
 		if n.Node == victim {
-			t.Error("summary still carries a row from the dead node")
+			t.Error("report still carries a row from the dead node")
 		}
 	}
-	if sum.Report.ReplayedBarriers < 1 {
+	if rep.ReplayedBarriers < 1 {
 		t.Error("no node reports any replayed barrier")
 	}
 	var death, reblock, resume bool
-	for _, ev := range sum.RecoveryEvents {
+	for _, ev := range rep.RecoveryEvents {
 		if ev.Kind != "recover" {
 			continue
 		}
@@ -108,10 +175,10 @@ func chaosRecovery(t *testing.T, open func(context.Context, Scenario) (*Session,
 	}
 	if !death || !reblock || !resume {
 		t.Errorf("recovery timeline incomplete (death=%v reblock=%v resume=%v): %+v",
-			death, reblock, resume, sum.RecoveryEvents)
+			death, reblock, resume, rep.RecoveryEvents)
 	}
 
-	fh := lb.Health()
+	fh := lb.Fleet()
 	if fh.Recoveries != 1 {
 		t.Errorf("fleet health Recoveries = %d, want 1", fh.Recoveries)
 	}
@@ -132,15 +199,15 @@ func chaosRecovery(t *testing.T, open func(context.Context, Scenario) (*Session,
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum2, err := lb.Run(ctx, Query{Iterations: iters2})
+	res2, err := lb.Query(ctx, Query{Iterations: iters2})
 	if err != nil {
 		t.Fatalf("post-recovery query failed: %v", err)
 	}
-	if sum2.Result != exact2 {
-		t.Errorf("post-recovery result %d != reference %d", sum2.Result, exact2)
+	if res2.Raw != exact2 {
+		t.Errorf("post-recovery result %d != reference %d", res2.Raw, exact2)
 	}
-	if sum2.Report.Recoveries != 0 {
-		t.Errorf("post-recovery query reports %d recoveries", sum2.Report.Recoveries)
+	if res2.Report.Recoveries != 0 {
+		t.Errorf("post-recovery query reports %d recoveries", res2.Report.Recoveries)
 	}
 }
 

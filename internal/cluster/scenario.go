@@ -28,7 +28,8 @@ type SyntheticOptions struct {
 // BuildSynthetic generates the banking network, compiles the scenario, and
 // returns it together with the trusted-baseline TDS in dollars (what a
 // regulator seeing all books would compute) for comparison against the
-// released value.
+// released value. The scenario's Decode converts a released raw aggregate
+// back to dollars.
 func BuildSynthetic(o SyntheticOptions) (Scenario, float64, error) {
 	if o.Iterations == 0 {
 		o.Iterations = risk.RecommendedIterations(o.N)
@@ -52,6 +53,7 @@ func BuildSynthetic(o SyntheticOptions) (Scenario, float64, error) {
 		},
 		Prog:       spec,
 		Iterations: o.Iterations,
+		Decode:     ccfg.Decode,
 	}
 	var exactTDS float64
 	switch o.Model {
@@ -77,10 +79,4 @@ func BuildSynthetic(o SyntheticOptions) (Scenario, float64, error) {
 		return Scenario{}, 0, err
 	}
 	return sc, exactTDS, nil
-}
-
-// DecodeDollars converts a released raw aggregate back to dollars for the
-// synthetic scenarios built by BuildSynthetic.
-func DecodeDollars(sc Scenario, raw int64) float64 {
-	return risk.CircuitConfig{Width: sc.Prog.Width, Unit: sc.Prog.Unit}.Decode(raw)
 }

@@ -9,11 +9,12 @@ package cluster
 //	coordinator → node   paramsMsg    (public system parameters, §3.4 step 1)
 //	node → coordinator   regMsg       (ElGamal public keys + neighbor keys;
 //	                                   the private halves never leave the node)
-//	coordinator → node   ctrlMsg      (either a jobMsg — program spec,
-//	                                   topology, owner inputs, node directory,
-//	                                   signed setup, iteration count, the §3.4
-//	                                   step-2/3 publication — or a pingMsg
-//	                                   heartbeat probe)
+//	coordinator → node   setupMsg     (the deployment: program spec, config,
+//	                                   topology, node directory, and the
+//	                                   signed §3.4 step-2/3 publication)
+//	coordinator → node   ctrlMsg      (a jobMsg — one query's owner inputs,
+//	                                   iteration count and ε — a pingMsg
+//	                                   heartbeat probe, or a recoverMsg)
 //	node → coordinator   nodeMsg      (either a doneMsg — the node's
 //	                                   vertex.NodeResult row — or a beatMsg
 //	                                   heartbeat reply)
@@ -45,13 +46,11 @@ import (
 // machines — the paper-faithful configuration needs no dealer anyway); only
 // an in-process fleet picks it, when it is opened (OpenHub).
 type ConfigWire struct {
-	Group      string
-	K          int
-	Alpha      float64
-	Epsilon    float64
-	NoiseShift int
-	TablePFail float64
-	AggFanIn   int
+	Group    string
+	K        int
+	Alpha    float64
+	Epsilon  float64
+	AggFanIn int
 }
 
 // TopologyWire is the public part of the graph: degree bound and edge
@@ -78,6 +77,25 @@ type paramsMsg struct {
 
 type regMsg struct {
 	Reg trustedparty.WireRegistration
+}
+
+// setupMsg is everything a node builds its engine from, sent once by Open
+// right after the trusted-party setup and before any job: the standing
+// deployment's program, configuration and topology, the peer directory, and
+// the trusted party's signed publication. An in-process fleet shares its
+// driver's deployment and publication, so its nodes receive an empty one.
+type setupMsg struct {
+	Cfg  ConfigWire
+	Prog ProgramSpec
+	Topo TopologyWire
+	// Directory maps node id → data-plane address for every participant.
+	Directory map[network.NodeID]string
+	Setup     trustedparty.WireSetup
+	// Recover opts the node into the failure-recovery plane: exchange the
+	// fleet recovery key at engine bootstrap, archive and ship encrypted
+	// share snapshots at every phase barrier, and survive run failures
+	// (report them on doneMsg without poisoning the standing daemon).
+	Recover bool
 }
 
 // ctrlMsg is the coordinator→node envelope: exactly one field is non-nil.
@@ -142,12 +160,21 @@ type jobMsg struct {
 	// running another query, and every other field is ignored.
 	Shutdown bool
 
-	Cfg  ConfigWire
-	Prog ProgramSpec
-	// Topo, Directory, and Setup describe the standing deployment; they
-	// ride only on a session's first job. Later jobs reuse the node's
-	// standing graph, peer connections, and GMW sessions.
-	Topo TopologyWire
+	// Seq is the session-wide query sequence number (1-based). It is the
+	// query id: every data-plane tag of this job lives under the
+	// "q/<Seq>" namespace, nodes key their per-query protocol state by
+	// it, and it routes the matching doneMsg back to the query that sent
+	// the job — so jobs may overlap on one standing fleet.
+	Seq int
+	// Attempt is 1 on every coordinator-dispatched job. Resumed runs after
+	// a recovery are re-spawned node-side with the attempt carried by the
+	// recoverMsg; the field exists on the wire so doneMsg can echo it.
+	Attempt int
+	// Iterations triggers the run: compute/communicate steps followed by
+	// the final computation step and aggregation. Epsilon is the query's
+	// privacy budget.
+	Iterations int
+	Epsilon    float64
 	// Inputs are the owner inputs of every vertex the receiving node acts
 	// as owner of — its own vertex, plus any it adopted in an earlier
 	// re-blocking — keyed by vertex index. They are resent on every job so
@@ -156,28 +183,6 @@ type jobMsg struct {
 	// inputs (see the package comment), so handing a dead owner's inputs to
 	// its replacement adds no new trust exposure.
 	Inputs map[int]vertex.OwnerInput
-	// Directory maps node id → data-plane address for every participant.
-	Directory map[network.NodeID]string
-	Setup     trustedparty.WireSetup
-	// Iterations triggers the run: compute/communicate steps followed by
-	// the final computation step and aggregation. Cfg.Epsilon carries the
-	// query's privacy budget.
-	Iterations int
-	// Seq is the session-wide query sequence number (1-based). It is the
-	// query id: every data-plane tag of this job lives under the
-	// "q/<Seq>" namespace, nodes key their per-query protocol state by
-	// it, and it routes the matching doneMsg back to the Run that sent
-	// the job — so jobs may overlap on one standing fleet.
-	Seq int
-	// Attempt is 1 on every coordinator-dispatched job. Resumed runs after
-	// a recovery are re-spawned node-side with the attempt carried by the
-	// recoverMsg; the field exists on the wire so doneMsg can echo it.
-	Attempt int
-	// Recover opts the node into the failure-recovery plane: exchange the
-	// fleet recovery key at engine bootstrap, archive and ship encrypted
-	// share snapshots at every phase barrier, and survive run failures
-	// (report them on doneMsg without poisoning the standing daemon).
-	Recover bool
 }
 
 // ckptMsg ships one node's encrypted share snapshot for one phase barrier
@@ -194,12 +199,11 @@ type ckptMsg struct {
 }
 
 // resumeSpec tells a node to resume one in-flight query from a barrier.
-// It carries a full per-node job message (rebuilt by the coordinator, which
-// is the dispatcher) so even a node that never received the original
-// dispatch — a query can die mid-dispatch — can run the resumed attempt.
+// It carries a full per-node job message for the new attempt (rebuilt by
+// the coordinator, which is the dispatcher) so even a node that never
+// received the original dispatch — a query can die mid-dispatch — can run
+// the resumed attempt.
 type resumeSpec struct {
-	Seq     int
-	Attempt int
 	// Barrier is the resume point; −1 means no common checkpoint exists
 	// and the query restarts from initialization (under attempt tags).
 	Barrier int

@@ -74,14 +74,14 @@ func runE2E(o Options, model string, blockSize, n, d, iters int) (*vertex.Report
 		return nil, err
 	}
 	open := time.Since(start)
-	sum, err := sess.Run(ctx, cluster.Query{Iterations: iters})
+	res, err := sess.Query(ctx, cluster.Query{Iterations: iters})
 	if cerr := sess.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return nil, err
 	}
-	rep := sum.Report
+	rep := &res.Report.Report
 	rep.SetupTime += open
 	return rep, nil
 }

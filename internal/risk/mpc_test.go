@@ -10,8 +10,8 @@ import (
 )
 
 // runMPC runs the program's ε=0 query on a simulated deployment of
-// two-member blocks and returns the driver's summary.
-func runMPC(t *testing.T, prog *vertex.Program, g *vertex.Graph, iters int) *cluster.Summary {
+// two-member blocks and returns its result.
+func runMPC(t *testing.T, prog *vertex.Program, g *vertex.Graph, iters int) *cluster.Result {
 	t.Helper()
 	ctx := context.Background()
 	sc := cluster.Scenario{Cfg: cluster.ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}, Graph: g, Iterations: iters}
@@ -20,11 +20,11 @@ func runMPC(t *testing.T, prog *vertex.Program, g *vertex.Graph, iters int) *clu
 		t.Fatal(err)
 	}
 	defer f.Close()
-	sum, err := f.Run(ctx, cluster.Query{Iterations: iters})
+	res, err := f.Query(ctx, cluster.Query{Iterations: iters})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sum
+	return res
 }
 
 func TestENEndToEndMPC(t *testing.T) {
@@ -42,16 +42,16 @@ func TestENEndToEndMPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := runMPC(t, prog, g, iters)
-	if sum.Result != wantRaw {
-		t.Errorf("MPC TDS raw = %d, reference = %d", sum.Result, wantRaw)
+	res := runMPC(t, prog, g, iters)
+	if res.Raw != wantRaw {
+		t.Errorf("MPC TDS raw = %d, reference = %d", res.Raw, wantRaw)
 	}
-	rep := sum.Report
+	rep := res.Report
 	if rep.UpdateAndGates < 1000 {
 		t.Errorf("EN update circuit suspiciously small: %d AND gates", rep.UpdateAndGates)
 	}
 	t.Logf("EN end-to-end: TDS = %v, update circuit %d ANDs, total %.1f KB/node avg",
-		cfg.Decode(sum.Result), rep.UpdateAndGates, rep.AvgNodeBytes/1024)
+		cfg.Decode(res.Raw), rep.UpdateAndGates, rep.AvgNodeBytes/1024)
 }
 
 func TestEGJEndToEndMPC(t *testing.T) {
@@ -69,7 +69,7 @@ func TestEGJEndToEndMPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum := runMPC(t, prog, g, iters); sum.Result != wantRaw {
-		t.Errorf("MPC TDS raw = %d, reference = %d", sum.Result, wantRaw)
+	if res := runMPC(t, prog, g, iters); res.Raw != wantRaw {
+		t.Errorf("MPC TDS raw = %d, reference = %d", res.Raw, wantRaw)
 	}
 }

@@ -38,14 +38,14 @@ func openHub(t *testing.T, ctx context.Context, sc cluster.Scenario, p *vertex.P
 }
 
 // runHub runs one query on a fresh simulated deployment.
-func runHub(t *testing.T, sc cluster.Scenario, p *vertex.Program, mode cluster.OTMode, iters int, epsilon float64) *cluster.Summary {
+func runHub(t *testing.T, sc cluster.Scenario, p *vertex.Program, mode cluster.OTMode, iters int, epsilon float64) *cluster.Result {
 	t.Helper()
 	ctx := context.Background()
-	sum, err := openHub(t, ctx, sc, p, mode).Run(ctx, cluster.Query{Iterations: iters, Epsilon: epsilon})
+	res, err := openHub(t, ctx, sc, p, mode).Query(ctx, cluster.Query{Iterations: iters, Epsilon: epsilon})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sum
+	return res
 }
 
 func TestRuntimeMatchesReference(t *testing.T) {
@@ -55,11 +55,11 @@ func TestRuntimeMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := runHub(t, hubScenario(g, 2, 0.5), p, cluster.OTDealer, 2, 0)
-	if sum.Result != want {
-		t.Errorf("MPC run = %d, reference = %d", sum.Result, want)
+	res := runHub(t, hubScenario(g, 2, 0.5), p, cluster.OTDealer, 2, 0)
+	if res.Raw != want {
+		t.Errorf("MPC run = %d, reference = %d", res.Raw, want)
 	}
-	rep := sum.Report
+	rep := res.Report
 	if rep.Iterations != 2 {
 		t.Errorf("report iterations = %d", rep.Iterations)
 	}
@@ -73,8 +73,8 @@ func TestRuntimeMatchesReference(t *testing.T) {
 		t.Error("circuit sizes not reported")
 	}
 	// The phase table is folded from one row per node, sorted by id.
-	if len(sum.Nodes) != g.N() || !slices.IsSortedFunc(sum.Nodes, func(a, b vertex.NodeResult) int { return int(a.Node - b.Node) }) {
-		t.Errorf("summary rows %d, want %d sorted by node id", len(sum.Nodes), g.N())
+	if len(rep.NodePhases) != g.N() || !slices.IsSortedFunc(rep.NodePhases, func(a, b vertex.NodeResult) int { return int(a.Node - b.Node) }) {
+		t.Errorf("report rows %d, want %d sorted by node id", len(rep.NodePhases), g.N())
 	}
 }
 
@@ -86,7 +86,7 @@ func TestRuntimeNoTransferNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runHub(t, hubScenario(g, 1, 0), p, cluster.OTDealer, 1, 0).Result; got != want {
+	if got := runHub(t, hubScenario(g, 1, 0), p, cluster.OTDealer, 1, 0).Raw; got != want {
 		t.Errorf("got %d, want %d", got, want)
 	}
 }
@@ -104,7 +104,7 @@ func TestRuntimeWithOutputNoise(t *testing.T) {
 	const eps = 1.0
 	seen := map[int64]bool{}
 	for trial := 0; trial < 3; trial++ {
-		got := runHub(t, hubScenario(g, 1, 0.5), p, cluster.OTDealer, 1, eps).Result
+		got := runHub(t, hubScenario(g, 1, 0.5), p, cluster.OTDealer, 1, eps).Raw
 		diff := float64(got - exact)
 		// Scale is Sensitivity/eps = 1; |noise| > 40 has probability < 1e-17.
 		if math.Abs(diff) > 40 {
@@ -128,7 +128,7 @@ func TestRuntimeIKNP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runHub(t, hubScenario(g, 1, 0.5), p, cluster.OTIKNP, 1, 0).Result; got != want {
+	if got := runHub(t, hubScenario(g, 1, 0.5), p, cluster.OTIKNP, 1, 0).Raw; got != want {
 		t.Errorf("IKNP run = %d, reference = %d", got, want)
 	}
 }
@@ -166,7 +166,7 @@ func TestHierarchicalAggregationMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runHub(t, treeScenario(g, 0.5, 3), p, cluster.OTDealer, 1, 0).Result; got != want {
+	if got := runHub(t, treeScenario(g, 0.5, 3), p, cluster.OTDealer, 1, 0).Raw; got != want {
 		t.Errorf("tree aggregation = %d, reference = %d", got, want)
 	}
 }
@@ -179,7 +179,7 @@ func TestHierarchicalAggregationUnevenGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := runHub(t, treeScenario(g, 0, 3), p, cluster.OTDealer, 1, 0).Result; got != want {
+	if got := runHub(t, treeScenario(g, 0, 3), p, cluster.OTDealer, 1, 0).Raw; got != want {
 		t.Errorf("uneven tree aggregation = %d, reference = %d", got, want)
 	}
 }
@@ -191,7 +191,7 @@ func TestHierarchicalAggregationWithNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := runHub(t, treeScenario(g, 0.5, 2), p, cluster.OTDealer, 1, 1.0).Result
+	got := runHub(t, treeScenario(g, 0.5, 2), p, cluster.OTDealer, 1, 1.0).Raw
 	if diff := got - exact; diff > 40 || diff < -40 {
 		t.Errorf("tree noise %d implausibly large", diff)
 	}
@@ -207,7 +207,7 @@ func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := sess.Run(ctx, cluster.Query{Iterations: 500}) // far longer than the cancel delay
+		_, err := sess.Query(ctx, cluster.Query{Iterations: 500}) // far longer than the cancel delay
 		done <- err
 	}()
 	time.Sleep(100 * time.Millisecond)
@@ -240,23 +240,23 @@ func TestSessionQueriesMatchReference(t *testing.T) {
 	ctx := context.Background()
 	sess := openHub(t, ctx, hubScenario(g, 1, 0.5), p, cluster.OTDealer)
 	for q := 1; q <= 2; q++ {
-		sum, err := sess.Run(ctx, cluster.Query{Seq: q, Iterations: 2})
+		res, err := sess.Query(ctx, cluster.Query{Iterations: 2})
 		if err != nil {
 			t.Fatalf("query %d: %v", q, err)
 		}
-		if sum.Result != want {
-			t.Errorf("query %d = %d, want %d", q, sum.Result, want)
+		if res.Raw != want {
+			t.Errorf("query %d = %d, want %d", q, res.Raw, want)
 		}
 	}
 	const eps = 1.0
-	sum, err := sess.Run(ctx, cluster.Query{Seq: 3, Iterations: 2, Epsilon: eps})
+	res, err := sess.Query(ctx, cluster.Query{Iterations: 2, Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := vertex.DefaultNoiseSpec(eps, p.Sensitivity, 0)
 	bound := int64(spec.Trials) << spec.Shift
-	if diff := sum.Result - want; diff < -bound || diff > bound {
-		t.Errorf("noised query %d is beyond the structural bound ±%d of %d", sum.Result, bound, want)
+	if diff := res.Raw - want; diff < -bound || diff > bound {
+		t.Errorf("noised query %d is beyond the structural bound ±%d of %d", res.Raw, bound, want)
 	}
 }
 
@@ -310,40 +310,40 @@ func TestChaosRecoveryMatchesReference(t *testing.T) {
 					ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 					defer cancel()
 					sess := openHub(t, ctx, chaosScenario(treeScenario(g, 0.5, agg.fanIn), victim, barrier), p, cluster.OTDealer)
-					sum, err := sess.Run(ctx, cluster.Query{Iterations: iters})
+					res, err := sess.Query(ctx, cluster.Query{Iterations: iters})
 					if unrecoverable(err) {
 						return // correctly refused: the draw left no stand-in
 					}
 					if err != nil {
 						t.Fatal(err)
 					}
-					if sum.Result != want {
-						t.Errorf("recovered run = %d, reference = %d", sum.Result, want)
+					if res.Raw != want {
+						t.Errorf("recovered run = %d, reference = %d", res.Raw, want)
 					}
-					if sum.Report.Recoveries != 1 {
-						t.Errorf("Recoveries = %d, want 1", sum.Report.Recoveries)
+					if res.Report.Recoveries != 1 {
+						t.Errorf("Recoveries = %d, want 1", res.Report.Recoveries)
 					}
 					// The victim is out of the fleet: it reports no row, and the
 					// health plane lists it as the one casualty.
-					for _, n := range sum.Nodes {
+					for _, n := range res.Report.NodePhases {
 						if n.Node == network.NodeID(victim) {
-							t.Fatal("summary still carries a row from the victim")
+							t.Fatal("report still carries a row from the victim")
 						}
 					}
-					if dead := sess.Health().Dead; len(dead) != 1 || dead[0] != network.NodeID(victim) {
+					if dead := sess.Fleet().Dead; len(dead) != 1 || dead[0] != network.NodeID(victim) {
 						t.Errorf("fleet health Dead = %v, want [%d]", dead, victim)
 					}
 					// A later query runs on the re-blocked deployment (chaos
 					// fires only on the first attempt of the first query).
-					sum2, err := sess.Run(ctx, cluster.Query{Iterations: 2})
+					res2, err := sess.Query(ctx, cluster.Query{Iterations: 2})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if sum2.Result != want2 {
-						t.Errorf("post-recovery query = %d, reference = %d", sum2.Result, want2)
+					if res2.Raw != want2 {
+						t.Errorf("post-recovery query = %d, reference = %d", res2.Raw, want2)
 					}
-					if sum2.Report.Recoveries != 0 {
-						t.Errorf("post-recovery query reports %d recoveries", sum2.Report.Recoveries)
+					if res2.Report.Recoveries != 0 {
+						t.Errorf("post-recovery query reports %d recoveries", res2.Report.Recoveries)
 					}
 				})
 			}
@@ -369,7 +369,7 @@ func TestChaosRecoveryIKNP(t *testing.T) {
 	sc := chaosScenario(hubScenario(g, 1, 0), 2, 1)
 	// An unlucky draw leaves the victim no stand-in; redraw the deployment.
 	for attempt := 1; ; attempt++ {
-		sum, err := openHub(t, ctx, sc, p, cluster.OTIKNP).Run(ctx, cluster.Query{Iterations: iters})
+		res, err := openHub(t, ctx, sc, p, cluster.OTIKNP).Query(ctx, cluster.Query{Iterations: iters})
 		if unrecoverable(err) && attempt < 5 {
 			t.Logf("assignment draw %d left the victim unrecoverable, redrawing: %v", attempt, err)
 			continue
@@ -377,11 +377,11 @@ func TestChaosRecoveryIKNP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sum.Result != want {
-			t.Errorf("recovered IKNP run = %d, reference = %d", sum.Result, want)
+		if res.Raw != want {
+			t.Errorf("recovered IKNP run = %d, reference = %d", res.Raw, want)
 		}
-		if sum.Report.Recoveries != 1 {
-			t.Errorf("Recoveries = %d, want 1", sum.Report.Recoveries)
+		if res.Report.Recoveries != 1 {
+			t.Errorf("Recoveries = %d, want 1", res.Report.Recoveries)
 		}
 		return
 	}

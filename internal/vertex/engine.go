@@ -42,12 +42,6 @@ type Config struct {
 	K int
 	// Alpha is the transfer-noise parameter (§3.5); 0 disables edge noising.
 	Alpha float64
-	// NoiseShift samples output noise at a granularity of 2^NoiseShift raw
-	// LSBs (set to the program's fractional bits).
-	NoiseShift int
-	// TablePFail is the per-decryption failure budget used to size the
-	// ElGamal lookup table (Appendix B); 0 means 1e-12.
-	TablePFail float64
 	// AggFanIn enables hierarchical aggregation (§3.6): when positive and
 	// smaller than N, vertices are grouped into subtrees of at most
 	// AggFanIn states, each partially aggregated by an existing block,
@@ -60,6 +54,10 @@ type Config struct {
 	// error, matching the fail-stop behavior tests pin.
 	Recover bool
 }
+
+// tablePFail is the per-decryption failure budget the ElGamal lookup table
+// is sized for (Appendix B).
+const tablePFail = 1e-12
 
 // Deployment is what every engine of one deployment holds in common and
 // never changes per query: the compiled update circuit, the ε-keyed
@@ -90,8 +88,8 @@ type Deployment struct {
 }
 
 // NewDeployment validates the program, graph and parameters and builds the
-// shared per-deployment state. Of cfg it reads Group, K, Alpha, NoiseShift,
-// TablePFail, AggFanIn and Recover.
+// shared per-deployment state. Of cfg it reads Group, K, Alpha, AggFanIn
+// and Recover.
 func NewDeployment(cfg Config, prog *Program, g *Graph) (*Deployment, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
@@ -104,9 +102,6 @@ func NewDeployment(cfg Config, prog *Program, g *Graph) (*Deployment, error) {
 	}
 	if g.N() < cfg.K+1 {
 		return nil, fmt.Errorf("vertex: need at least K+1 = %d vertices, got %d", cfg.K+1, g.N())
-	}
-	if cfg.TablePFail == 0 {
-		cfg.TablePFail = 1e-12
 	}
 	d := &Deployment{
 		cfg: cfg, prog: prog, graph: g,
@@ -121,7 +116,7 @@ func NewDeployment(cfg Config, prog *Program, g *Graph) (*Deployment, error) {
 	if err := d.tparam.Validate(); err != nil {
 		return nil, err
 	}
-	d.table = d.tparam.MakeTable(cfg.TablePFail)
+	d.table = d.tparam.MakeTable(tablePFail)
 	return d, nil
 }
 
@@ -167,7 +162,7 @@ func (d *Deployment) planFor(epsilon float64) (*aggPlan, error) {
 	}
 	pl := &aggPlan{}
 	if epsilon > 0 {
-		pl.noise = DefaultNoiseSpec(epsilon, d.prog.Sensitivity, d.cfg.NoiseShift)
+		pl.noise = DefaultNoiseSpec(epsilon, d.prog.Sensitivity, 0)
 	}
 	var err error
 	if pl.circ, err = d.prog.AggregateCircuit(d.graph.N(), pl.noise); err != nil {
@@ -484,8 +479,17 @@ func (e *Engine) recoveryKey(ctx context.Context) ([]byte, error) {
 	if e.recKey != nil {
 		return e.recKey, nil
 	}
+	// The exchange runs among the blocks' members: a re-blocking keeps a
+	// dead owner's block under the dead node's id, but no block lists the
+	// dead node as a member — and a node can die before the first exchange.
+	members := make(map[network.NodeID]bool)
+	for _, blk := range e.setup.Assignment.Blocks {
+		for _, m := range blk {
+			members[m] = true
+		}
+	}
 	minID := e.id
-	for id := range e.setup.Assignment.Blocks {
+	for id := range members {
 		if id < minID {
 			minID = id
 		}
@@ -495,7 +499,7 @@ func (e *Engine) recoveryKey(ctx context.Context) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		for id := range e.setup.Assignment.Blocks {
+		for id := range members {
 			if id == e.id {
 				continue
 			}

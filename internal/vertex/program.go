@@ -128,10 +128,6 @@ func (p *Program) AggregateCircuit(n int, noise NoiseSpec) (*circuit.Circuit, er
 	return b.Build(), nil
 }
 
-// AggregateRandBits returns how many random input bits the aggregation
-// circuit consumes for the given noise spec.
-func (p *Program) AggregateRandBits(noise NoiseSpec) int { return noise.RandBits() }
-
 // PartialAggregateCircuit compiles the leaf level of an aggregation tree:
 // the aggregation function over n states with no noise (noise is added
 // exactly once, at the root).

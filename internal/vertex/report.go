@@ -12,8 +12,8 @@ import (
 // the one declaration of the phase table — an Engine fills one per node and
 // query (a NodeResult row), Fold combines a query's rows into the
 // deployment-level view, and every surface above (facade, HTTP, metrics,
-// command-line tables, experiment JSON) renders Phases() instead of keeping
-// its own copy of the fields.
+// command-line tables, the paper's tables) renders Phases() instead of
+// keeping its own copy of the fields.
 type Report struct {
 	// Phase wall-clock durations. Noising happens inside the aggregation
 	// MPC, matching the paper's "Aggregation & noising" bar in Figure 5.
