@@ -11,8 +11,9 @@
 //     AND gate costs one interaction round of oblivious transfers;
 //   - a Builder with word-level combinators (adders, subtractors,
 //     comparators, multiplexers, multipliers, a restoring divider, and
-//     fixed-point variants) used by internal/risk to express the
-//     Eisenberg–Noe and Elliott–Golub–Jackson update rules;
+//     fixed-point variants, including unit-range divide and multiply)
+//     used by internal/risk to express the Eisenberg–Noe and
+//     Elliott–Golub–Jackson update rules;
 //   - a plaintext evaluator used by tests to check the MPC engine and by
 //     the reference runtime.
 //
@@ -546,10 +547,11 @@ func (b *Builder) Mul(x, y Word) Word {
 }
 
 // DivU returns floor(x/y) for unsigned words via restoring division. When
-// y == 0 the quotient saturates to all ones, matching fixed.Val.Div's
-// convention (the extra remainder subtraction never fires because the
-// comparison against zero... the all-ones result comes from R >= 0 always
-// succeeding).
+// y == 0 every trial subtraction fits (the remainder is never below zero),
+// so the quotient saturates to all ones, matching fixed.Val.Div's
+// convention. Each step's borrow feeds the next step's remainder, so the
+// borrow is the prefix form (SubPrefix): about n·log₂ n rounds instead of
+// the n² of a ripple borrow.
 func (b *Builder) DivU(x, y Word) Word {
 	mustSameWidth(x, y)
 	n := len(x)
@@ -560,12 +562,17 @@ func (b *Builder) DivU(x, y Word) Word {
 	for i := n - 1; i >= 0; i-- {
 		// r = (r << 1) | x[i]
 		r = append(Word{x[i]}, r[:n]...)
-		diff, borrow := b.SubBorrow(r, yw)
-		fits := b.Not(borrow) // r >= y
-		q[i] = fits
-		r = b.MuxWord(fits, diff, r)
+		r, q[i] = b.restoringStep(r, yw)
 	}
 	return q
+}
+
+// restoringStep is one step of restoring division: it returns r−y and 1
+// when r ≥ y (unsigned), else r and 0.
+func (b *Builder) restoringStep(r, y Word) (Word, Wire) {
+	diff, borrow := b.SubPrefix(r, y)
+	fits := b.Not(borrow)
+	return b.MuxWord(fits, diff, r), fits
 }
 
 // AbsS returns |x| and the original sign bit.
@@ -610,6 +617,46 @@ func (b *Builder) DivFixed(x, y Word, frac int) Word {
 	q := b.DivU(num, den)
 	qn := b.Truncate(q, n)
 	return b.NegIf(b.Xor(sx, sy), qn)
+}
+
+// DivFixedUnit divides unsigned words x and y with frac fractional bits
+// and returns the (frac+1)-bit unsigned word min(⌊x·2^frac / y⌋, 2^frac):
+// the quotient clamped to the unit range [0, 1]. A zero y saturates to 1.
+// It is one prefix compare (x ≥ y is exactly the saturating case) and frac
+// restoring steps on a width+1 remainder, so it needs neither DivFixed's
+// sign handling nor its width+frac quotient bits. For 0 ≤ x ≤ y with y > 0
+// as signed words it equals DivFixed(x, y, frac) zero-extended.
+func (b *Builder) DivFixedUnit(x, y Word, frac int) Word {
+	mustSameWidth(x, y)
+	n := len(x)
+	_, below := b.SubPrefix(x, y)
+	sat := b.Not(below)
+	// Below saturation x < y, so the doubled remainder fits in n+1 bits.
+	r := b.ZeroExtend(x, n+1)
+	yw := b.ZeroExtend(y, n+1)
+	q := make(Word, frac+1)
+	for i := frac - 1; i >= 0; i-- {
+		r = append(Word{WireZero}, r[:n]...)
+		var bit Wire
+		r, bit = b.restoringStep(r, yw)
+		q[i] = b.And(below, bit)
+	}
+	q[frac] = sat
+	return q
+}
+
+// MulFixedUnit multiplies a signed n-bit fixed-point word x by an unsigned
+// (frac+1)-bit word u (a unit-range value such as DivFixedUnit's) and
+// returns bits [frac, frac+n) of x·u: MulFixed with u zero-extended, whose
+// constant-zero high bits fold away, leaving frac+1 partial products
+// instead of n+frac. frac+1 must be below n so that u is non-negative as
+// an n-bit word.
+func (b *Builder) MulFixedUnit(x, u Word, frac int) Word {
+	n := len(x)
+	if len(u) != frac+1 || frac+1 >= n {
+		panic(fmt.Sprintf("circuit: MulFixedUnit needs a %d-bit multiplier narrower than %d bits, got %d", frac+1, n, len(u)))
+	}
+	return b.MulFixed(x, b.ZeroExtend(u, n), frac)
 }
 
 // SumWords adds a slice of equal-width words mod 2^width.

@@ -1,14 +1,39 @@
 package circuit
 
-// Depth-optimized arithmetic. GMW needs one communication round per AND
-// level (§5.2's latencies are depth-bound), so circuit depth — not just
-// gate count — drives wall-clock time on real networks. The word
-// combinators in circuit.go use ripple-carry adders (depth ≈ width, minimal
-// gates); this file provides Sklansky parallel-prefix equivalents with
-// depth ≈ log₂(width) at ~2× the AND gates. The ablation benchmarks
-// (BenchmarkAdderAblation) quantify the trade-off; deployments over
-// wide-area links would prefer the prefix forms, which is why the builder
-// exposes both.
+// Depth-optimized arithmetic. GMW pays one communication round per AND
+// level (§5.2's latencies are depth-bound), so circuit depth, not just gate
+// count, drives wall-clock time. The choice between the ripple forms in
+// circuit.go (depth ≈ width, fewest gates) and the Sklansky forms here
+// (depth ≈ log₂ width, about log₂ width × the gates) is made per
+// combinator, by one rule:
+//
+//   - A carry or borrow that a sequential loop waits on uses the prefix
+//     form. DivU's restoring steps each wait for the previous step's
+//     borrow, so a ripple borrow there costs width × steps rounds in
+//     strict sequence; the prefix borrow costs log₂ width × steps. The
+//     noise sampler's prefix-AND over its coins is the same case.
+//   - Everything else stays ripple. A chain of ripple adders pipelines
+//     (adder k's carry at bit i lands in the round of adder k+1's carry at
+//     bit i−1), so Add, Sub, Mul, LessS and SumWords already run at depth
+//     ≈ width + chain length; a chain of prefix adders does not pipeline
+//     and is both deeper and larger.
+//
+// BenchmarkAdderAblation pins the rule with gate and round counts.
+
+// sklansky runs the Sklansky parallel-prefix scan over n positions:
+// combine(i, j) folds the running prefix of position j (j < i) into
+// position i. After the scan each position holds the prefix of positions
+// 0…i, at depth ⌈log₂ n⌉ combines.
+func sklansky(n int, combine func(i, j int)) {
+	for stride := 1; stride < n; stride *= 2 {
+		for block := stride; block < n; block += 2 * stride {
+			pivot := block - 1 // last index of the left group
+			for i := block; i < block+stride && i < n; i++ {
+				combine(i, pivot)
+			}
+		}
+	}
+}
 
 // AddPrefix returns x+y mod 2^width using a Sklansky parallel-prefix
 // carry computation: depth O(log width) instead of O(width).
@@ -26,30 +51,21 @@ func (b *Builder) AddPrefixCarry(x, y Word) (Word, Wire) {
 		return Word{}, WireZero
 	}
 	// Bit-level generate/propagate.
-	gen := make([]Wire, n)
 	prop := make([]Wire, n)
+	g := make([]Wire, n)
+	p := make([]Wire, n)
 	for i := 0; i < n; i++ {
-		gen[i] = b.And(x[i], y[i])
+		g[i] = b.And(x[i], y[i])
 		prop[i] = b.Xor(x[i], y[i])
+		p[i] = prop[i]
 	}
-	// Sklansky prefix: after the scan, gen[i] is the carry *out of*
-	// position i (i.e. carry into position i+1).
-	g := append([]Wire{}, gen...)
-	p := append([]Wire{}, prop...)
-	for stride := 1; stride < n; stride *= 2 {
-		for block := stride; block < n; block += 2 * stride {
-			pivot := block - 1 // last index of the left group
-			for i := block; i < block+stride && i < n; i++ {
-				// (g,p)[i] ∘ (g,p)[pivot]: g = g_i ∨ (p_i ∧ g_pivot)
-				// with ∨ over disjoint-ish terms expressed as XOR-safe
-				// form: g_i ⊕ p_i·g_pivot (g_i and p_i·g_pivot are never
-				// both 1, since g_i=1 forces p_i=0).
-				pg := b.And(p[i], g[pivot])
-				g[i] = b.Xor(g[i], pg)
-				p[i] = b.And(p[i], p[pivot])
-			}
-		}
-	}
+	// After the scan, g[i] is the carry out of position i. The group
+	// generate g_i ∨ (p_i ∧ g_j) is written as an XOR because g_i = 1
+	// forces p_i = 0, so the two terms are never both 1.
+	sklansky(n, func(i, j int) {
+		g[i] = b.Xor(g[i], b.And(p[i], g[j]))
+		p[i] = b.And(p[i], p[j])
+	})
 	out := make(Word, n)
 	out[0] = prop[0]
 	for i := 1; i < n; i++ {
@@ -58,48 +74,28 @@ func (b *Builder) AddPrefixCarry(x, y Word) (Word, Wire) {
 	return out, g[n-1]
 }
 
-// SubPrefix returns x−y using the prefix adder (x + ¬y + 1); the +1 enters
-// through an extra generate at position 0.
-func (b *Builder) SubPrefix(x, y Word) Word {
+// SubPrefix returns x−y mod 2^width and a borrow bit that is 1 iff x < y
+// as unsigned integers, at prefix depth. It is x + ¬y + 1 on AddPrefixCarry
+// over width+1 bits: a bottom position (1, 1) generates the +1 as a carry
+// into bit 0 and costs no gates once constant-folded.
+func (b *Builder) SubPrefix(x, y Word) (Word, Wire) {
 	mustSameWidth(x, y)
-	notY := make(Word, len(y))
+	xs := make(Word, len(x)+1)
+	ys := make(Word, len(y)+1)
+	xs[0], ys[0] = WireOne, WireOne
+	copy(xs[1:], x)
 	for i := range y {
-		notY[i] = b.Not(y[i])
+		ys[i+1] = b.Not(y[i])
 	}
-	// x + ¬y + 1: add with carry-in 1 by adding (x, ¬y) prefix-wise after
-	// seeding position 0: sum0 = x0⊕¬y0⊕1, gen0' = maj(x0,¬y0,1)
-	// = x0 ∨ ¬y0 = ¬(¬x0 ∧ y0).
-	n := len(x)
-	if n == 0 {
-		return Word{}
-	}
-	// Seeded bit 0.
-	gen := make([]Wire, n)
-	prop := make([]Wire, n)
-	sum0 := b.Not(b.Xor(x[0], notY[0]))
-	gen[0] = b.Not(b.And(b.Not(x[0]), b.Not(notY[0])))
-	prop[0] = b.Xor(x[0], notY[0]) // unused beyond scan seeding
-	for i := 1; i < n; i++ {
-		gen[i] = b.And(x[i], notY[i])
-		prop[i] = b.Xor(x[i], notY[i])
-	}
-	g := append([]Wire{}, gen...)
-	p := append([]Wire{}, prop...)
-	for stride := 1; stride < n; stride *= 2 {
-		for block := stride; block < n; block += 2 * stride {
-			pivot := block - 1
-			for i := block; i < block+stride && i < n; i++ {
-				pg := b.And(p[i], g[pivot])
-				g[i] = b.Xor(g[i], pg)
-				p[i] = b.And(p[i], p[pivot])
-			}
-		}
-	}
-	out := make(Word, n)
-	out[0] = sum0
-	for i := 1; i < n; i++ {
-		out[i] = b.Xor(prop[i], g[i-1])
-	}
+	sum, carry := b.AddPrefixCarry(xs, ys)
+	return sum[1:], b.Not(carry)
+}
+
+// PrefixAnd returns the running conjunctions of x: out[i] = x[0] ∧ … ∧ x[i],
+// with a Sklansky scan of depth ⌈log₂ len(x)⌉.
+func (b *Builder) PrefixAnd(x []Wire) []Wire {
+	out := append([]Wire{}, x...)
+	sklansky(len(out), func(i, j int) { out[i] = b.And(out[i], out[j]) })
 	return out
 }
 

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -44,8 +45,12 @@ func TestQuickAddPrefixMatchesRipple(t *testing.T) {
 }
 
 func TestQuickSubPrefix(t *testing.T) {
+	sub := func(b *Builder, x, y Word) Word {
+		diff, _ := b.SubPrefix(x, y)
+		return diff
+	}
 	f := func(x, y int16) bool {
-		p := evalPrefixBinOp(16, (*Builder).SubPrefix, int64(x), int64(y))
+		p := evalPrefixBinOp(16, sub, int64(x), int64(y))
 		return p == int64(int16(x-y))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -160,16 +165,100 @@ func TestSumWordsTreeDepth(t *testing.T) {
 		linear.Depth(), linear.NumAnd, tree.Depth(), tree.NumAnd)
 }
 
+func TestSubPrefixBorrowMatchesLessU(t *testing.T) {
+	for _, w := range []int{8, 10} {
+		b := NewBuilder()
+		x := b.InputWord(w)
+		y := b.InputWord(w)
+		diff, borrow := b.SubPrefix(x, y)
+		b.OutputWord(diff)
+		b.Output(borrow)
+		b.Output(b.LessU(x, y))
+		mask := uint64(1)<<w - 1
+		f := &failer{t: t}
+		forAllPairs(b.Build(), w, w, func(x, y, out uint64) {
+			gotDiff, gotBorrow, less := out&mask, out>>w&1, out>>(w+1)&1
+			want := uint64(0)
+			if x < y {
+				want = 1
+			}
+			if gotDiff != (x-y)&mask || gotBorrow != want || less != want {
+				f.errorf("w=%d: %d−%d = %d borrow %d, LessU %d", w, x, y, gotDiff, gotBorrow, less)
+			}
+		})
+	}
+}
+
+func TestPrefixAnd(t *testing.T) {
+	for n := 1; n <= 10; n++ {
+		b := NewBuilder()
+		x := b.InputWord(n)
+		b.OutputWord(b.PrefixAnd(x))
+		c := b.Build()
+		for v := 0; v < 1<<n; v++ {
+			out, err := c.Eval(EncodeWord(int64(v), n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc := uint8(1)
+			for i := 0; i < n; i++ {
+				acc &= uint8(v >> i & 1)
+				if out[i] != acc {
+					t.Fatalf("n=%d x=%b: prefix %d = %d, want %d", n, v, i, out[i], acc)
+				}
+			}
+		}
+		if logN := bits.Len(uint(n - 1)); c.Depth() > logN {
+			t.Errorf("n=%d: depth %d, want ≤ ⌈log₂ n⌉ = %d", n, c.Depth(), logN)
+		}
+	}
+}
+
+func TestDivUPrefixBorrowPaysOff(t *testing.T) {
+	// The per-combinator rule: a borrow a sequential loop waits on is worth
+	// the prefix form. At the EN divider's width the ripple borrow puts
+	// about width² rounds in sequence.
+	mk := func(op func(b *Builder, x, y Word) Word) *Circuit {
+		b := NewBuilder()
+		x := b.InputWord(40)
+		y := b.InputWord(40)
+		b.OutputWord(op(b, x, y))
+		return b.Build()
+	}
+	ripple, prefix := mk(rippleDivU), mk((*Builder).DivU)
+	if prefix.Depth()*4 > ripple.Depth() {
+		t.Errorf("prefix DivU depth %d not ≪ ripple depth %d", prefix.Depth(), ripple.Depth())
+	}
+	t.Logf("40-bit DivU: ripple %d ANDs depth %d; prefix %d ANDs depth %d",
+		ripple.NumAnd, ripple.Depth(), prefix.NumAnd, prefix.Depth())
+}
+
 // BenchmarkAdderAblation quantifies the ripple-vs-prefix trade-off under
-// actual GMW-relevant metrics (gates and rounds) at build time.
+// actual GMW-relevant metrics (gates and rounds) at build time. The rows
+// pin the per-combinator rule in prefix.go: a lone prefix adder buys depth
+// with gates, while the divider, whose steps wait on each borrow, gains
+// rounds by an order of magnitude.
 func BenchmarkAdderAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bd := NewBuilder()
-		x := bd.InputWord(32)
-		y := bd.InputWord(32)
-		bd.OutputWord(bd.AddPrefix(x, y))
-		c := bd.Build()
-		b.ReportMetric(float64(c.NumAnd), "ANDs")
-		b.ReportMetric(float64(c.Depth()), "rounds")
+	rows := []struct {
+		name string
+		op   func(b *Builder, x, y Word) Word
+	}{
+		{"add32/ripple", (*Builder).Add},
+		{"add32/prefix", (*Builder).AddPrefix},
+		{"divu32/ripple", rippleDivU},
+		{"divu32/prefix", (*Builder).DivU},
+	}
+	for _, row := range rows {
+		b.Run(row.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				bd := NewBuilder()
+				x := bd.InputWord(32)
+				y := bd.InputWord(32)
+				bd.OutputWord(row.op(bd, x, y))
+				c := bd.Build()
+				b.ReportMetric(float64(c.NumAnd), "ANDs")
+				b.ReportMetric(float64(c.Depth()), "rounds")
+			}
+		})
 	}
 }

@@ -62,12 +62,21 @@ func BaseOTSend(ctx context.Context, g group.Group, ep network.Transport, peer n
 			return nil, nil, fmt.Errorf("ot: base OT instance %d: %w", j, err)
 		}
 		a := scalars[j]
-		A := g.ScalarBaseMul(a)
-		k0[j] = kdf(g, g.ScalarMul(B, a), j, 0)
-		BoverA := g.Op(B, g.Inv(A))
-		k1[j] = kdf(g, g.ScalarMul(BoverA, a), j, 1)
+		Ba := g.ScalarMul(B, a)
+		k0[j] = kdf(g, Ba, j, 0)
+		k1[j] = kdf(g, quotientPow(g, Ba, a), j, 1)
 	}
 	return k0, k1, nil
+}
+
+// quotientPow returns (B/A)^a for A = g^a, given B^a: it is B^a · g^(−a²),
+// so the sender's one variable-base exponentiation B^a serves both keys
+// and the correction is a fixed-base one.
+func quotientPow(g group.Group, Ba group.Element, a *big.Int) group.Element {
+	q := g.Order()
+	negA2 := new(big.Int).Mul(a, a)
+	negA2.Sub(q, negA2.Mod(negA2, q))
+	return g.Op(Ba, g.ScalarBaseMul(negA2))
 }
 
 // BaseOTReceive runs `count` base-OT instances as the receiver with the

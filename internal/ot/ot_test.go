@@ -85,6 +85,24 @@ func TestBaseOT(t *testing.T) {
 	}
 }
 
+func TestQuotientPowMatchesDivision(t *testing.T) {
+	// The sender's k1 element must be exactly (B/A)^a, the group element
+	// the protocol defines, on every group a deployment can select.
+	for _, g := range []group.Group{group.ModP256(), group.P256(), group.P384()} {
+		for i := 0; i < 8; i++ {
+			a := group.MustRandomScalar(g)
+			B := g.ScalarBaseMul(group.MustRandomScalar(g))
+			if i == 0 {
+				B = g.ScalarBaseMul(a) // B = A: the quotient is the identity
+			}
+			want := g.ScalarMul(g.Op(B, g.Inv(g.ScalarBaseMul(a))), a)
+			if got := quotientPow(g, g.ScalarMul(B, a), a); !g.Equal(got, want) {
+				t.Errorf("%s: B^a·g^(−a²) ≠ (B/A)^a", g.Name())
+			}
+		}
+	}
+}
+
 // iknpPair builds a connected extension sender/receiver pair on net, node 1
 // toward node 2, bootstrapped the one way a deployment does it: each end's
 // pairwise substrate runs the base-OT handshake and derives the stream.

@@ -116,15 +116,19 @@ func ENProgram(cfg CircuitConfig, granularityDollars, leverage float64) *vertex.
 			unpaid := b.Sub(totalDebt, liquid)
 			distressed := b.LessS(liquid, totalDebt)
 			// ratio = (1−prorate) = unpaid/totalDebt ∈ [0,1] when
-			// distressed (liquid ≥ 0 always, since shortfalls never exceed
-			// credits); the division result is discarded otherwise, which
-			// also covers totalDebt = 0.
-			zero := b.ConstWord(0, w)
-			ratio := b.MuxWord(distressed, b.DivFixed(unpaid, totalDebt, fixed.Frac), zero)
-			newState := b.MuxWord(distressed, unpaid, zero)
+			// distressed: liquid ≥ 0 always, since shortfalls never exceed
+			// credits, so distressed implies 0 < unpaid ≤ totalDebt. The
+			// unit-range divide and multiply therefore compute exactly what
+			// DivFixed/MulFixed would, on a Frac+1-bit ratio. The division
+			// result is discarded when not distressed, which also covers
+			// totalDebt = 0.
+			ratio := b.MuxWord(distressed,
+				b.DivFixedUnit(unpaid, totalDebt, fixed.Frac),
+				b.ConstWord(0, fixed.Frac+1))
+			newState := b.MuxWord(distressed, unpaid, b.ConstWord(0, w))
 			out := make([]circuit.Word, D)
 			for d := 0; d < D; d++ {
-				out[d] = b.MulFixed(debts[d], ratio, fixed.Frac)
+				out[d] = b.MulFixedUnit(debts[d], ratio, fixed.Frac)
 			}
 			return newState, out
 		},

@@ -37,7 +37,10 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"dstress/internal/elgamal"
 	"dstress/internal/group"
@@ -226,32 +229,82 @@ func (tp *TrustedParty) Setup(regs []NodeRegistration) (*SetupResult, error) {
 
 	// Block certificates: for node i, certificate j re-randomizes every key
 	// of every member of B_i with i's j-th neighbor key.
-	for _, id := range ids {
-		reg := byID[id]
-		members := result.Assignment.Blocks[id]
-		certs := make([]BlockCert, p.D)
-		for j := 0; j < p.D; j++ {
-			nk := reg.NeighborKeys[j]
-			keys := make([][]elgamal.PublicKey, len(members))
-			for m, member := range members {
-				mreg, ok := byID[member]
-				if !ok {
-					return nil, fmt.Errorf("trustedparty: member %d not registered", member)
-				}
-				keys[m] = make([]elgamal.PublicKey, p.L)
-				for b := 0; b < p.L; b++ {
-					keys[m][b] = mreg.PublicKeys[b].Randomize(nk)
-				}
-			}
-			sig, err := tp.sign(certDigest(p.Group, keys))
-			if err != nil {
-				return nil, err
-			}
-			certs[j] = BlockCert{Keys: keys, Sig: sig}
-		}
-		result.Certs[id] = certs
+	if result.Certs, err = tp.issueCerts(byID, result.Assignment.Blocks, ids); err != nil {
+		return nil, err
 	}
 	return result, nil
+}
+
+// issueCerts builds and signs the D block certificates of every owner in
+// owners: certificate j of owner i carries the registered keys of B_i's
+// members (blocks[i]) re-randomized with i's j-th neighbor key. The
+// N·D certificates are independent, so they are spread over GOMAXPROCS
+// workers; the first error wins, and every worker has exited on return.
+func (tp *TrustedParty) issueCerts(byID map[network.NodeID]NodeRegistration, blocks map[network.NodeID][]network.NodeID, owners []network.NodeID) (map[network.NodeID][]BlockCert, error) {
+	p := tp.params
+	certs := make(map[network.NodeID][]BlockCert, len(owners))
+	for _, id := range owners {
+		certs[id] = make([]BlockCert, p.D)
+	}
+	total := len(owners) * p.D
+	workers := runtime.GOMAXPROCS(0)
+	if workers > total {
+		workers = total
+	}
+	var (
+		next     atomic.Int64
+		failOnce sync.Once
+		failed   atomic.Bool
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				c := int(next.Add(1) - 1)
+				if c >= total {
+					return
+				}
+				id, j := owners[c/p.D], c%p.D
+				cert, err := tp.issueCert(byID, blocks[id], byID[id].NeighborKeys[j])
+				if err != nil {
+					failOnce.Do(func() { firstErr = err })
+					failed.Store(true)
+					return
+				}
+				certs[id][j] = cert
+			}
+		}()
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return certs, nil
+}
+
+// issueCert builds and signs one block certificate: every key of every
+// member re-randomized with the neighbor key nk.
+func (tp *TrustedParty) issueCert(byID map[network.NodeID]NodeRegistration, members []network.NodeID, nk *big.Int) (BlockCert, error) {
+	p := tp.params
+	keys := make([][]elgamal.PublicKey, len(members))
+	for m, member := range members {
+		mreg, ok := byID[member]
+		if !ok {
+			return BlockCert{}, fmt.Errorf("trustedparty: member %d not registered", member)
+		}
+		keys[m] = make([]elgamal.PublicKey, p.L)
+		for b := 0; b < p.L; b++ {
+			keys[m][b] = mreg.PublicKeys[b].Randomize(nk)
+		}
+	}
+	sig, err := tp.sign(certDigest(p.Group, keys))
+	if err != nil {
+		return BlockCert{}, err
+	}
+	return BlockCert{Keys: keys, Sig: sig}, nil
 }
 
 // ErrNoReplacement reports a death the recovery protocol cannot survive:
@@ -334,7 +387,6 @@ func ReplacementOK(a Assignment, dead, repl network.NodeID) bool {
 // certificates are re-randomized with dead's neighbor keys, which the TP
 // retains from registration).
 func (tp *TrustedParty) Reblock(prev *SetupResult, regs []NodeRegistration, dead, repl network.NodeID) (*SetupResult, error) {
-	p := tp.params
 	if !ReplacementOK(prev.Assignment, dead, repl) {
 		return nil, fmt.Errorf("trustedparty: node %d cannot replace node %d (already a co-member)", repl, dead)
 	}
@@ -385,42 +437,28 @@ func (tp *TrustedParty) Reblock(prev *SetupResult, regs []NodeRegistration, dead
 		return nil, err
 	}
 
+	// Re-issue: same construction as Setup, with the new membership. The
+	// block key (and hence the neighbor keys used for re-randomization)
+	// stays the original owner's — for dead's own block that means dead's
+	// registered neighbor keys, which repl receives during recovery so it
+	// can adjust incoming transfers for the adopted vertex.
+	var reissue []network.NodeID
 	for id, certs := range prev.Certs {
 		if !changedBlocks[id] {
 			next.Certs[id] = certs
 			continue
 		}
-		// Re-issue: same construction as Setup, with the new membership. The
-		// block key (and hence the neighbor keys used for re-randomization)
-		// stays the original owner's — for dead's own block that means dead's
-		// registered neighbor keys, which repl receives during recovery so it
-		// can adjust incoming transfers for the adopted vertex.
-		reg, ok := byID[id]
-		if !ok {
+		if _, ok := byID[id]; !ok {
 			return nil, fmt.Errorf("trustedparty: no registration retained for node %d, cannot re-issue certificates", id)
 		}
-		members := next.Assignment.Blocks[id]
-		fresh := make([]BlockCert, p.D)
-		for j := 0; j < p.D; j++ {
-			nk := reg.NeighborKeys[j]
-			keys := make([][]elgamal.PublicKey, len(members))
-			for m, member := range members {
-				mreg, ok := byID[member]
-				if !ok {
-					return nil, fmt.Errorf("trustedparty: member %d not registered", member)
-				}
-				keys[m] = make([]elgamal.PublicKey, p.L)
-				for b := 0; b < p.L; b++ {
-					keys[m][b] = mreg.PublicKeys[b].Randomize(nk)
-				}
-			}
-			sig, err := tp.sign(certDigest(p.Group, keys))
-			if err != nil {
-				return nil, err
-			}
-			fresh[j] = BlockCert{Keys: keys, Sig: sig}
-		}
-		next.Certs[id] = fresh
+		reissue = append(reissue, id)
+	}
+	fresh, err := tp.issueCerts(byID, next.Assignment.Blocks, reissue)
+	if err != nil {
+		return nil, err
+	}
+	for id, certs := range fresh {
+		next.Certs[id] = certs
 	}
 	return next, nil
 }

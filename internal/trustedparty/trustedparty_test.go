@@ -1,6 +1,7 @@
 package trustedparty
 
 import (
+	"strings"
 	"testing"
 
 	"dstress/internal/elgamal"
@@ -240,5 +241,63 @@ func TestSetupErrors(t *testing.T) {
 	regBad.PublicKeys = regBad.PublicKeys[:1]
 	if _, err := tp.Setup([]NodeRegistration{reg1, reg2, regBad}); err == nil {
 		t.Error("registration with wrong key count accepted")
+	}
+}
+
+func TestSetupParallelCertsAllVerify(t *testing.T) {
+	// The N·D certificates are issued by several workers; each must land
+	// in its own (owner, slot) with the right keys and a valid signature.
+	p := testParams()
+	const n = 16
+	res, regs, secs := runSetup(t, p, n)
+	regByID := map[network.NodeID]NodeRegistration{}
+	for _, r := range regs {
+		regByID[r.ID] = r
+	}
+	for idx, r := range regs {
+		members := res.Assignment.Blocks[r.ID]
+		memberKeys := make([][]elgamal.PublicKey, len(members))
+		for m, member := range members {
+			memberKeys[m] = regByID[member].PublicKeys
+		}
+		if len(res.Certs[r.ID]) != p.D {
+			t.Fatalf("node %d has %d certs, want %d", r.ID, len(res.Certs[r.ID]), p.D)
+		}
+		for j, c := range res.Certs[r.ID] {
+			if !VerifyCert(res.VerifyKey, tg, c) {
+				t.Errorf("node %d cert %d: signature rejected", r.ID, j)
+			}
+			if !CheckCertMatches(tg, c, memberKeys, secs[idx].NeighborKeys[j]) {
+				t.Errorf("node %d cert %d: keys do not match its block and neighbor key", r.ID, j)
+			}
+		}
+	}
+}
+
+func TestSetupIssueCertsFirstErrorWins(t *testing.T) {
+	// A certificate that cannot be built fails the whole issue with that
+	// certificate's error, however many workers were running.
+	p := testParams()
+	tp, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[network.NodeID]NodeRegistration{}
+	blocks := map[network.NodeID][]network.NodeID{}
+	var owners []network.NodeID
+	for i := 1; i <= 8; i++ {
+		id := network.NodeID(i)
+		if byID[id], _, err = RegisterNode(p, id); err != nil {
+			t.Fatal(err)
+		}
+		owners = append(owners, id)
+		blocks[id] = []network.NodeID{id, 99} // 99 never registered
+	}
+	certs, err := tp.issueCerts(byID, blocks, owners)
+	if err == nil || certs != nil {
+		t.Fatalf("issueCerts with an unregistered member: certs %v, err %v", certs != nil, err)
+	}
+	if want := "member 99 not registered"; !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name the missing member", err)
 	}
 }

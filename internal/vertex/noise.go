@@ -14,7 +14,7 @@ import (
 //   - a biased coin with P(1) = α is one unsigned comparison of a
 //     CoinBits-wide uniform word against the constant ⌊α·2^CoinBits⌋;
 //   - a geometric variable Geo(α) is the number of leading 1s in a row of
-//     Trials coins (a prefix-AND chain plus a population count);
+//     Trials coins (a log-depth prefix-AND read out as a binary count);
 //   - the difference of two independent geometric variables has the
 //     two-sided geometric law — the discrete Laplace with parameter α.
 //
@@ -101,21 +101,25 @@ func (n NoiseSpec) Build(b *circuit.Builder, rnd circuit.Word, width int) circui
 }
 
 // buildGeometric counts leading biased-coin successes over Trials coins.
+// The running conjunctions of the coins are a Sklansky prefix-AND, so
+// prefix[t] = 1 iff the count exceeds t: a thermometer code. Bit j of the
+// count is then the XOR of prefix[k·2^j − 1] over k ≥ 1, a read-out with no
+// AND gates. The count is exactly the number of leading successes, the
+// variable TailBound and the privacy argument describe.
 func (n NoiseSpec) buildGeometric(b *circuit.Builder, rnd circuit.Word, threshold int64) circuit.Word {
-	cw := n.counterBits()
-	count := b.ConstWord(0, cw)
-	prefix := b.One()
 	thr := b.ConstWord(threshold, n.CoinBits)
-	for t := 0; t < n.Trials; t++ {
+	coins := make([]circuit.Wire, n.Trials)
+	for t := range coins {
 		u := rnd[t*n.CoinBits : (t+1)*n.CoinBits]
-		coin := b.LessU(u, thr) // P(u < ⌊α·2^w⌋) = α up to 2^-w
-		prefix = b.And(prefix, coin)
-		inc := make(circuit.Word, cw)
-		inc[0] = prefix
-		for i := 1; i < cw; i++ {
-			inc[i] = b.Zero()
+		coins[t] = b.LessU(u, thr) // P(u < ⌊α·2^w⌋) = α up to 2^-w
+	}
+	prefix := b.PrefixAnd(coins)
+	count := make(circuit.Word, n.counterBits())
+	for j := range count {
+		count[j] = b.Zero()
+		for m := 1 << j; m <= n.Trials; m += 1 << j {
+			count[j] = b.Xor(count[j], prefix[m-1])
 		}
-		count = b.Add(count, inc)
 	}
 	return count
 }
