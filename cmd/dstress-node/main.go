@@ -32,12 +32,20 @@ import (
 	"syscall"
 
 	"dstress/internal/cluster"
+	"dstress/internal/group"
 	"dstress/internal/network"
 	"dstress/internal/obs"
 	"dstress/internal/vertex"
 )
 
 func main() {
+	build := cluster.SyntheticFlags(flag.CommandLine, cluster.SyntheticOptions{
+		Model: "en", N: 4, Core: 2, D: 2, Shock: 1, Seed: 42,
+		Scenario: cluster.Scenario{
+			Config: cluster.Config{Group: group.ModP256(), K: 1, Alpha: 0.9},
+			Job:    cluster.Job{Epsilon: 0.23},
+		},
+	})
 	var (
 		mode      = flag.String("mode", "node", "role: node or coordinator")
 		id        = flag.Int("id", 0, "node id (node mode; node i owns vertex i-1)")
@@ -45,30 +53,13 @@ func main() {
 		listen    = flag.String("listen", "127.0.0.1:0", "listen address: data plane in node mode, control plane in coordinator mode")
 		advertise = flag.String("advertise", "", "address peers should dial if it differs from -listen (node mode)")
 
-		// Coordinator-mode scenario flags (mirroring dstress-run).
-		model     = flag.String("model", "en", "risk model: en or egj (coordinator mode)")
-		n         = flag.Int("n", 4, "number of banks = number of nodes (coordinator mode)")
-		core      = flag.Int("core", 2, "core size of the core-periphery topology")
-		d         = flag.Int("d", 2, "public degree bound D")
-		k         = flag.Int("k", 1, "collusion bound k (blocks of k+1)")
-		iters     = flag.Int("iters", 0, "iterations (0 = log2 N)")
-		shock     = flag.Int("shock", 1, "number of core banks whose reserves are wiped")
-		epsilon   = flag.Float64("epsilon", 0.23, "output privacy budget (0 disables noise)")
-		alpha     = flag.Float64("alpha", 0.9, "transfer-noise parameter in [0,1)")
-		groupName = flag.String("group", "modp256", "crypto group: p256, p384, modp256")
-		aggFanIn  = flag.Int("agg-fanin", 0, "aggregation-tree fan-in (0 = flat aggregation)")
-		seed      = flag.Int64("seed", 42, "synthetic network seed")
-		timeout   = flag.Duration("timeout", 0, "abort the whole run after this long (0 = no deadline)")
+		timeout = flag.Duration("timeout", 0, "abort the whole run after this long (0 = no deadline)")
 
-		// Health-plane flags. -health is node mode; the rest are
-		// coordinator mode.
-		recoverOn    = flag.Bool("recover", false, "enable failure recovery (coordinator mode): nodes checkpoint shares at phase barriers, and when one dies the fleet re-blocks around it and the query resumes instead of failing")
+		// -chaos-barrier and -health are node mode; -flight-dump and the
+		// deployment flags are coordinator mode.
 		chaosBarrier = flag.Int("chaos-barrier", -1, "deterministic fault injection (node mode): exit the process with code 137 right after finishing the compute step of this iteration of the first query (-1 = off)")
-
-		healthAddr  = flag.String("health", "", "serve GET /healthz on this address (node mode; 200 while serving, 503 once draining; empty = off)")
-		heartbeat   = flag.Duration("heartbeat", 0, "fleet heartbeat interval (coordinator mode; 0 = 1s default)")
-		stallWindow = flag.Duration("stall-window", 0, "flag an in-flight query as stalled after this long without phase progress (coordinator mode; 0 = 30s default)")
-		flightDump  = flag.String("flight-dump", "", "on query failure, write the flight-recorder post-mortem JSON here (coordinator mode)")
+		healthAddr   = flag.String("health", "", "serve GET /healthz on this address (node mode; 200 while serving, 503 once draining; empty = off)")
+		flightDump   = flag.String("flight-dump", "", "on query failure, write the flight-recorder post-mortem JSON here (coordinator mode)")
 
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off)")
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
@@ -131,22 +122,17 @@ func main() {
 		}
 
 	case "coordinator":
-		sc, exactTDS, err := cluster.BuildSynthetic(cluster.SyntheticOptions{
-			Model: *model, N: *n, Core: *core, D: *d, K: *k,
-			Iterations: *iters, Shock: *shock, Epsilon: *epsilon, Alpha: *alpha,
-			Group: *groupName, Seed: *seed, AggFanIn: *aggFanIn,
-		})
+		sc, exactTDS, err := build()
 		if err != nil {
 			fatal("building scenario", "err", err)
 		}
-		sc.Recover, sc.Heartbeat, sc.StallWindow = *recoverOn, *heartbeat, *stallWindow
 		co, err := cluster.NewCoordinator(*listen, sc)
 		if err != nil {
 			fatal("starting coordinator", "err", err)
 		}
 		slog.Info("coordinator waiting for nodes", "addr", co.Addr(), "nodes", sc.Graph.N(),
-			"model", *model, "n", *n, "d", *d, "k", *k, "iterations", sc.Iterations,
-			"epsilon", *epsilon, "alpha", *alpha)
+			"model", sc.Spec.Kind, "d", sc.Graph.D, "k", sc.K, "iterations", sc.Iterations,
+			"epsilon", sc.Epsilon, "alpha", sc.Alpha)
 		res, err := co.Run(ctx)
 		if err != nil {
 			writeFlightDump(*flightDump, err)
@@ -155,7 +141,7 @@ func main() {
 		rep := res.Report
 		writeRunDump(*flightDump, sc, rep, res.Value, exactTDS)
 		fmt.Printf("exact TDS (trusted baseline): $%.2fM\n", exactTDS/1e6)
-		fmt.Printf("released TDS (ε=%v):          $%.2fM\n", *epsilon, res.Value/1e6)
+		fmt.Printf("released TDS (ε=%v):          $%.2fM\n", sc.Epsilon, res.Value/1e6)
 		if rep.Recoveries > 0 {
 			fmt.Printf("recoveries: survived %d node death(s) by re-blocking\n", rep.Recoveries)
 		}
@@ -219,7 +205,7 @@ func writeRunDump(path string, sc cluster.Scenario, rep *cluster.Report, release
 		return
 	}
 	reference := math.NaN()
-	if prog, err := sc.Prog.Build(); err == nil {
+	if prog, err := sc.Spec.Build(); err == nil {
 		if raw, err := vertex.RunReference(prog, sc.Graph, sc.Iterations); err == nil {
 			reference = sc.Decode(raw)
 		}

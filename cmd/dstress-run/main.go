@@ -15,13 +15,16 @@
 // GMW spans, transfer and aggregation spans — one process row per node,
 // straight from each node's own span table.
 //
-// -transport selects how the nodes behind the same dstress.Engine API are
-// started: sim (default) runs one node per bank as a goroutine of this
-// process on the in-memory hub; tcp stands up a real cluster on loopback
-// TCP — a coordinator plus one daemon per bank, each with its own tcpnet
-// peer. Either way one coordinator drives the identical experiment, and
-// the report, heartbeats and post-mortems are the same. -timeout aborts a wedged run through the context
-// plumbing instead of hanging forever. For a multi-machine deployment use
+// -transport selects how the nodes of the same scenario are started: sim
+// (default) runs one node per bank as a goroutine of this process on the
+// in-memory hub; tcp stands up a real cluster on loopback TCP — a
+// coordinator plus one daemon per bank, each with its own tcpnet peer.
+// Either way one coordinator drives the identical experiment, and the
+// report, heartbeats and post-mortems are the same. -timeout aborts a
+// wedged run through the context plumbing instead of hanging forever. The
+// deployment flags (-model … -epsilon, -heartbeat, -stall-window,
+// -recover) are cluster.SyntheticFlags, shared with dstress-serve and
+// dstress-node's coordinator mode. For a multi-machine deployment use
 // cmd/dstress-node directly.
 package main
 
@@ -36,37 +39,29 @@ import (
 	"syscall"
 	"time"
 
-	"dstress"
 	"dstress/internal/cluster"
 	"dstress/internal/group"
+	"dstress/internal/network"
 	"dstress/internal/obs"
 	"dstress/internal/vertex"
 )
 
 func main() {
+	build := cluster.SyntheticFlags(flag.CommandLine, cluster.SyntheticOptions{
+		Model: "en", N: 16, Core: 4, D: 6, Shock: 2, Seed: 42,
+		Scenario: cluster.Scenario{
+			Config: cluster.Config{Group: group.ModP256(), K: 2, Alpha: 0.9},
+			Job:    cluster.Job{Epsilon: 0.23},
+		},
+	})
 	var (
-		model     = flag.String("model", "en", "risk model: en (Eisenberg-Noe) or egj (Elliott-Golub-Jackson)")
-		n         = flag.Int("n", 16, "number of banks")
-		core      = flag.Int("core", 4, "core size of the core-periphery topology")
-		d         = flag.Int("d", 6, "public degree bound D")
-		k         = flag.Int("k", 2, "collusion bound k (blocks of k+1)")
-		iters     = flag.Int("iters", 0, "iterations (0 = log2 N)")
-		shock     = flag.Int("shock", 2, "number of core banks whose reserves are wiped")
-		epsilon   = flag.Float64("epsilon", 0.23, "output privacy budget for this query (0 disables noise)")
-		alpha     = flag.Float64("alpha", 0.9, "transfer-noise parameter in [0,1)")
-		groupName = flag.String("group", "modp256", "crypto group: p256, p384, modp256")
 		otMode    = flag.String("ot", "dealer", "OT provisioning: dealer or iknp (sim only; tcp always uses iknp)")
-		aggFanIn  = flag.Int("aggfanin", 0, "aggregation-tree fan-in (0 = flat single-block aggregation)")
-		seed      = flag.Int64("seed", 42, "synthetic network seed")
 		transport = flag.String("transport", "sim", "execution transport: sim (in-process hub) or tcp (loopback cluster of real daemons)")
 		timeout   = flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
 		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON file of the run (Perfetto-loadable)")
 
-		heartbeat   = flag.Duration("heartbeat", 0, "fleet heartbeat interval (0 = 1s default)")
-		stallWindow = flag.Duration("stall-window", 0, "flag the query as stalled after this long without phase progress (0 = 30s default)")
-		flightDump  = flag.String("flight-dump", "", "on query failure, write the flight-recorder post-mortem JSON here")
+		flightDump = flag.String("flight-dump", "", "on query failure, write the flight-recorder post-mortem JSON here")
 
-		recoverOn    = flag.Bool("recover", false, "enable failure recovery: checkpoint shares at phase barriers, re-block around a dead node and resume the query instead of failing")
 		chaosNode    = flag.Int("chaos-node", 0, "deterministic fault injection: kill this node right after the compute step of iteration -chaos-barrier (0 = off)")
 		chaosBarrier = flag.Int("chaos-barrier", 0, "iteration whose compute step triggers the -chaos-node kill")
 	)
@@ -83,39 +78,26 @@ func main() {
 		defer cancel()
 	}
 
-	g, err := group.ByName(*groupName)
+	// --- Build the synthetic scenario dstress-node's coordinator runs too. ---
+	sc, exactTDS, err := build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	var om dstress.OTMode
+	sc.ChaosNode, sc.ChaosBarrier = network.NodeID(*chaosNode), *chaosBarrier
 	switch *otMode {
 	case "dealer":
-		om = dstress.OTDealer
+		sc.OTMode = cluster.OTDealer
 	case "iknp":
-		om = dstress.OTIKNP
+		sc.OTMode = cluster.OTIKNP
 	default:
 		log.Fatalf("unknown -ot %q", *otMode)
 	}
 
-	// --- Build the synthetic scenario dstress-node's coordinator runs too. ---
-	sc, exactTDS, err := cluster.BuildSynthetic(cluster.SyntheticOptions{
-		Model: *model, N: *n, Core: *core, D: *d, K: *k, Iterations: *iters, Shock: *shock,
-		Epsilon: *epsilon, Alpha: *alpha, Group: *groupName, Seed: *seed, AggFanIn: *aggFanIn,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	// --- Pick the engine: the job is the same either way. ---
-	econf := dstress.EngineConfig{
-		Group: g, K: *k, Alpha: *alpha, OTMode: om, AggFanIn: *aggFanIn,
-		HeartbeatInterval: *heartbeat, StallWindow: *stallWindow,
-		Recover: *recoverOn, ChaosNode: *chaosNode, ChaosBarrier: *chaosBarrier,
-	}
-	var eng dstress.Engine
+	// --- Pick how the nodes start: the scenario is the same either way. ---
+	var open func(context.Context, cluster.Scenario) (*cluster.Session, error)
 	switch *transport {
 	case "sim":
-		eng = dstress.NewSimEngine(econf)
+		open = cluster.OpenHub
 	case "tcp":
 		// Cluster runs provision OTs with IKNP only (a dealer broker is an
 		// in-process object and cannot span machines); reject an explicit
@@ -125,13 +107,13 @@ func main() {
 		if otExplicit && *otMode != "iknp" {
 			log.Fatalf("-transport tcp always uses IKNP OTs; -ot %q is not available on a cluster", *otMode)
 		}
-		eng = dstress.NewClusterEngine(econf)
+		open = cluster.OpenLoopback
 	default:
 		log.Fatalf("unknown -transport %q (want sim or tcp)", *transport)
 	}
 
 	fmt.Fprintf(os.Stderr, "running %s on %s: N=%d D=%d k=%d I=%d group=%s ε=%v α=%v aggfanin=%d\n",
-		*model, *transport, *n, *d, *k, sc.Iterations, g.Name(), *epsilon, *alpha, *aggFanIn)
+		sc.Spec.Kind, *transport, sc.Graph.N(), sc.Graph.D, sc.K, sc.Iterations, sc.Group.Name(), sc.Epsilon, sc.Alpha, sc.AggFanIn)
 
 	// -trace arms the observability plumbing: the nodes' span tables,
 	// shipped back on the control plane, accumulate on this trace.
@@ -141,10 +123,7 @@ func main() {
 		ctx = obs.With(ctx, tr)
 	}
 
-	res, err := eng.Run(ctx, dstress.Job{
-		Spec: &sc.Prog, Graph: sc.Graph, Iterations: sc.Iterations, Epsilon: *epsilon,
-		Decode: sc.Decode,
-	})
+	res, err := cluster.RunOnce(ctx, func(ctx context.Context) (*cluster.Session, error) { return open(ctx, sc) })
 	if err != nil {
 		writeFlightDump(*flightDump, err)
 		if errors.Is(ctx.Err(), context.Canceled) {
@@ -154,7 +133,7 @@ func main() {
 	}
 
 	fmt.Printf("exact TDS (trusted baseline): $%.2fM\n", exactTDS/1e6)
-	fmt.Printf("released TDS (ε=%v):          $%.2fM\n", *epsilon, res.Value/1e6)
+	fmt.Printf("released TDS (ε=%v):          $%.2fM\n", sc.Epsilon, res.Value/1e6)
 	fmt.Println()
 	printReport(res.Report)
 
@@ -181,7 +160,7 @@ func writeFlightDump(path string, err error) {
 	if path == "" {
 		return
 	}
-	var qe *dstress.QueryError
+	var qe *cluster.QueryError
 	if !errors.As(err, &qe) {
 		fmt.Fprintf(os.Stderr, "no flight recorder data for this failure\n")
 		return
@@ -201,7 +180,7 @@ func writeFlightDump(path string, err error) {
 
 // printReport renders the unified report — the same table regardless of
 // transport.
-func printReport(rep *dstress.Report) {
+func printReport(rep *cluster.Report) {
 	round := func(d time.Duration) time.Duration { return d.Round(time.Microsecond) }
 	fmt.Printf("transport %s, %d nodes, wall time %v\n\n", rep.Transport, rep.Nodes, round(rep.WallTime))
 	fmt.Printf("%-10s  %-12s  %s\n", "phase", "time", "bytes")

@@ -33,13 +33,19 @@ import (
 	"syscall"
 	"time"
 
-	"dstress"
 	"dstress/internal/cluster"
 	"dstress/internal/group"
 	"dstress/internal/serve"
 )
 
 func main() {
+	build := cluster.SyntheticFlags(flag.CommandLine, cluster.SyntheticOptions{
+		Model: "en", N: 8, Core: 3, D: 3, Shock: 1, Seed: 42,
+		Scenario: cluster.Scenario{
+			Config: cluster.Config{Group: group.ModP256(), K: 1, Alpha: 0.9},
+			Job:    cluster.Job{Epsilon: 0.23},
+		},
+	})
 	var (
 		listen       = flag.String("listen", "127.0.0.1:8080", "HTTP listen address")
 		pool         = flag.Int("pool", 2, "maximum standing deployments (pool cap)")
@@ -48,25 +54,7 @@ func main() {
 		queue        = flag.Int("queue", 64, "admitted-query queue depth (backpressure beyond it)")
 		tenantBudget = flag.Float64("tenant-budget", math.Ln2, "annual ε budget granted to each new tenant (§4.5; 0 refuses unknown tenants)")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "how long a drain waits for in-flight queries before aborting them")
-
-		// Scenario flags, mirroring dstress-run.
-		model     = flag.String("model", "en", "risk model: en (Eisenberg-Noe) or egj (Elliott-Golub-Jackson)")
-		n         = flag.Int("n", 8, "number of banks")
-		core      = flag.Int("core", 3, "core size of the core-periphery topology")
-		d         = flag.Int("d", 3, "public degree bound D")
-		k         = flag.Int("k", 1, "collusion bound k (blocks of k+1)")
-		iters     = flag.Int("iters", 0, "default iterations per query (0 = log2 N)")
-		shock     = flag.Int("shock", 1, "number of core banks whose reserves are wiped")
-		epsilon   = flag.Float64("epsilon", 0.23, "default per-query ε when a submission does not set one")
-		alpha     = flag.Float64("alpha", 0.9, "transfer-noise parameter in [0,1)")
-		groupName = flag.String("group", "modp256", "crypto group: p256, p384, modp256")
-		aggFanIn  = flag.Int("aggfanin", 0, "aggregation-tree fan-in (0 = flat aggregation)")
-		seed      = flag.Int64("seed", 42, "synthetic network seed")
-		transport = flag.String("transport", "sim", "deployment backend per pool member: sim or tcp (loopback cluster)")
-
-		heartbeat   = flag.Duration("heartbeat", 0, "fleet heartbeat interval (0 = 1s default)")
-		stallWindow = flag.Duration("stall-window", 0, "flag an in-flight query as stalled after this long without phase progress (0 = 30s default)")
-		recoverOn   = flag.Bool("recover", false, "enable failure recovery on pool deployments: checkpoint shares at phase barriers, re-block around dead nodes and resume queries instead of failing them")
+		transport    = flag.String("transport", "sim", "deployment backend per pool member: sim or tcp (loopback cluster)")
 
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. 127.0.0.1:6060; empty = off — kept off the API port)")
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
@@ -95,43 +83,26 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	sc, exactTDS, err := cluster.BuildSynthetic(cluster.SyntheticOptions{
-		Model: *model, N: *n, Core: *core, D: *d, K: *k,
-		Iterations: *iters, Shock: *shock, Epsilon: *epsilon, Alpha: *alpha,
-		Group: *groupName, Seed: *seed, AggFanIn: *aggFanIn,
-	})
+	sc, exactTDS, err := build()
 	if err != nil {
 		fatal("building scenario", "err", err)
 	}
-	g, err := group.ByName(sc.Cfg.Group)
-	if err != nil {
-		fatal("resolving group", "err", err)
-	}
-	job := dstress.Job{
-		Spec: &sc.Prog, Graph: sc.Graph, Iterations: sc.Iterations, Epsilon: *epsilon,
-		Decode: sc.Decode,
-	}
-	econf := dstress.EngineConfig{
-		Group: g, K: *k, Alpha: *alpha, AggFanIn: *aggFanIn,
-		HeartbeatInterval: *heartbeat, StallWindow: *stallWindow,
-		Recover: *recoverOn,
-	}
-	var eng dstress.SessionEngine
+	var open func(context.Context, cluster.Scenario) (*cluster.Session, error)
 	switch *transport {
 	case "sim":
-		eng = dstress.NewSimEngine(econf)
+		open = cluster.OpenHub
 	case "tcp":
-		eng = dstress.NewClusterEngine(econf)
+		open = cluster.OpenLoopback
 	default:
 		fatal("unknown -transport (want sim or tcp)", "transport", *transport)
 	}
 
 	slog.Info("warming deployments", "warm", *warm, "pool", *pool, "transport", *transport,
-		"model", *model, "n", *n, "d", *d, "k", *k, "iterations", sc.Iterations,
-		"group", g.Name(), "alpha", *alpha, "exact_tds_musd", exactTDS/1e6)
+		"model", sc.Spec.Kind, "n", sc.Graph.N(), "d", sc.Graph.D, "k", sc.K, "iterations", sc.Iterations,
+		"group", sc.Group.Name(), "alpha", sc.Alpha, "exact_tds_musd", exactTDS/1e6)
 	svc, err := serve.New(ctx, serve.Config{
 		Open: func(ctx context.Context) (serve.QueryRunner, error) {
-			sess, err := eng.Open(ctx, job, 0) // tenant budgets are enforced by the service ledger
+			sess, err := open(ctx, sc) // tenant budgets are enforced by the service ledger
 			if err != nil {
 				return nil, err
 			}
@@ -141,7 +112,7 @@ func main() {
 		PoolCap: *pool, SessionConcurrency: *concurrent, Warm: *warm, QueueDepth: *queue,
 		DefaultBudget:     *tenantBudget,
 		DefaultIterations: sc.Iterations,
-		DefaultEpsilon:    *epsilon,
+		DefaultEpsilon:    sc.Epsilon,
 		Logf:              func(format string, args ...any) { slog.Info(fmt.Sprintf(format, args...)) },
 	})
 	if err != nil {

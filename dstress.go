@@ -11,10 +11,10 @@
 // giving differential privacy on the output.
 //
 // This package is the public facade over the implementation packages in
-// internal/: it provides the unified execution API (Engine over both the
-// in-process simulation and real TCP clusters; Session, the driver's own
-// standing deployment, for multi-query use under an ε budget), the
-// programming model (Program, Graph),
+// internal/: it provides the unified execution API (SessionEngine over
+// both the in-process simulation and real TCP clusters; Session, the
+// driver's own standing deployment, for multi-query use under an ε
+// budget), the programming model (Program, Graph),
 // the systemic-risk case studies (Eisenberg–Noe and
 // Elliott–Golub–Jackson, §4 of the paper), the synthetic financial-network
 // generators, and the differential-privacy budget helpers. The quickest
@@ -42,7 +42,10 @@
 // Open hands every node the whole deployment; each Query then ships only
 // its ε, iteration count and the owners' inputs.
 //
-// NewClusterEngine runs the same Job on real TCP-connected node daemons;
+// A deployment is described once: EngineConfig and Job are aliases of the
+// driver's cluster.Config and cluster.Job, and together (with a budget)
+// they are the cluster.Scenario the engine opens. NewClusterEngine runs the
+// same Job on real TCP-connected node daemons;
 // see examples/ for runnable programs and DESIGN.md for the system map.
 // Above the facade, internal/serve and cmd/dstress-serve expose a pool of
 // standing sessions as a multi-tenant HTTP query service with per-tenant

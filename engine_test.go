@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dstress"
+	"dstress/internal/cluster"
 	"dstress/internal/dp"
 )
 
@@ -47,11 +48,10 @@ func enChainJob(t testing.TB, n int) (dstress.Job, int64) {
 	}, exact
 }
 
-// TestEngineBothBackends runs the identical Job through both Engine
-// implementations: the in-process simulation and a loopback TCP cluster of
-// real daemons. At ε = 0 both must reproduce the plaintext reference
-// exactly (the two backends are wire-compatible), and both must fill the
-// unified report.
+// TestEngineBothBackends runs the identical Job through both engines: the
+// in-process simulation and a loopback TCP cluster of real daemons. At
+// ε = 0 both must reproduce the plaintext reference exactly (the two
+// backends are wire-compatible), and both must fill the unified report.
 func TestEngineBothBackends(t *testing.T) {
 	job, exact := enChainJob(t, 4)
 	ctx := context.Background()
@@ -59,7 +59,7 @@ func TestEngineBothBackends(t *testing.T) {
 
 	engines := []struct {
 		name string
-		eng  dstress.Engine
+		eng  dstress.SessionEngine
 	}{
 		{"sim", dstress.NewSimEngine(econf)},
 		{"tcp", dstress.NewClusterEngine(econf)},
@@ -302,7 +302,7 @@ func TestEngineCancellation(t *testing.T) {
 	econf := dstress.EngineConfig{Group: dstress.TestGroup(), K: 1, Alpha: 0.5}
 	for _, tc := range []struct {
 		name string
-		eng  dstress.Engine
+		eng  dstress.SessionEngine
 	}{
 		{"sim", dstress.NewSimEngine(econf)},
 		{"tcp", dstress.NewClusterEngine(econf)},
@@ -332,24 +332,27 @@ func TestEngineCancellation(t *testing.T) {
 // TestEngineRecoveryBothBackends kills one node mid-query on both backends
 // with recovery enabled: the deployment re-blocks around the casualty, the
 // ε=0 result still reproduces the plaintext reference exactly, the report
-// counts the recovery, and the session answers a follow-up query.
+// counts the recovery, and the session answers a follow-up query. Fault
+// injection is the driver's (cluster.Scenario), not the facade's, so the
+// job is opened the way each engine opens it, with the chaos fields set.
 func TestEngineRecoveryBothBackends(t *testing.T) {
 	job, exact := enChainJob(t, 6)
 	ctx := context.Background()
-	base := dstress.EngineConfig{
-		Group: dstress.TestGroup(), K: 1, Alpha: 0.5,
-		Recover: true, ChaosNode: 3, ChaosBarrier: 2,
-		HeartbeatInterval: 25 * time.Millisecond,
+	sc := cluster.Scenario{
+		Config: dstress.EngineConfig{
+			Group: dstress.TestGroup(), K: 1, Alpha: 0.5, Recover: true,
+			HeartbeatInterval: 25 * time.Millisecond,
+		},
+		Job:       job,
+		ChaosNode: 3, ChaosBarrier: 2,
 	}
-	simCfg := base
-	simCfg.OTMode = dstress.OTDealer // the cluster ignores OTMode (always IKNP)
 
 	engines := []struct {
 		name string
-		eng  dstress.SessionEngine
+		open func(context.Context, cluster.Scenario) (*dstress.Session, error)
 	}{
-		{"sim", dstress.NewSimEngine(simCfg)},
-		{"tcp", dstress.NewClusterEngine(base)},
+		{"sim", cluster.OpenHub},
+		{"tcp", cluster.OpenLoopback},
 	}
 	for _, tc := range engines {
 		tc := tc
@@ -364,7 +367,7 @@ func TestEngineRecoveryBothBackends(t *testing.T) {
 			var res *dstress.Result
 			for attempt := 1; ; attempt++ {
 				var err error
-				sess, err = tc.eng.Open(ctx, job, 0)
+				sess, err = tc.open(ctx, sc)
 				if err != nil {
 					t.Fatal(err)
 				}

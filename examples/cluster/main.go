@@ -19,6 +19,7 @@ import (
 	"strconv"
 
 	"dstress/internal/cluster"
+	"dstress/internal/group"
 	"dstress/internal/network"
 )
 
@@ -30,8 +31,11 @@ func main() {
 
 	// --- Parent: build a 3-bank debt chain and coordinate the run. ---
 	sc, exactTDS, err := cluster.BuildSynthetic(cluster.SyntheticOptions{
-		Model: "en", N: 3, Core: 2, D: 2, K: 1, Shock: 1,
-		Epsilon: 0.5, Alpha: 0.9, Group: "modp256", Seed: 7,
+		Model: "en", N: 3, Core: 2, D: 2, Shock: 1, Seed: 7,
+		Scenario: cluster.Scenario{
+			Config: cluster.Config{Group: group.ModP256(), K: 1, Alpha: 0.9},
+			Job:    cluster.Job{Epsilon: 0.5},
+		},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -46,7 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// An Engine runs Jobs; NewSimEngine simulates the deployment with one
+	// A SessionEngine runs Jobs; NewSimEngine simulates the deployment with one
 	// node goroutine per bank in this process, NewClusterEngine runs the
 	// identical Job on real TCP-connected daemons (see examples/cluster) —
 	// both under the same coordinator. Canceling the context aborts a run

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dstress/internal/group"
 	"dstress/internal/network"
 )
 
@@ -16,7 +17,7 @@ import (
 // context plumbing (detection, not recovery: the run is lost, the
 // processes are not).
 func TestNodeKillMidRunAbortsFleet(t *testing.T) {
-	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}
+	cfg := Config{Group: group.ModP256(), K: 1, Alpha: 0.5}
 	sc, _ := enChainScenario(t, 4, cfg, 8)
 	co, err := NewCoordinator("127.0.0.1:0", sc)
 	if err != nil {

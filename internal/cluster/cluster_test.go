@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"dstress/internal/finnet"
+	"dstress/internal/group"
 	"dstress/internal/risk"
 	"dstress/internal/vertex"
 )
@@ -12,7 +14,7 @@ import (
 // enChainScenario builds the 4-bank debt chain from the facade tests: bank
 // 0's reserves are shocked to near zero, producing a cascading shortfall
 // with a known plaintext clearing outcome.
-func enChainScenario(t *testing.T, n int, cfg ConfigWire, iterations int) (Scenario, int64) {
+func enChainScenario(t *testing.T, n int, cfg Config, iterations int) (Scenario, int64) {
 	t.Helper()
 	net := &finnet.ENNetwork{
 		N:    n,
@@ -43,7 +45,7 @@ func enChainScenario(t *testing.T, n int, cfg ConfigWire, iterations int) (Scena
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Scenario{Cfg: cfg, Prog: spec, Graph: graph, Iterations: iterations}, exact
+	return Scenario{Config: cfg, Job: Job{Spec: &spec, Graph: graph, Iterations: iterations}}, exact
 }
 
 // runLoopbackCluster runs the scenario's default query on a real-TCP
@@ -57,7 +59,7 @@ func runLoopbackCluster(t *testing.T, sc Scenario) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.Query(ctx, Query{Iterations: sc.Iterations, Epsilon: sc.Cfg.Epsilon})
+	res, err := sess.Query(ctx, Query{Iterations: sc.Iterations, Epsilon: sc.Epsilon})
 	if cerr := sess.Close(); err == nil {
 		err = cerr
 	}
@@ -71,7 +73,7 @@ func runLoopbackCluster(t *testing.T, sc Scenario) *Result {
 // TCP cluster with output noise disabled: the opened aggregate must equal
 // the plaintext reference bit for bit.
 func TestClusterExactEN(t *testing.T) {
-	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}
+	cfg := Config{Group: group.ModP256(), K: 1, Alpha: 0.5}
 	sc, exact := enChainScenario(t, 4, cfg, risk.RecommendedIterations(4)+2)
 	res := runLoopbackCluster(t, sc)
 	if res.Raw != exact {
@@ -102,14 +104,15 @@ func TestClusterExactEN(t *testing.T) {
 // bound.
 func TestClusterNoisyEN(t *testing.T) {
 	const epsilon = 2.0
-	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5, Epsilon: epsilon}
+	cfg := Config{Group: group.ModP256(), K: 1, Alpha: 0.5}
 	iters := risk.RecommendedIterations(4) + 2
 	sc, exact := enChainScenario(t, 4, cfg, iters)
+	sc.Epsilon = epsilon
 	released := runLoopbackCluster(t, sc).Raw
 
 	// The in-MPC sampler truncates each geometric variable at Trials, so
 	// |noise| ≤ Trials·2^Shift is a structural bound, not a tail estimate.
-	prog, err := sc.Prog.Build()
+	prog, err := sc.Spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +133,7 @@ func TestClusterNoisyEN(t *testing.T) {
 // across processes: 5 vertices with AggFanIn 2 produce three leaf groups
 // plus the root combine block.
 func TestClusterTreeAggregation(t *testing.T) {
-	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5, AggFanIn: 2}
+	cfg := Config{Group: group.ModP256(), K: 1, Alpha: 0.5, AggFanIn: 2}
 	sc, exact := enChainScenario(t, 5, cfg, risk.RecommendedIterations(5)+2)
 	if got := runLoopbackCluster(t, sc).Raw; got != exact {
 		t.Errorf("tree-aggregated result %d != reference %d", got, exact)
@@ -157,5 +160,19 @@ func TestProgramSpecRegistry(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("Kinds() = %v, missing test-custom", Kinds())
+	}
+}
+
+// TestLoopbackNeedsSpec pins the clear refusal of a job that daemons
+// cannot build: a compiled program alone cannot cross the control plane.
+func TestLoopbackNeedsSpec(t *testing.T) {
+	sc, _ := enChainScenario(t, 4, Config{Group: group.ModP256(), K: 1, Alpha: 0.5}, 1)
+	prog, err := sc.Spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Program, sc.Spec = prog, nil
+	if _, err := OpenLoopback(context.Background(), sc); err == nil || !strings.Contains(err.Error(), "need a Spec") {
+		t.Errorf("OpenLoopback of a Spec-less job: %v, want the need-a-Spec refusal", err)
 	}
 }

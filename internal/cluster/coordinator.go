@@ -14,61 +14,17 @@ import (
 	"time"
 
 	"dstress/internal/dp"
-	"dstress/internal/group"
 	"dstress/internal/network"
 	"dstress/internal/obs"
 	"dstress/internal/trustedparty"
 	"dstress/internal/vertex"
 )
 
-// Scenario is everything the coordinator needs to stand up one deployment:
-// the parameters, the program, the graph (with every owner's private
-// inputs — the coordinator is the experiment driver that generated the
-// scenario), and the default query (Iterations, Cfg.Epsilon) for
-// single-shot runs.
-type Scenario struct {
-	Cfg        ConfigWire
-	Prog       ProgramSpec
-	Graph      *vertex.Graph
-	Iterations int
-
-	// Budget is the total ε the session's queries may spend under
-	// sequential composition (0 = unmetered). Decode converts a released
-	// raw aggregate to Result.Value; nil leaves the raw value.
-	Budget float64
-	Decode func(int64) float64
-
-	// Heartbeat is the health plane's probe interval (coordinator-local,
-	// never on the wire); 0 means one second. StallWindow is how long an
-	// in-flight query's slowest node may go without a phase advance before
-	// the watchdog flags it; 0 means 30 seconds.
-	Heartbeat   time.Duration
-	StallWindow time.Duration
-
-	// Recover opts the deployment into failure recovery: nodes checkpoint
-	// encrypted share snapshots at every phase barrier, and on an
-	// attributed node death the coordinator re-blocks around the casualty
-	// and resumes every in-flight query instead of failing the session.
-	// Off by default — then a node death is session-fatal (fail-stop),
-	// matching the paper's prototype.
-	Recover bool
-
-	// ChaosNode and ChaosBarrier inject a deterministic kill into a fleet
-	// started in this process (OpenLoopback, OpenHub): node ChaosNode dies
-	// right after it finishes the compute step of iteration ChaosBarrier of
-	// its first query. ChaosNode 0 disables. Multi-process deployments
-	// inject faults via NodeOptions.Chaos (or dstress-node's
-	// -chaos-barrier) instead.
-	ChaosNode    network.NodeID
-	ChaosBarrier int
-}
-
 // Coordinator serves the control plane for one deployment: it collects node
 // registrations, plays the trusted party of §3.4, and then drives one or
 // more queries through the standing fleet.
 type Coordinator struct {
 	sc   Scenario
-	grp  group.Group
 	prog *vertex.Program
 	ln   net.Listener
 	// hub holds what the nodes of an in-process fleet share with their
@@ -84,9 +40,12 @@ type Coordinator struct {
 const registerTimeout = 2 * time.Minute
 
 // NewCoordinator validates the scenario and starts listening on ctrlAddr
-// ("127.0.0.1:0" picks an ephemeral port; see Addr).
+// ("127.0.0.1:0" picks an ephemeral port; see Addr) for node daemons.
 func NewCoordinator(ctrlAddr string, sc Scenario) (*Coordinator, error) {
-	prog, err := sc.Prog.Build()
+	if sc.Spec == nil {
+		return nil, fmt.Errorf("cluster: node daemons need a Spec (closures cannot cross the control plane); register the program and name it")
+	}
+	prog, err := sc.Spec.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -103,41 +62,50 @@ func NewCoordinator(ctrlAddr string, sc Scenario) (*Coordinator, error) {
 // newCoordinator validates the scenario against its compiled program; the
 // caller attaches the control listener.
 func newCoordinator(sc Scenario, prog *vertex.Program) (*Coordinator, error) {
+	if sc.Group == nil {
+		return nil, fmt.Errorf("cluster: scenario needs a group")
+	}
 	if sc.Graph == nil {
 		return nil, fmt.Errorf("cluster: scenario has no graph")
 	}
 	if err := sc.Graph.Finalize(); err != nil {
 		return nil, err
 	}
-	if sc.Graph.N() < sc.Cfg.K+1 {
-		return nil, fmt.Errorf("cluster: need at least K+1 = %d nodes, got %d", sc.Cfg.K+1, sc.Graph.N())
+	if sc.Graph.N() < sc.K+1 {
+		return nil, fmt.Errorf("cluster: need at least K+1 = %d nodes, got %d", sc.K+1, sc.Graph.N())
 	}
 	if sc.Iterations < 0 {
 		return nil, fmt.Errorf("cluster: negative iteration count %d", sc.Iterations)
 	}
-	grp, err := group.ByName(sc.Cfg.Group)
-	if err != nil {
-		return nil, err
-	}
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	return &Coordinator{sc: sc, grp: grp, prog: prog}, nil
+	if sc.HeartbeatInterval <= 0 {
+		sc.HeartbeatInterval = defaultHeartbeat
+	}
+	if sc.StallWindow <= 0 {
+		sc.StallWindow = defaultStallWindow
+	}
+	return &Coordinator{sc: sc, prog: prog}, nil
 }
 
 // Addr returns the control-plane address nodes should dial.
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
-// Run drives one full single-shot execution: Open, one query with the
-// scenario's default parameters, Close. It blocks until every node has
-// reported (or a control-plane error / context cancellation).
-func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
-	sess, err := c.Open(ctx)
+// Run drives one full single-shot execution (RunOnce). It blocks until
+// every node has reported (or a control-plane error / context
+// cancellation).
+func (c *Coordinator) Run(ctx context.Context) (*Result, error) { return RunOnce(ctx, c.Open) }
+
+// RunOnce is a single-shot execution: open a session, answer its
+// scenario's default query once, close it.
+func RunOnce(ctx context.Context, open func(context.Context) (*Session, error)) (*Result, error) {
+	sess, err := open(ctx)
 	if err != nil {
 		return nil, err
 	}
 	defer sess.Close()
-	return sess.Query(ctx, Query{Epsilon: c.sc.Cfg.Epsilon})
+	return sess.Query(ctx, Query{Epsilon: sess.c.sc.Epsilon})
 }
 
 type nodeConn struct {
@@ -182,7 +150,7 @@ func (s *Session) readLoop(id network.NodeID, nc *nodeConn) {
 			continue
 		}
 		if m.Ckpt != nil {
-			if s.recoverOn {
+			if s.c.sc.Recover {
 				s.ckpts.Store(m.Ckpt.Seq, id, m.Ckpt.Barrier, m.Ckpt.Blob)
 			}
 			continue
@@ -200,7 +168,7 @@ func (s *Session) readLoop(id network.NodeID, nc *nodeConn) {
 		ch := s.pending[d.Seq]
 		s.mu.Unlock()
 		if ch == nil {
-			if s.recoverOn {
+			if s.c.sc.Recover {
 				// A superseded attempt's report can trail in after the
 				// resumed attempt already completed the query.
 				slog.Debug("cluster: dropping report for inactive query",
@@ -218,7 +186,7 @@ func (s *Session) readLoop(id network.NodeID, nc *nodeConn) {
 // Returns false when recovery is off or the session is closing (normal
 // teardown breaks connections too) — the caller then fail-stops as before.
 func (s *Session) noteDeath(id network.NodeID, err error) bool {
-	if !s.recoverOn {
+	if !s.c.sc.Recover {
 		return false
 	}
 	s.mu.Lock()
@@ -249,7 +217,7 @@ func (s *Session) failReads(id network.NodeID, err error) {
 func (s *Session) heartbeatLoop() {
 	defer close(s.hbDone)
 	s.pingAll()
-	t := time.NewTicker(s.hbEvery)
+	t := time.NewTicker(s.c.sc.HeartbeatInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -257,7 +225,7 @@ func (s *Session) heartbeatLoop() {
 			return
 		case <-t.C:
 			s.pingAll()
-			s.health.checkStalls(time.Now(), s.stallWin)
+			s.health.checkStalls(time.Now(), s.c.sc.StallWindow)
 		}
 	}
 }
@@ -309,14 +277,14 @@ func (s *Session) stopHeartbeat() {
 func (s *Session) postMortem(hint network.NodeID) (network.NodeID, bool) {
 	probe := time.Now()
 	s.pingAll()
-	settle := 2 * s.hbEvery
+	settle := 2 * s.c.sc.HeartbeatInterval
 	if settle < 150*time.Millisecond {
 		settle = 150 * time.Millisecond
 	}
 	if settle > time.Second {
 		settle = time.Second
 	}
-	limit := 6 * s.hbEvery
+	limit := 6 * s.c.sc.HeartbeatInterval
 	if limit < 2*time.Second {
 		limit = 2 * time.Second
 	}
@@ -375,7 +343,7 @@ func (s *Session) queryError(seq int, node network.NodeID, lastPhase string, eve
 func (c *Coordinator) Open(ctx context.Context) (*Session, error) {
 	g := c.sc.Graph
 	n := g.N()
-	params := trustedparty.Params{Group: c.grp, K: c.sc.Cfg.K, D: g.D, L: c.prog.MsgBits, Recoverable: c.sc.Recover}
+	params := trustedparty.Params{Group: c.sc.Group, K: c.sc.K, D: g.D, L: c.prog.MsgBits, Recoverable: c.sc.Recover}
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -433,7 +401,7 @@ func (c *Coordinator) Open(ctx context.Context) (*Session, error) {
 				return
 			}
 			nc.addr = hello.DataAddr
-			if err := nc.enc.Encode(paramsMsg{Group: c.sc.Cfg.Group, K: c.sc.Cfg.K, D: g.D, L: c.prog.MsgBits}); err != nil {
+			if err := nc.enc.Encode(paramsMsg{Group: c.sc.Group.Name(), K: c.sc.K, D: g.D, L: c.prog.MsgBits}); err != nil {
 				regCh <- regResult{id: hello.ID, e: fmt.Errorf("cluster: sending params: %w", err)}
 				return
 			}
@@ -442,7 +410,7 @@ func (c *Coordinator) Open(ctx context.Context) (*Session, error) {
 				regCh <- regResult{id: hello.ID, e: fmt.Errorf("cluster: reading registration: %w", err)}
 				return
 			}
-			reg, err := trustedparty.UnmarshalRegistration(c.grp, rm.Reg)
+			reg, err := trustedparty.UnmarshalRegistration(c.sc.Group, rm.Reg)
 			if err != nil {
 				regCh <- regResult{id: hello.ID, e: err}
 				return
@@ -499,8 +467,11 @@ func (c *Coordinator) Open(ctx context.Context) (*Session, error) {
 	// each node builds before it reads anything else off its ordered
 	// control connection, so it has its engine before its first job.
 	msg := setupMsg{
-		Cfg: c.sc.Cfg, Prog: c.sc.Prog, Topo: TopologyWire{D: g.D, Out: g.Out},
-		Directory: make(map[network.NodeID]string, n), Recover: c.sc.Recover,
+		Alpha: c.sc.Alpha, AggFanIn: c.sc.AggFanIn, Recover: c.sc.Recover,
+		Out: g.Out, Directory: make(map[network.NodeID]string, n),
+	}
+	if c.sc.Spec != nil {
+		msg.Prog = *c.sc.Spec
 	}
 	for id, nc := range conns {
 		msg.Directory[id] = nc.addr
@@ -510,7 +481,7 @@ func (c *Coordinator) Open(ctx context.Context) (*Session, error) {
 		// to marshal, nothing for them to re-verify.
 		c.hub.publish(0, &vertex.Recovery{Setup: setup})
 	} else {
-		msg.Setup = trustedparty.MarshalSetup(c.grp, setup)
+		msg.Setup = trustedparty.MarshalSetup(c.sc.Group, setup)
 	}
 	for _, id := range ids {
 		if err := conns[id].enc.Encode(msg); err != nil {
@@ -523,14 +494,6 @@ func (c *Coordinator) Open(ctx context.Context) (*Session, error) {
 		nc.conn.SetDeadline(time.Time{})
 	}
 	ok = true
-	hbEvery := c.sc.Heartbeat
-	if hbEvery <= 0 {
-		hbEvery = defaultHeartbeat
-	}
-	stallWin := c.sc.StallWindow
-	if stallWin <= 0 {
-		stallWin = defaultStallWindow
-	}
 	budget := c.sc.Budget
 	if budget <= 0 {
 		budget = math.Inf(1) // unmetered
@@ -540,12 +503,9 @@ func (c *Coordinator) Open(ctx context.Context) (*Session, error) {
 		maxConcurrent: 1,
 		pending:       make(map[int]chan doneMsg),
 		health:        newFleetHealth(ids),
-		hbEvery:       hbEvery,
-		stallWin:      stallWin,
 		hbStop:        make(chan struct{}),
 		hbDone:        make(chan struct{}),
 		readDone:      make(chan struct{}),
-		recoverOn:     c.sc.Recover,
 		tp:            tp,
 		regs:          regs,
 		deathCh:       make(chan network.NodeID, n),
@@ -578,7 +538,7 @@ func (s *Session) runQuery(ctx context.Context, tr *obs.Trace, q Query, seq int,
 	if s.c.hub != nil {
 		// The engines of an in-process fleet share one certificate cache,
 		// in which each key serves all K+1 senders of its edge.
-		s.c.hub.dep.ExpectCertUses(q.Iterations * (s.c.sc.Cfg.K + 1))
+		s.c.hub.dep.ExpectCertUses(q.Iterations * (s.c.sc.K + 1))
 	}
 	if err := s.dispatch(seq, q); err != nil {
 		return nil, err
@@ -625,7 +585,7 @@ func (s *Session) runQuery(ctx context.Context, tr *obs.Trace, q Query, seq int,
 			}
 			if d.Err != "" {
 				cause := d.Err
-				if s.recoverOn {
+				if s.c.sc.Recover {
 					// The run failed but the node survives: some peer died
 					// mid-protocol. Attribute and re-block; the query
 					// resumes on the shrunken fleet.
@@ -709,7 +669,7 @@ func (s *Session) dispatch(seq int, q Query) error {
 		job := s.job(id, seq, 1, q, assignment)
 		if err := s.conns[id].send(ctrlMsg{Job: &job}); err != nil {
 			s.dispatchMu.Unlock()
-			if s.recoverOn && s.recoverDead(id, seq, 0) == nil {
+			if s.c.sc.Recover && s.recoverDead(id, seq, 0) == nil {
 				return nil
 			}
 			return s.queryError(seq, id, "", nil, "dispatching job: "+err.Error())
@@ -784,7 +744,7 @@ func (s *Session) recoverDead(hint network.NodeID, seq, attempt int) error {
 		return fmt.Errorf("cluster: re-blocking around node %d: %w", dead, err)
 	}
 	repl, next := rec.Repl, rec.Setup
-	wireNext := trustedparty.MarshalSetup(s.c.grp, next)
+	wireNext := trustedparty.MarshalSetup(s.c.sc.Group, next)
 	adoptedKeys := make(map[int][][]byte, len(rec.AdoptedKeys))
 	for v, nks := range rec.AdoptedKeys {
 		keys := make([][]byte, len(nks))

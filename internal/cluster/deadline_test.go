@@ -6,11 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"dstress/internal/group"
 	"dstress/internal/network"
 )
 
 func TestRegistrationDeadline(t *testing.T) {
-	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}
+	cfg := Config{Group: group.ModP256(), K: 1, Alpha: 0.5}
 	sc, _ := enChainScenario(t, 4, cfg, 1)
 	co, err := NewCoordinator("127.0.0.1:0", sc)
 	if err != nil {
@@ -35,7 +36,7 @@ func TestRegistrationDeadline(t *testing.T) {
 // registration deadline fires, the connected nodes must return errors
 // instead of hanging in the control-plane handshake.
 func TestPartialFleetAborts(t *testing.T) {
-	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}
+	cfg := Config{Group: group.ModP256(), K: 1, Alpha: 0.5}
 	sc, _ := enChainScenario(t, 4, cfg, 1)
 	co, err := NewCoordinator("127.0.0.1:0", sc)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dstress/internal/group"
 	"dstress/internal/risk"
 )
 
@@ -35,7 +36,7 @@ func (c *gateCtx) Value(key any) any {
 // the same fleet. Open handed every node its deployment, so no job carries
 // it and neither order can leave a node without an engine.
 func TestOverlappingFirstJobCarriesSetup(t *testing.T) {
-	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}
+	cfg := Config{Group: group.ModP256(), K: 1, Alpha: 0.5}
 	sc, exact := enChainScenario(t, 4, cfg, risk.RecommendedIterations(4))
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()

@@ -18,7 +18,8 @@ import (
 // OpenLoopback stands a loopback TCP cluster up: coordinator on an
 // ephemeral loopback port, one RunNode goroutine per vertex, registration
 // and trusted-party setup completed, every message crossing a real socket.
-// The nodes live until Close (or a failed query).
+// The nodes live until Close (or a failed query). The job must name a
+// Spec, and the nodes run IKNP whatever sc.OTMode says.
 func OpenLoopback(ctx context.Context, sc Scenario) (*Session, error) {
 	co, err := NewCoordinator("127.0.0.1:0", sc)
 	if err != nil {
@@ -30,30 +31,21 @@ func OpenLoopback(ctx context.Context, sc Scenario) (*Session, error) {
 	})
 }
 
-// OTMode selects the GMW oblivious-transfer provisioning of an in-process
-// fleet; node daemons always run IKNP.
-type OTMode int
-
-const (
-	// OTDealer uses trusted-party-dealt correlated randomness (offline
-	// phase); the online traffic is unchanged. Default for large runs.
-	OTDealer OTMode = iota
-	// OTIKNP runs real DH base OTs plus IKNP extension — the paper-faithful
-	// configuration.
-	OTIKNP
-)
-
 // OpenHub stands a simulated deployment up: its nodes are goroutines on one
 // in-memory network hub that speak the gob control protocol over in-memory
-// pipes. prog is the compiled program (a closure program needs no Spec);
-// the nodes share one vertex.Deployment built from it, and mode picks their
-// OT provisioning.
-func OpenHub(ctx context.Context, sc Scenario, prog *vertex.Program, mode OTMode) (*Session, error) {
+// pipes. They share one vertex.Deployment built from the job's program (a
+// closure program needs no Spec), and sc.OTMode picks their OT
+// provisioning.
+func OpenHub(ctx context.Context, sc Scenario) (*Session, error) {
+	prog, err := sc.program()
+	if err != nil {
+		return nil, err
+	}
 	co, err := newCoordinator(sc, prog)
 	if err != nil {
 		return nil, err
 	}
-	if co.hub, err = newHubFleet(co.grp, sc, prog, mode); err != nil {
+	if co.hub, err = newHubFleet(sc, prog); err != nil {
 		return nil, err
 	}
 	ln := &pipeListener{conns: make(chan net.Conn, sc.Graph.N()), done: make(chan struct{})}
@@ -63,7 +55,7 @@ func OpenHub(ctx context.Context, sc Scenario, prog *vertex.Program, mode OTMode
 		ln.conns <- coord
 		_, err := nodeShell{
 			id: id, chaos: chaos,
-			engine: func(_ group.Group, _ setupMsg, secrets trustedparty.NodeSecrets) (*vertex.Deployment, *vertex.Engine, error) {
+			engine: func(_ group.Group, _ paramsMsg, _ setupMsg, secrets trustedparty.NodeSecrets) (*vertex.Deployment, *vertex.Engine, error) {
 				eng, err := co.hub.engine(id, secrets)
 				return nil, eng, err
 			},
@@ -161,22 +153,22 @@ type hubFleet struct {
 	pubs map[int]*vertex.Recovery
 }
 
-func newHubFleet(grp group.Group, sc Scenario, prog *vertex.Program, mode OTMode) (*hubFleet, error) {
-	h := &hubFleet{grp: grp, net: network.New(), pubs: make(map[int]*vertex.Recovery)}
-	switch mode {
+func newHubFleet(sc Scenario, prog *vertex.Program) (*hubFleet, error) {
+	h := &hubFleet{grp: sc.Group, net: network.New(), pubs: make(map[int]*vertex.Recovery)}
+	switch sc.OTMode {
 	case OTDealer:
 		h.broker = ot.NewDealerBroker()
 	case OTIKNP:
 	default:
-		return nil, fmt.Errorf("cluster: unknown OT mode %d", mode)
+		return nil, fmt.Errorf("cluster: unknown OT mode %d", sc.OTMode)
 	}
 	var err error
-	if h.dep, err = newDeployment(grp, sc.Cfg, sc.Recover, prog, sc.Graph); err != nil {
+	if h.dep, err = vertex.NewDeployment(sc.engineConfig(), prog, sc.Graph); err != nil {
 		return nil, err
 	}
 	// The default query's aggregation plan is part of what opening the
 	// deployment pays for, not its first query.
-	if err := h.dep.Prepare(sc.Cfg.Epsilon); err != nil {
+	if err := h.dep.Prepare(sc.Epsilon); err != nil {
 		return nil, err
 	}
 	return h, nil

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dstress/internal/group"
 	"dstress/internal/network"
 	"dstress/internal/obs"
 )
@@ -92,9 +93,9 @@ func TestWatchdogUnstartedNode(t *testing.T) {
 // converge (Synced), runtime stats arrive, and every node's span table lands
 // on the caller's trace rebased onto the driver's timeline.
 func TestHeartbeatLoopback(t *testing.T) {
-	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}
+	cfg := Config{Group: group.ModP256(), K: 1, Alpha: 0.5}
 	sc, exact := enChainScenario(t, 4, cfg, 6)
-	sc.Heartbeat = 20 * time.Millisecond
+	sc.HeartbeatInterval = 20 * time.Millisecond
 	lb, err := OpenLoopback(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
@@ -172,21 +173,18 @@ func TestHeartbeatLoopback(t *testing.T) {
 // the phase entries and spans a post-mortem needs: the two counter bumps
 // every AND round makes stay out of the ring.
 func TestFlightRingKeepsPhases(t *testing.T) {
-	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5, Epsilon: 2}
+	cfg := Config{Group: group.ModP256(), K: 1, Alpha: 0.5}
 	sc, _ := enChainScenario(t, 4, cfg, 1)
-	sc.Heartbeat = 20 * time.Millisecond
-	prog, err := sc.Prog.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc.HeartbeatInterval = 20 * time.Millisecond
+	sc.Epsilon = 2
 	ctx := context.Background()
-	sess, err := OpenHub(ctx, sc, prog, OTDealer)
+	sess, err := OpenHub(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
 	tr := obs.NewTrace(0)
-	res, err := sess.Query(obs.With(ctx, tr), Query{Iterations: 1, Epsilon: cfg.Epsilon})
+	res, err := sess.Query(obs.With(ctx, tr), Query{Iterations: 1, Epsilon: sc.Epsilon})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +194,7 @@ func TestFlightRingKeepsPhases(t *testing.T) {
 		t.Fatalf("the fleet ran %d AND rounds over %d nodes; the test needs more per node than the ring holds", rounds, len(nodes))
 	}
 	// Let a few beats ship the rings' tails to the coordinator.
-	time.Sleep(10 * sc.Heartbeat)
+	time.Sleep(10 * sc.HeartbeatInterval)
 	for _, n := range nodes {
 		_, _, events := sess.health.failureInfo(n.Node, 0)
 		kinds := map[string]int{}
@@ -218,11 +216,11 @@ func TestFlightRingKeepsPhases(t *testing.T) {
 // the query runs; on the hub the victim dies at a barrier, the way chaos
 // kills it.
 func TestNodeKillProducesQueryError(t *testing.T) {
-	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}
+	cfg := Config{Group: group.ModP256(), K: 1, Alpha: 0.5}
 	const victim = network.NodeID(2)
 	t.Run("tcp", func(t *testing.T) {
 		sc, _ := enChainScenario(t, 4, cfg, 8)
-		sc.Heartbeat = 25 * time.Millisecond
+		sc.HeartbeatInterval = 25 * time.Millisecond
 		co, err := NewCoordinator("127.0.0.1:0", sc)
 		if err != nil {
 			t.Fatal(err)
@@ -268,13 +266,9 @@ func TestNodeKillProducesQueryError(t *testing.T) {
 	})
 	t.Run("hub", func(t *testing.T) {
 		sc, _ := enChainScenario(t, 4, cfg, 8)
-		sc.Heartbeat = 25 * time.Millisecond
+		sc.HeartbeatInterval = 25 * time.Millisecond
 		sc.ChaosNode, sc.ChaosBarrier = victim, 2
-		prog, err := sc.Prog.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := OpenHub(context.Background(), sc, prog, OTDealer)
+		sess, err := OpenHub(context.Background(), sc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -87,8 +87,12 @@ func RunNode(ctx context.Context, opt NodeOptions) (*vertex.NodeResult, error) {
 		id: opt.ID, dataAddr: adv, chaos: opt.Chaos,
 		// Everything in the setup arrived from outside the process, so the
 		// engine is built from verified bytes and the peer directory.
-		engine: func(grp group.Group, sm setupMsg, secrets trustedparty.NodeSecrets) (*vertex.Deployment, *vertex.Engine, error) {
-			dep, eng, err := newNodeEngine(opt.ID, peer, grp, sm, secrets)
+		engine: func(grp group.Group, pm paramsMsg, sm setupMsg, secrets trustedparty.NodeSecrets) (*vertex.Deployment, *vertex.Engine, error) {
+			dep, setup, err := nodeDeployment(grp, pm, sm)
+			if err != nil {
+				return nil, nil, fmt.Errorf("cluster: node %d: %w", opt.ID, err)
+			}
+			eng, err := vertex.NewEngine(dep, setup, secrets, peer, gmw.SubstrateOT{Sub: ot.NewSubstrate(grp, peer)})
 			if err != nil {
 				return nil, nil, err
 			}
@@ -119,10 +123,11 @@ type nodeShell struct {
 	// dataAddr is the data-plane address peers dial ("" on the hub).
 	dataAddr string
 	chaos    *NodeChaos
-	// engine builds the node's engine from the session's setup. own is the
-	// deployment the node holds alone, or nil when it shares its driver's —
-	// whose certificate uses the driver then announces.
-	engine func(grp group.Group, sm setupMsg, secrets trustedparty.NodeSecrets) (own *vertex.Deployment, e *vertex.Engine, err error)
+	// engine builds the node's engine from the parameters it registered
+	// under and the session's setup. own is the deployment the node holds
+	// alone, or nil when it shares its driver's — whose certificate uses the
+	// driver then announces.
+	engine func(grp group.Group, pm paramsMsg, sm setupMsg, secrets trustedparty.NodeSecrets) (own *vertex.Deployment, e *vertex.Engine, err error)
 	// recovery turns a recovery announcement into the engine's
 	// instructions.
 	recovery func(grp group.Group, rm recoverMsg) (*vertex.Recovery, error)
@@ -184,7 +189,7 @@ func (sh nodeShell) serve(ctx context.Context, conn net.Conn) (*vertex.NodeResul
 	if err := dec.Decode(&sm); err != nil {
 		return nil, fmt.Errorf("cluster: reading setup: %w", err)
 	}
-	own, eng, err := sh.engine(grp, sm, secrets)
+	own, eng, err := sh.engine(grp, pm, sm, secrets)
 	if err != nil {
 		return nil, err
 	}
@@ -524,18 +529,37 @@ func dialRetry(ctx context.Context, addr string) (net.Conn, error) {
 	}
 }
 
-// newNodeEngine builds the node's protocol engine from the session's setup.
-// Everything on that message arrived from outside the process, so this is
-// where it is checked: the topology is rebuilt edge by edge, and the
-// trusted party's signatures over the assignment and over every block
-// certificate are verified before the engine ever sees the setup.
-func newNodeEngine(id network.NodeID, tr network.Transport, grp group.Group, sm setupMsg, secrets trustedparty.NodeSecrets) (*vertex.Deployment, *vertex.Engine, error) {
+// SetupMismatchError reports a setup whose program does not compile to the
+// message width L of the system parameters the node registered under
+// (§3.4 step 1): the trusted party sized the registration for L-bit
+// messages, so an engine built from the spec would not run the protocol the
+// rest of the fleet runs.
+type SetupMismatchError struct {
+	L       int // registered message width
+	MsgBits int // message width the spec compiled to
+}
+
+func (e *SetupMismatchError) Error() string {
+	return fmt.Sprintf("cluster: setup's program has %d-bit messages, but the node registered under L = %d", e.MsgBits, e.L)
+}
+
+// nodeDeployment is a daemon's whole build before any transport is touched:
+// the deployment, from the parameters it registered under and the setup
+// that followed. Everything on those messages arrived from outside the
+// process, so this is where it is checked: the compiled program must match
+// the registration, the topology is rebuilt edge by edge, and the trusted
+// party's signatures over the assignment and over every block certificate
+// are verified before any engine sees the setup.
+func nodeDeployment(grp group.Group, pm paramsMsg, sm setupMsg) (*vertex.Deployment, *trustedparty.SetupResult, error) {
 	prog, err := sm.Prog.Build()
 	if err != nil {
 		return nil, nil, err
 	}
-	g := vertex.NewGraph(len(sm.Topo.Out), sm.Topo.D)
-	for u, outs := range sm.Topo.Out {
+	if prog.MsgBits != pm.L {
+		return nil, nil, &SetupMismatchError{L: pm.L, MsgBits: prog.MsgBits}
+	}
+	g := vertex.NewGraph(len(sm.Out), pm.D)
+	for u, outs := range sm.Out {
 		for _, v := range outs {
 			if err := g.AddEdge(u, v); err != nil {
 				return nil, nil, err
@@ -544,26 +568,14 @@ func newNodeEngine(id network.NodeID, tr network.Transport, grp group.Group, sm 
 	}
 	setup, err := verifiedSetup(grp, sm.Setup)
 	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: node %d: %w", id, err)
+		return nil, nil, err
 	}
-	dep, err := newDeployment(grp, sm.Cfg, sm.Recover, prog, g)
+	cfg := Config{Group: grp, K: pm.K, Alpha: sm.Alpha, AggFanIn: sm.AggFanIn, Recover: sm.Recover}
+	dep, err := vertex.NewDeployment(cfg.engineConfig(), prog, g)
 	if err != nil {
 		return nil, nil, err
 	}
-	eng, err := vertex.NewEngine(dep, setup, secrets, tr, gmw.SubstrateOT{Sub: ot.NewSubstrate(grp, tr)})
-	if err != nil {
-		return nil, nil, err
-	}
-	return dep, eng, nil
-}
-
-// newDeployment is where the wire configuration becomes a vertex.Config:
-// for a node daemon's own deployment and for the one an in-process fleet
-// shares.
-func newDeployment(grp group.Group, cfg ConfigWire, recover bool, prog *vertex.Program, g *vertex.Graph) (*vertex.Deployment, error) {
-	return vertex.NewDeployment(vertex.Config{
-		Group: grp, K: cfg.K, Alpha: cfg.Alpha, AggFanIn: cfg.AggFanIn, Recover: recover,
-	}, prog, g)
+	return dep, setup, nil
 }
 
 // verifiedSetup parses a trusted-party publication off the wire and checks

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dstress/internal/group"
 	"dstress/internal/network"
 	"dstress/internal/trustedparty"
 	"dstress/internal/vertex"
@@ -32,11 +33,7 @@ var fleetStarts = []struct {
 }{
 	{"tcp", OpenLoopback},
 	{"hub", func(ctx context.Context, sc Scenario) (*Session, error) {
-		prog, err := sc.Prog.Build()
-		if err != nil {
-			return nil, err
-		}
-		return OpenHub(ctx, sc, prog, OTDealer)
+		return OpenHub(ctx, sc)
 	}},
 }
 
@@ -49,10 +46,10 @@ var fleetStarts = []struct {
 func TestRecoveryBeforeFirstQuery(t *testing.T) {
 	for _, tc := range fleetStarts {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}
+			cfg := Config{Group: group.ModP256(), K: 1, Alpha: 0.5}
 			const victim = network.NodeID(3)
 			sc, exact := enChainScenario(t, 6, cfg, 4)
-			sc.Heartbeat = 25 * time.Millisecond
+			sc.HeartbeatInterval = 25 * time.Millisecond
 			sc.Recover = true
 			ctx, cancel := context.WithTimeout(context.Background(), 180*time.Second)
 			defer cancel()
@@ -102,11 +99,11 @@ func TestRecoveryBeforeFirstQuery(t *testing.T) {
 }
 
 func chaosRecovery(t *testing.T, open func(context.Context, Scenario) (*Session, error)) {
-	cfg := ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}
+	cfg := Config{Group: group.ModP256(), K: 1, Alpha: 0.5}
 	const iters = 6
 	const victim = network.NodeID(3)
 	sc, exact := enChainScenario(t, 6, cfg, iters)
-	sc.Heartbeat = 25 * time.Millisecond
+	sc.HeartbeatInterval = 25 * time.Millisecond
 	sc.Recover = true
 	sc.ChaosNode = victim
 	sc.ChaosBarrier = 2
@@ -190,7 +187,7 @@ func chaosRecovery(t *testing.T, open func(context.Context, Scenario) (*Session,
 	}
 
 	// A second query runs on the recovered fleet (chaos fires only once).
-	prog, err := sc.Prog.Build()
+	prog, err := sc.Spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,6 @@ type Session struct {
 	closed        bool
 
 	// --- Failure-recovery plane (active when the scenario sets Recover).
-	recoverOn bool
 	// tp and regs are retained from Open so a recovery can re-run the
 	// trusted party's blocking over the surviving registrations.
 	tp   *trustedparty.TrustedParty
@@ -147,14 +146,12 @@ type Session struct {
 	recoveries int
 	recEvents  []obs.FlightEvent
 
-	// Health plane state: the live fleet model fed by heartbeats, the
-	// probe/watchdog parameters, and the pinger goroutine's stop signal.
-	health   *fleetHealth
-	hbEvery  time.Duration
-	stallWin time.Duration
-	hbStop   chan struct{}
-	hbOnce   sync.Once
-	hbDone   chan struct{}
+	// Health plane state: the live fleet model fed by heartbeats and the
+	// pinger goroutine's stop signal.
+	health *fleetHealth
+	hbStop chan struct{}
+	hbOnce sync.Once
+	hbDone chan struct{}
 
 	// Reader failure state: any control-plane read error is fatal for the
 	// whole session (fail-stop), so the first one is recorded — with the

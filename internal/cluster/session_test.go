@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dstress/internal/group"
 	"dstress/internal/network"
 	"dstress/internal/obs"
 )
@@ -14,13 +15,9 @@ import (
 // spend budget ε, for the admission tests; the test closes it.
 func openBudgetedHub(t *testing.T, budget float64) *Session {
 	t.Helper()
-	sc, _ := enChainScenario(t, 4, ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}, 1)
+	sc, _ := enChainScenario(t, 4, Config{Group: group.ModP256(), K: 1, Alpha: 0.5}, 1)
 	sc.Budget = budget
-	prog, err := sc.Prog.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := OpenHub(context.Background(), sc, prog, OTDealer)
+	sess, err := OpenHub(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ import (
 func realSetup(tb testing.TB) (group.Group, trustedparty.WireSetup) {
 	tb.Helper()
 	g := group.ModP256()
-	p := trustedparty.Params{Group: g, K: 1, D: 2, L: 4}
+	p := trustedparty.Params{Group: g, K: 1, D: 2, L: 32}
 	tp, err := trustedparty.New(p)
 	if err != nil {
 		tb.Fatal(err)
@@ -89,21 +89,27 @@ func TestVerifiedSetupRejectsTampering(t *testing.T) {
 	}
 }
 
-// FuzzSetupMsg feeds arbitrary bytes through what a daemon does with its
-// setup message before trusting it: gob-decode a setupMsg, then parse and
-// verify the trusted party's publication. Whatever arrives, the path
-// returns an error or a setup whose signatures check — it never panics.
+// FuzzSetupMsg feeds arbitrary bytes through a daemon's whole build before
+// any transport is touched: gob-decode a setupMsg, then nodeDeployment —
+// compile the spec, check it against the registration, rebuild the
+// topology, verify the trusted party's publication, build the deployment.
+// Whatever arrives, the build returns an error or a deployment whose
+// setup's signatures check — it never panics.
 func FuzzSetupMsg(f *testing.F) {
 	g, w := realSetup(f)
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(setupMsg{
-		Cfg:       ConfigWire{Group: g.Name(), K: 1, Alpha: 0.5},
+	pm := paramsMsg{Group: g.Name(), K: 1, D: 2, L: 32}
+	seed := setupMsg{
+		Alpha:     0.5,
 		Prog:      ProgramSpec{Kind: "en", Width: 32, Unit: 1, GranularityDollars: 1, Leverage: 0.1},
-		Topo:      TopologyWire{D: 2, Out: [][]int{{1}, {2}, {3}, {}}},
+		Out:       [][]int{{1}, {2}, {3}, {}},
 		Directory: map[network.NodeID]string{1: "127.0.0.1:1", 2: "127.0.0.1:2", 3: "127.0.0.1:3", 4: "127.0.0.1:4"},
 		Setup:     w,
-	})
-	if err != nil {
+	}
+	if _, _, err := nodeDeployment(g, pm, seed); err != nil {
+		f.Fatalf("the seed setup does not build: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(seed); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
@@ -112,14 +118,55 @@ func FuzzSetupMsg(f *testing.F) {
 		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&sm); err != nil {
 			return
 		}
-		setup, err := verifiedSetup(g, sm.Setup)
+		dep, setup, err := nodeDeployment(g, pm, sm)
 		if err != nil {
 			return
 		}
+		if dep == nil {
+			t.Fatal("nodeDeployment returned neither a deployment nor an error")
+		}
 		if !trustedparty.VerifyAssignment(setup.VerifyKey, setup.Assignment) {
-			t.Fatal("verifiedSetup accepted an assignment whose signature does not check")
+			t.Fatal("nodeDeployment accepted an assignment whose signature does not check")
 		}
 	})
+}
+
+// TestSetupMismatchFailsNode pins the check a node daemon makes of its
+// build against its registration: when the spec compiles, on the nodes, to
+// a message width other than the L the coordinator registered them under,
+// every node refuses its setup with a *SetupMismatchError before it builds
+// an engine, and the first query fails with a *QueryError instead of
+// running on mismatched parameters.
+func TestSetupMismatchFailsNode(t *testing.T) {
+	var builds atomic.Int32
+	RegisterProgram("test-node-build-narrower", func(ProgramSpec) (*vertex.Program, error) {
+		width := 32
+		if builds.Add(1) > 1 { // the coordinator builds first, then the nodes
+			width = 24
+		}
+		return risk.ENProgram(risk.CircuitConfig{Width: width, Unit: 1}, 1, 0.1), nil
+	})
+	sc, _ := enChainScenario(t, 4, Config{Group: group.ModP256(), K: 1, Alpha: 0.5}, 1)
+	sc.Spec.Kind = "test-node-build-narrower"
+	sc.HeartbeatInterval = 25 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	sess, err := OpenLoopback(ctx, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sess.Query(ctx, Query{})
+	var qe *QueryError
+	if !errors.As(err, &qe) {
+		t.Fatalf("query on a fleet whose nodes refused their setup returned %v, want a *QueryError", err)
+	}
+	var mm *SetupMismatchError
+	if closeErr := sess.Close(); !errors.As(closeErr, &mm) {
+		t.Fatalf("Close reported %v, want a node's *SetupMismatchError", closeErr)
+	}
+	if mm.L != 32 || mm.MsgBits != 24 {
+		t.Errorf("mismatch reports L = %d, MsgBits = %d; want 32, 24", mm.L, mm.MsgBits)
+	}
 }
 
 // TestSetupFailureFailsNextQuery pins what a node that cannot build its
@@ -136,9 +183,9 @@ func TestSetupFailureFailsNextQuery(t *testing.T) {
 		}
 		return risk.ENProgram(risk.CircuitConfig{Width: 32, Unit: 1}, 1, 0.1), nil
 	})
-	sc, _ := enChainScenario(t, 4, ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}, 1)
-	sc.Prog.Kind = "test-second-build-fails"
-	sc.Heartbeat = 25 * time.Millisecond
+	sc, _ := enChainScenario(t, 4, Config{Group: group.ModP256(), K: 1, Alpha: 0.5}, 1)
+	sc.Spec.Kind = "test-second-build-fails"
+	sc.HeartbeatInterval = 25 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	sess, err := OpenLoopback(ctx, sc)

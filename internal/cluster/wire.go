@@ -6,18 +6,26 @@ package cluster
 // messages are plain gob-encoded structs in a fixed sequence:
 //
 //	node → coordinator   helloMsg     (node id + data-plane address)
-//	coordinator → node   paramsMsg    (public system parameters, §3.4 step 1)
+//	coordinator → node   paramsMsg    (public system parameters, §3.4 step 1:
+//	                                   group, K, D, L)
 //	node → coordinator   regMsg       (ElGamal public keys + neighbor keys;
 //	                                   the private halves never leave the node)
-//	coordinator → node   setupMsg     (the deployment: program spec, config,
-//	                                   topology, node directory, and the
-//	                                   signed §3.4 step-2/3 publication)
+//	coordinator → node   setupMsg     (the rest of the deployment: α, fan-in,
+//	                                   recovery, program spec, adjacency,
+//	                                   node directory, and the signed §3.4
+//	                                   step-2/3 publication)
 //	coordinator → node   ctrlMsg      (a jobMsg — one query's owner inputs,
 //	                                   iteration count and ε — a pingMsg
 //	                                   heartbeat probe, or a recoverMsg)
 //	node → coordinator   nodeMsg      (either a doneMsg — the node's
 //	                                   vertex.NodeResult row — or a beatMsg
 //	                                   heartbeat reply)
+//
+// Each deployment setting crosses the wire once: the node builds its engine
+// from paramsMsg and setupMsg together and checks that the program the spec
+// compiles to has the message width it registered under. The coordinator's
+// own settings (heartbeat, stall window, OT mode) never travel; the ε of
+// each query rides its jobMsg.
 //
 // After registration both directions speak envelopes (ctrlMsg/nodeMsg)
 // because a gob stream decodes into one concrete type per Decode call, and
@@ -40,27 +48,6 @@ import (
 	"dstress/internal/vertex"
 )
 
-// ConfigWire is the serializable subset of vertex.Config. The crypto group
-// travels by name; OT provisioning is not included because node daemons
-// always use IKNP (a dealer broker is an in-process object and cannot span
-// machines — the paper-faithful configuration needs no dealer anyway); only
-// an in-process fleet picks it, when it is opened (OpenHub).
-type ConfigWire struct {
-	Group    string
-	K        int
-	Alpha    float64
-	Epsilon  float64
-	AggFanIn int
-}
-
-// TopologyWire is the public part of the graph: degree bound and edge
-// lists. Vertex v is owned by node v+1. Private inputs are NOT part of the
-// topology; each node receives only its own in jobMsg.
-type TopologyWire struct {
-	D   int
-	Out [][]int
-}
-
 type helloMsg struct {
 	ID network.NodeID
 	// DataAddr is the address other nodes should dial for the tcpnet data
@@ -68,6 +55,10 @@ type helloMsg struct {
 	DataAddr string
 }
 
+// paramsMsg is the public system parameters of §3.4 step 1, which a node
+// registers under: the group by name, the collusion bound, the degree bound
+// and the message width. They are sent once, here; the setup that follows
+// does not repeat them.
 type paramsMsg struct {
 	Group string
 	K     int
@@ -79,23 +70,29 @@ type regMsg struct {
 	Reg trustedparty.WireRegistration
 }
 
-// setupMsg is everything a node builds its engine from, sent once by Open
-// right after the trusted-party setup and before any job: the standing
-// deployment's program, configuration and topology, the peer directory, and
-// the trusted party's signed publication. An in-process fleet shares its
-// driver's deployment and publication, so its nodes receive an empty one.
+// setupMsg is the rest of what a node builds its engine from, sent once by
+// Open right after the trusted-party setup and before any job: the
+// deployment settings paramsMsg does not carry, the program spec, the
+// topology, the peer directory, and the trusted party's signed publication.
+// The node builds its deployment from the two messages together
+// (nodeDeployment). An in-process fleet shares its driver's deployment and
+// publication, so its nodes receive an empty publication.
 type setupMsg struct {
-	Cfg  ConfigWire
-	Prog ProgramSpec
-	Topo TopologyWire
-	// Directory maps node id → data-plane address for every participant.
-	Directory map[network.NodeID]string
-	Setup     trustedparty.WireSetup
+	Alpha    float64
+	AggFanIn int
 	// Recover opts the node into the failure-recovery plane: exchange the
 	// fleet recovery key at engine bootstrap, archive and ship encrypted
 	// share snapshots at every phase barrier, and survive run failures
 	// (report them on doneMsg without poisoning the standing daemon).
 	Recover bool
+	Prog    ProgramSpec
+	// Out is the public part of the graph: vertex v's out-edges, vertex v
+	// owned by node v+1. Private inputs are NOT part of it; each node
+	// receives only its own, on jobMsg.
+	Out [][]int
+	// Directory maps node id → data-plane address for every participant.
+	Directory map[network.NodeID]string
+	Setup     trustedparty.WireSetup
 }
 
 // ctrlMsg is the coordinator→node envelope: exactly one field is non-nil.

@@ -65,11 +65,11 @@ func runE2E(o Options, model string, blockSize, n, d, iters int) (*vertex.Report
 	// session joins its engines' first job pays.
 	ctx := context.Background()
 	sc := cluster.Scenario{
-		Cfg:   cluster.ConfigWire{Group: o.group().Name(), K: blockSize - 1, Alpha: 0.5},
-		Graph: graph, Iterations: iters,
+		Config: cluster.Config{Group: o.group(), K: blockSize - 1, Alpha: 0.5, OTMode: cluster.OTDealer},
+		Job:    cluster.Job{Program: prog, Graph: graph, Iterations: iters},
 	}
 	start := time.Now()
-	sess, err := cluster.OpenHub(ctx, sc, prog, cluster.OTDealer)
+	sess, err := cluster.OpenHub(ctx, sc)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dstress/internal/cluster"
+	"dstress/internal/group"
 	"dstress/internal/risk"
 	"dstress/internal/vertex"
 )
@@ -14,8 +15,10 @@ import (
 func runMPC(t *testing.T, prog *vertex.Program, g *vertex.Graph, iters int) *cluster.Result {
 	t.Helper()
 	ctx := context.Background()
-	sc := cluster.Scenario{Cfg: cluster.ConfigWire{Group: "modp256", K: 1, Alpha: 0.5}, Graph: g, Iterations: iters}
-	f, err := cluster.OpenHub(ctx, sc, prog, cluster.OTDealer)
+	f, err := cluster.OpenHub(ctx, cluster.Scenario{
+		Config: cluster.Config{Group: group.ModP256(), K: 1, Alpha: 0.5, OTMode: cluster.OTDealer},
+		Job:    cluster.Job{Program: prog, Graph: g, Iterations: iters},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -541,15 +541,19 @@ func TestPoisonedSimSessionIsRecycledWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
-	eng := dstress.NewSimEngine(dstress.EngineConfig{
-		Group: dstress.TestGroup(), K: 1, Alpha: 0.5, OTMode: dstress.OTDealer,
-		ChaosNode: 2, HeartbeatInterval: 20 * time.Millisecond,
-	})
+	sc := cluster.Scenario{
+		Config: cluster.Config{
+			Group: dstress.TestGroup(), K: 1, Alpha: 0.5, OTMode: cluster.OTDealer,
+			HeartbeatInterval: 20 * time.Millisecond,
+		},
+		Job:       job,
+		ChaosNode: 2,
+	}
 	var opened atomic.Int64
 	svc, err := New(context.Background(), Config{
 		Open: func(ctx context.Context) (QueryRunner, error) {
 			opened.Add(1)
-			return eng.Open(ctx, job, 0)
+			return cluster.OpenHub(ctx, sc)
 		},
 		PoolCap: 1, Warm: 1,
 		DefaultBudget: math.Inf(1),

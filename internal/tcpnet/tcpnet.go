@@ -300,6 +300,12 @@ func writeFrame(w io.Writer, from network.NodeID, tag string, payload []byte) er
 	return err
 }
 
+// ErrBadFrame reports a frame whose header is malformed: a length outside
+// [6, maxFrame] or a tag that overruns the frame. A frame cut short by the
+// end of the stream reads as io.ErrUnexpectedEOF instead; io.EOF means the
+// stream ended cleanly between frames.
+var ErrBadFrame = errors.New("tcpnet: malformed frame")
+
 func readFrame(r io.Reader) (from network.NodeID, tag string, payload []byte, err error) {
 	var hdr [4]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
@@ -307,16 +313,19 @@ func readFrame(r io.Reader) (from network.NodeID, tag string, payload []byte, er
 	}
 	total := binary.BigEndian.Uint32(hdr[:])
 	if total > maxFrame || total < 6 {
-		return 0, "", nil, fmt.Errorf("tcpnet: bad frame length %d", total)
+		return 0, "", nil, fmt.Errorf("%w: length %d", ErrBadFrame, total)
 	}
 	body := make([]byte, total)
 	if _, err = io.ReadFull(r, body); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised a body
+		}
 		return 0, "", nil, err
 	}
 	from = network.NodeID(binary.BigEndian.Uint32(body[0:]))
 	tagLen := int(binary.BigEndian.Uint16(body[4:]))
 	if 6+tagLen > int(total) {
-		return 0, "", nil, errors.New("tcpnet: tag overruns frame")
+		return 0, "", nil, fmt.Errorf("%w: tag of %d bytes overruns a %d-byte frame", ErrBadFrame, tagLen, total)
 	}
 	tag = string(body[6 : 6+tagLen])
 	payload = body[6+tagLen:]

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
+	"encoding/binary"
+	"errors"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -200,14 +203,66 @@ func TestFrameRejectsGarbage(t *testing.T) {
 	// A frame claiming an absurd length must be rejected, not allocated.
 	var buf bytes.Buffer
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, _, _, err := readFrame(&buf); err == nil {
-		t.Error("oversized frame accepted")
+	if _, _, _, err := readFrame(&buf); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("oversized frame: %v, want ErrBadFrame", err)
 	}
 	var short bytes.Buffer
 	short.Write([]byte{0, 0, 0, 2, 0, 0})
-	if _, _, _, err := readFrame(&short); err == nil {
-		t.Error("undersized frame accepted")
+	if _, _, _, err := readFrame(&short); !errors.Is(err, ErrBadFrame) {
+		t.Errorf("undersized frame: %v, want ErrBadFrame", err)
 	}
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the frame reader every inbound
+// connection runs. It never panics; it fails only with ErrBadFrame (a
+// malformed header), io.ErrUnexpectedEOF (a frame cut short) or io.EOF (no
+// frame at all), each exactly when the bytes call for it; and a frame it
+// accepts re-encodes to the bytes it was read from.
+func FuzzReadFrame(f *testing.F) {
+	var valid bytes.Buffer
+	if err := writeFrame(&valid, 7, "q/1/gmw", []byte("payload")); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()-3])           // truncated body
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})          // oversized
+	f.Add([]byte{0, 0, 0, 6, 0, 0, 0, 1, 0xff, 0}) // tag overruns the frame
+	f.Fuzz(func(t *testing.T, data []byte) {
+		from, tag, payload, err := readFrame(bytes.NewReader(data))
+		var want error
+		switch {
+		case len(data) == 0:
+			want = io.EOF
+		case len(data) < 4:
+			want = io.ErrUnexpectedEOF
+		default:
+			total := binary.BigEndian.Uint32(data)
+			switch {
+			case total > maxFrame || total < 6:
+				want = ErrBadFrame
+			case uint64(len(data)-4) < uint64(total):
+				want = io.ErrUnexpectedEOF
+			case 6+int(binary.BigEndian.Uint16(data[8:])) > int(total):
+				want = ErrBadFrame
+			}
+		}
+		if want != nil {
+			if !errors.Is(err, want) {
+				t.Fatalf("readFrame(%x) = %v, want %v", data, err, want)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("readFrame(%x) refused a well-formed frame: %v", data, err)
+		}
+		var re bytes.Buffer
+		if err := writeFrame(&re, from, tag, payload); err != nil {
+			t.Fatalf("re-encoding frame from %d tag %q: %v", from, tag, err)
+		}
+		if !bytes.Equal(re.Bytes(), data[:re.Len()]) {
+			t.Fatalf("frame %x re-encodes as %x", data[:re.Len()], re.Bytes())
+		}
+	})
 }
 
 func BenchmarkTCPRoundTrip(b *testing.B) {

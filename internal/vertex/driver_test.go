@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"dstress/internal/cluster"
+	"dstress/internal/group"
 	"dstress/internal/network"
 	"dstress/internal/trustedparty"
 	"dstress/internal/vertex"
@@ -23,13 +24,17 @@ import (
 
 // hubScenario is a test deployment over the mod-p group with blocks of k+1.
 func hubScenario(g *vertex.Graph, k int, alpha float64) cluster.Scenario {
-	return cluster.Scenario{Cfg: cluster.ConfigWire{Group: "modp256", K: k, Alpha: alpha}, Graph: g}
+	return cluster.Scenario{
+		Config: cluster.Config{Group: group.ModP256(), K: k, Alpha: alpha},
+		Job:    cluster.Job{Graph: g},
+	}
 }
 
-// openHub stands a simulated deployment up for the rest of the test.
+// openHub stands a simulated deployment of p up for the rest of the test.
 func openHub(t *testing.T, ctx context.Context, sc cluster.Scenario, p *vertex.Program, mode cluster.OTMode) *cluster.Session {
 	t.Helper()
-	sess, err := cluster.OpenHub(ctx, sc, p, mode)
+	sc.Program, sc.OTMode = p, mode
+	sess, err := cluster.OpenHub(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +143,18 @@ func TestRuntimeValidation(t *testing.T) {
 	g := vertex.RingGraph(t, 3, p)
 	ctx := context.Background()
 	noGroup := hubScenario(g, 1, 0)
-	noGroup.Cfg.Group = ""
-	if _, err := cluster.OpenHub(ctx, noGroup, p, cluster.OTDealer); err == nil {
+	noGroup.Program, noGroup.Group = p, nil
+	if _, err := cluster.OpenHub(ctx, noGroup); err == nil {
 		t.Error("missing group accepted")
 	}
-	if _, err := cluster.OpenHub(ctx, hubScenario(g, 5, 0), p, cluster.OTDealer); err == nil {
+	tooFew := hubScenario(g, 5, 0)
+	tooFew.Program = p
+	if _, err := cluster.OpenHub(ctx, tooFew); err == nil {
 		t.Error("K+1 > N accepted")
 	}
-	if _, err := cluster.OpenHub(ctx, hubScenario(g, 1, 0), p, cluster.OTMode(9)); err == nil {
+	badOT := hubScenario(g, 1, 0)
+	badOT.Program, badOT.OTMode = p, cluster.OTMode(9)
+	if _, err := cluster.OpenHub(ctx, badOT); err == nil {
 		t.Error("unknown OT mode accepted")
 	}
 }
@@ -153,7 +162,7 @@ func TestRuntimeValidation(t *testing.T) {
 // treeScenario is hubScenario with the §3.6 aggregation tree.
 func treeScenario(g *vertex.Graph, alpha float64, fanIn int) cluster.Scenario {
 	sc := hubScenario(g, 1, alpha)
-	sc.Cfg.AggFanIn = fanIn
+	sc.AggFanIn = fanIn
 	return sc
 }
 
@@ -266,7 +275,7 @@ func TestSessionQueriesMatchReference(t *testing.T) {
 func chaosScenario(sc cluster.Scenario, victim, barrier int) cluster.Scenario {
 	sc.Recover = true
 	sc.ChaosNode, sc.ChaosBarrier = network.NodeID(victim), barrier
-	sc.Heartbeat = 25 * time.Millisecond
+	sc.HeartbeatInterval = 25 * time.Millisecond
 	return sc
 }
 
