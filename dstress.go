@@ -24,7 +24,7 @@
 //	prog := dstress.ENProgram(cfg, 1e9, 0.1)      // Figure 2(a) compiled to circuits
 //	graph, _ := dstress.ENGraph(net, cfg, D)      // per-bank private inputs
 //	eng := dstress.NewSimEngine(dstress.EngineConfig{
-//	    Group: dstress.P256(), K: 19, Alpha: 0.999,
+//	    Group: dstress.P256(), K: 19, Alpha: 0.99,
 //	})
 //	res, _ := eng.Run(ctx, dstress.Job{
 //	    Program: prog, Graph: graph, Iterations: iters, Epsilon: 0.23,

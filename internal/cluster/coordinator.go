@@ -80,6 +80,9 @@ func newCoordinator(sc Scenario, prog *vertex.Program) (*Coordinator, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
+	if _, err := sc.engineConfig().TransferParams(prog.MsgBits); err != nil {
+		return nil, err
+	}
 	if sc.HeartbeatInterval <= 0 {
 		sc.HeartbeatInterval = defaultHeartbeat
 	}
@@ -271,9 +274,10 @@ func (s *Session) stopHeartbeat() {
 // hint is the node the caller's evidence points at (its control
 // connection broke, or its report carried the failure); if it is still
 // silent once the set settles it is the casualty, however many loaded
-// survivors have not answered yet — else the lowest silent id is. Returns false when everyone answered (the failure
-// was a protocol error or a caller abort, not a death) — the caller then
-// keeps its direct attribution.
+// survivors have not answered yet — else the node silent longest is.
+// Returns false when everyone answered (the failure was a protocol error
+// or a caller abort, not a death) — the caller then keeps its direct
+// attribution.
 func (s *Session) postMortem(hint network.NodeID) (network.NodeID, bool) {
 	probe := time.Now()
 	s.pingAll()

@@ -17,6 +17,7 @@ package cluster
 import (
 	"encoding/json"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -314,7 +315,8 @@ func (h *fleetHealth) failureInfo(id network.NodeID, seq int) (lastPhase string,
 }
 
 // silentSince returns the nodes whose last beat predates the probe instant,
-// sorted by id — the post-mortem's "who stopped answering" check.
+// silent longest first (ties by id), so a casualty sorts ahead of a loaded
+// survivor that last beat just before the probe — the post-mortem's check.
 func (h *fleetHealth) silentSince(probe time.Time) []network.NodeID {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -324,6 +326,9 @@ func (h *fleetHealth) silentSince(probe time.Time) []network.NodeID {
 			dead = append(dead, id)
 		}
 	}
+	slices.SortStableFunc(dead, func(a, b network.NodeID) int {
+		return h.nodes[a].lastBeat.Compare(h.nodes[b].lastBeat)
+	})
 	return dead
 }
 

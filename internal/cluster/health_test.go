@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -247,12 +249,16 @@ func TestNodeKillProducesQueryError(t *testing.T) {
 		}
 		defer sess.Close()
 
-		go func() {
-			time.Sleep(500 * time.Millisecond)
-			kill()
-		}()
+		// Kill the victim once the health plane shows the query computing,
+		// so the kill lands mid-run however fast the query is.
+		var killOnce sync.Once
+		onPhase := func(phase string) {
+			if strings.HasPrefix(phase, "iter/") {
+				killOnce.Do(kill)
+			}
+		}
 		checkQueryError(t, func(ctx context.Context) error {
-			_, err := sess.Query(ctx, Query{Iterations: 8})
+			_, err := sess.Query(obs.WithProgress(ctx, onPhase), Query{Iterations: 8})
 			return err
 		}, victim)
 
@@ -342,5 +348,22 @@ func checkQueryError(t *testing.T, run func(context.Context) error, victim netwo
 	}
 	if len(dump.Events) == 0 {
 		t.Error("flight dump carries no flight-recorder events")
+	}
+}
+
+// TestSilentSinceNamesLongestSilent pins the post-mortem's order on
+// fabricated beats: a loaded survivor whose last beat lands just before
+// the probe, and a victim silent for seconds. The victim comes first
+// whatever the ids, so postMortem's fallback names it, not the lower id.
+func TestSilentSinceNamesLongestSilent(t *testing.T) {
+	h := newFleetHealth([]network.NodeID{1, 2, 3})
+	probe := time.Now()
+	beat := func(id network.NodeID, at time.Time) { h.observeBeat(id, &beatMsg{ID: id}, at) }
+	beat(1, probe.Add(-time.Millisecond)) // survivor, late on the probe
+	beat(2, probe.Add(-3*time.Second))    // victim
+	beat(3, probe.Add(time.Millisecond))  // answered the probe
+	dead := h.silentSince(probe)
+	if len(dead) != 2 || dead[0] != 2 || dead[1] != 1 {
+		t.Fatalf("silentSince = %v, want [2 1]: the victim, then the late survivor", dead)
 	}
 }

@@ -558,6 +558,12 @@ func nodeDeployment(grp group.Group, pm paramsMsg, sm setupMsg) (*vertex.Deploym
 	if prog.MsgBits != pm.L {
 		return nil, nil, &SetupMismatchError{L: pm.L, MsgBits: prog.MsgBits}
 	}
+	// α sizes the lookup table the deployment builds: refuse one too large
+	// before the graph, the setup or the table is allocated.
+	cfg := Config{Group: grp, K: pm.K, Alpha: sm.Alpha, AggFanIn: sm.AggFanIn, Recover: sm.Recover}
+	if _, err := cfg.engineConfig().TransferParams(prog.MsgBits); err != nil {
+		return nil, nil, err
+	}
 	g := vertex.NewGraph(len(sm.Out), pm.D)
 	for u, outs := range sm.Out {
 		for _, v := range outs {
@@ -570,7 +576,6 @@ func nodeDeployment(grp group.Group, pm paramsMsg, sm setupMsg) (*vertex.Deploym
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := Config{Group: grp, K: pm.K, Alpha: sm.Alpha, AggFanIn: sm.AggFanIn, Recover: sm.Recover}
 	dep, err := vertex.NewDeployment(cfg.engineConfig(), prog, g)
 	if err != nil {
 		return nil, nil, err

@@ -16,6 +16,7 @@ import (
 	"dstress/internal/group"
 	"dstress/internal/network"
 	"dstress/internal/risk"
+	"dstress/internal/transfer"
 	"dstress/internal/trustedparty"
 	"dstress/internal/vertex"
 )
@@ -89,6 +90,39 @@ func TestVerifiedSetupRejectsTampering(t *testing.T) {
 	}
 }
 
+// hugeTableAlpha is a transfer-noise parameter whose lookup table, at
+// K = 1, would hold 16,777,219 entries.
+const hugeTableAlpha = 0.99999
+
+func TestSetupRefusesHugeTable(t *testing.T) {
+	// A setup whose α demands a lookup table above the bound is refused
+	// with the typed error, on the node building from it and on the
+	// coordinator opening it, before either builds anything.
+	g, w := realSetup(t)
+	pm := paramsMsg{Group: g.Name(), K: 1, D: 2, L: 32}
+	sm := setupMsg{
+		Alpha:     hugeTableAlpha,
+		Prog:      ProgramSpec{Kind: "en", Width: 32, Unit: 1, GranularityDollars: 1, Leverage: 0.1},
+		Out:       [][]int{{1}, {2}, {3}, {}},
+		Directory: map[network.NodeID]string{1: "127.0.0.1:1", 2: "127.0.0.1:2", 3: "127.0.0.1:3", 4: "127.0.0.1:4"},
+		Setup:     w,
+	}
+	var te *transfer.TableSizeError
+	if _, _, err := nodeDeployment(g, pm, sm); !errors.As(err, &te) {
+		t.Fatalf("node: α=%v setup returned %v, want *transfer.TableSizeError", hugeTableAlpha, err)
+	}
+	if te.Entries != 16_777_219 {
+		t.Errorf("node: refusal names %d entries, want 16,777,219", te.Entries)
+	}
+	sc, _ := enChainScenario(t, 4, Config{Group: group.ModP256(), K: 1, Alpha: hugeTableAlpha}, 1)
+	if _, err := NewCoordinator("127.0.0.1:0", sc); !errors.As(err, &te) {
+		t.Errorf("coordinator: α=%v returned %v, want *transfer.TableSizeError", hugeTableAlpha, err)
+	}
+	if _, err := OpenHub(context.Background(), sc); !errors.As(err, &te) {
+		t.Errorf("hub: α=%v returned %v, want *transfer.TableSizeError", hugeTableAlpha, err)
+	}
+}
+
 // FuzzSetupMsg feeds arbitrary bytes through a daemon's whole build before
 // any transport is touched: gob-decode a setupMsg, then nodeDeployment —
 // compile the spec, check it against the registration, rebuild the
@@ -108,11 +142,15 @@ func FuzzSetupMsg(f *testing.F) {
 	if _, _, err := nodeDeployment(g, pm, seed); err != nil {
 		f.Fatalf("the seed setup does not build: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(seed); err != nil {
-		f.Fatal(err)
+	for _, alpha := range []float64{seed.Alpha, hugeTableAlpha} {
+		sm := seed
+		sm.Alpha = alpha
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(sm); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
 	}
-	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sm setupMsg
 		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&sm); err != nil {

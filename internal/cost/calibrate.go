@@ -46,32 +46,26 @@ func Calibrate(g group.Group) Calibration {
 	net := network.New()
 	parties := []network.NodeID{1, 2, 3}
 	broker := ot.NewDealerBroker()
-	var wg sync.WaitGroup
 	ps := make([]*gmw.Party, 3)
-	for i := 0; i < 3; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ps[i], _ = gmw.NewParty(context.Background(), gmw.Config{
-				Parties: parties, Index: i, Transport: net.Endpoint(parties[i]), Tag: "cal", OT: gmw.DealerOT{Broker: broker},
-			})
-		}()
+	for i := range ps { // dealer OTs need no handshake: join one by one
+		ps[i], _ = gmw.NewParty(context.Background(), gmw.Config{
+			Parties: parties, Index: i, Transport: net.Endpoint(parties[i]), Tag: "cal", OT: gmw.DealerOT{Broker: broker},
+		})
 	}
-	wg.Wait()
 
+	in := make([]uint8, c.NumInputs)
 	start = time.Now()
 	const evals = 3
 	for e := 0; e < evals; e++ {
-		for i := 0; i < 3; i++ {
-			i := i
+		var wg sync.WaitGroup
+		for _, p := range ps {
+			if p == nil {
+				continue
+			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				in := make([]uint8, c.NumInputs)
-				if ps[i] != nil {
-					_, _ = ps[i].Evaluate(context.Background(), c, in)
-				}
+				_, _ = p.Evaluate(context.Background(), c, in)
 			}()
 		}
 		wg.Wait()

@@ -29,15 +29,15 @@ import (
 // Calibration holds measured per-unit costs.
 type Calibration struct {
 	// ANDGatePairNs is the online time to evaluate one AND gate for one
-	// ordered party pair (OT derandomization + share arithmetic).
+	// ordered party pair (two random OTs drawn + share arithmetic).
 	ANDGatePairNs float64
 	// ExpNs is one group exponentiation (ElGamal encrypt ≈ 2 of these).
 	ExpNs float64
 	// RoundLatencyNs is the per-communication-round latency of the GMW
-	// engine (one batched message exchange).
+	// engine: one half-trip, every party sending each peer one frame.
 	RoundLatencyNs float64
 	// ANDGateBytesPair is the online traffic per AND gate per ordered pair
-	// (3 bits derandomization + framing amortized), in bytes.
+	// (2 bits, the opened d and e, + framing amortized), in bytes.
 	ANDGateBytesPair float64
 	// CiphertextBytes is one encoded ElGamal component (compressed point).
 	CiphertextBytes float64
@@ -50,8 +50,8 @@ func DefaultCalibration() Calibration {
 	return Calibration{
 		ANDGatePairNs:    100,
 		ExpNs:            45_000,
-		RoundLatencyNs:   8_000,
-		ANDGateBytesPair: 1.0,
+		RoundLatencyNs:   4_000,
+		ANDGateBytesPair: 0.67,
 		CiphertextBytes:  33,
 	}
 }

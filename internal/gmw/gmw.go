@@ -15,28 +15,34 @@
 //   - XOR gates are free: each party XORs its shares locally.
 //   - The public constant 1 is shared as (1,0,…,0).
 //   - An AND gate x∧y expands to ⊕ᵢxᵢyᵢ ⊕ ⊕_{i≠j} xᵢyⱼ. Party i computes
-//     xᵢyᵢ locally; each cross term xᵢyⱼ is computed with one 1-of-2 OT in
-//     which sender i inputs (r, r⊕xᵢ) for fresh random r and receiver j
-//     selects with yⱼ, so the pair obtains an XOR sharing (r, r⊕xᵢyⱼ).
+//     xᵢyᵢ locally. Each cross term xᵢyⱼ is a Beaver multiplication on the
+//     correlation one random OT from i to j already is: sender i holds pads
+//     (w0, w1), receiver j holds (ρ, wρ), and w0 ⊕ wρ = ρ·Δ with
+//     Δ = w0 ⊕ w1. In one simultaneous exchange i opens d = xᵢ ⊕ Δ and j
+//     opens e = yⱼ ⊕ ρ; i keeps w0 ⊕ (xᵢ∧e) and j keeps wρ ⊕ (d∧ρ), which
+//     XOR to xᵢyⱼ.
 //
 // All AND gates of one multiplicative-depth level are batched into a single
-// message exchange per ordered party pair (the interaction schedule comes
-// from circuit.Rounds), which is what makes the per-step latency of §5.2
-// proportional to circuit depth rather than AND count.
+// round (the interaction schedule comes from circuit.Rounds), which is what
+// makes the per-step latency of §5.2 proportional to circuit depth rather
+// than AND count. A round is one half-trip: each party sends each peer one
+// frame d‖e (its d as sender of the pair toward that peer, its e as
+// receiver of the reverse pair) and reads the peer's back.
 //
-// The data plane is packed: wire values live in a []uint64 bitmap, an AND
-// round gathers its operand bits into packed words once, and everything
-// downstream — the local xᵢyᵢ term, the OT pads and derandomization masks,
-// the per-peer share accumulation — is 64-bits-at-a-time word arithmetic
-// (see internal/ot's packed variants and circuit.PackedRounds).
+// The data plane is packed: wire values live in a []uint64 bitmap and an
+// AND round is 64-bits-at-a-time word arithmetic from the gathered operand
+// shares (see circuit.PackedRounds) to the accumulated output shares.
 //
 // Collusion resistance matches the paper: with k+1 parties, any k colluders
 // miss at least one share of every wire (GMW is secure against n−1
-// semi-honest corruptions).
+// semi-honest corruptions). An opened d is masked by Δ, which the receiver
+// cannot know (it holds only wρ), and an opened e by ρ, which the sender
+// cannot know; every pair and round draws fresh OTs.
 package gmw
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -86,14 +92,24 @@ type Config struct {
 // Party is one session member. All parties of a session must execute the
 // same sequence of Evaluate/Open calls with the same circuits.
 type Party struct {
-	cfg  Config
-	ep   network.Transport
-	n    int
-	me   int
-	send map[int]*ot.BitSender   // ordered pair me→j
-	recv map[int]*ot.BitReceiver // ordered pair j→me
-	seq  int
+	cfg Config
+	ep  network.Transport
+	n   int
+	me  int
+	snd []ot.RandomOTSender   // by peer index: ordered pair me→j
+	rcv []ot.RandomOTReceiver // by peer index: ordered pair j→me
+	seq int
+
+	// AND-round scratch, grown to the widest round and reused after it;
+	// rho holds each peer's choice bits until that peer's frame arrives.
+	xs, ys, acc, tmp []uint64
+	frame            []byte
+	rho              [][]uint64
 }
+
+// ErrBadFrame marks an AND-round frame whose length is not the 2·⌈nG/8⌉
+// bytes its round's gate count fixes.
+var ErrBadFrame = errors.New("gmw: AND-round frame of the wrong length")
 
 // NewParty joins the session described by cfg. For SubstrateOT the call
 // blocks on pairs whose one-time base-OT handshake hasn't happened yet, so
@@ -115,12 +131,13 @@ func NewParty(ctx context.Context, cfg Config) (*Party, error) {
 			cfg.Transport.ID(), cfg.Index, cfg.Parties[cfg.Index])
 	}
 	p := &Party{
-		cfg:  cfg,
-		ep:   cfg.Transport,
-		n:    n,
-		me:   cfg.Index,
-		send: make(map[int]*ot.BitSender),
-		recv: make(map[int]*ot.BitReceiver),
+		cfg: cfg,
+		ep:  cfg.Transport,
+		n:   n,
+		me:  cfg.Index,
+		snd: make([]ot.RandomOTSender, n),
+		rcv: make([]ot.RandomOTReceiver, n),
+		rho: make([][]uint64, n),
 	}
 
 	switch opt := cfg.OT.(type) {
@@ -133,8 +150,6 @@ func NewParty(ctx context.Context, cfg Config) (*Party, error) {
 			// one deployment-wide broker hands every session of every pair
 			// its own derived stream, consumed in lockstep within that
 			// session only.
-			sTag := network.Tag(cfg.Tag, "ot", p.me, j)
-			rTag := network.Tag(cfg.Tag, "ot", j, p.me)
 			si, sj := int(cfg.Parties[p.me]), int(cfg.Parties[j])
 			ds, err := opt.Broker.Sender(si, sj, cfg.Tag)
 			if err != nil {
@@ -144,56 +159,30 @@ func NewParty(ctx context.Context, cfg Config) (*Party, error) {
 			if err != nil {
 				return nil, fmt.Errorf("gmw: dealer stream for pair (%d,%d): %w", sj, si, err)
 			}
-			p.send[j] = ot.NewBitSender(ds, p.ep, cfg.Parties[j], sTag)
-			p.recv[j] = ot.NewBitReceiver(dr, p.ep, cfg.Parties[j], rTag)
+			p.snd[j], p.rcv[j] = ds, dr
 		}
 	case SubstrateOT:
-		// Run all 2(n-1) attachments concurrently; they interleave freely
-		// because tags separate the directions.
+		// One goroutine per peer: its first attachment runs (or joins) the
+		// pair's handshake, which both ends enter concurrently, and the
+		// second is then a local derivation.
+		errs := make([]error, n)
 		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
-		record := func(err error) {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}
 		for j := 0; j < n; j++ {
 			if j == p.me {
 				continue
 			}
-			j := j
-			wg.Add(2)
+			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sTag := network.Tag(cfg.Tag, "ot", p.me, j)
-				src, err := opt.Sub.SenderFor(ctx, cfg.Parties[j], sTag)
-				if err != nil {
-					record(err)
-					return
+				peer := cfg.Parties[j]
+				if p.snd[j], errs[j] = opt.Sub.SenderFor(ctx, peer, network.Tag(cfg.Tag, "ot", p.me, j)); errs[j] == nil {
+					p.rcv[j], errs[j] = opt.Sub.ReceiverFor(ctx, peer, network.Tag(cfg.Tag, "ot", j, p.me))
 				}
-				mu.Lock()
-				p.send[j] = ot.NewBitSender(src, p.ep, cfg.Parties[j], sTag)
-				mu.Unlock()
-			}()
-			go func() {
-				defer wg.Done()
-				rTag := network.Tag(cfg.Tag, "ot", j, p.me)
-				src, err := opt.Sub.ReceiverFor(ctx, cfg.Parties[j], rTag)
-				if err != nil {
-					record(err)
-					return
-				}
-				mu.Lock()
-				p.recv[j] = ot.NewBitReceiver(src, p.ep, cfg.Parties[j], rTag)
-				mu.Unlock()
 			}()
 		}
 		wg.Wait()
-		if firstErr != nil {
-			return nil, fmt.Errorf("gmw: OT setup: %w", firstErr)
+		if err := errors.Join(errs...); err != nil {
+			return nil, fmt.Errorf("gmw: OT setup: %w", err)
 		}
 	default:
 		return nil, fmt.Errorf("gmw: unknown OT option %T", cfg.OT)
@@ -253,83 +242,95 @@ func (p *Party) Evaluate(ctx context.Context, c *circuit.Circuit, inputShares []
 	return out, nil
 }
 
-// andRound evaluates a batch of AND gates with one OT exchange per ordered
-// party pair, entirely on packed words. Each peer direction accumulates
-// into its own buffer; the buffers are XOR-folded after the barrier, so the
-// hot path never contends on a shared accumulator.
+// andRound evaluates a batch of AND gates in one half-trip, entirely on
+// packed words. The OT draws come in an order that keeps IKNP streams
+// deadlock-free: first every receiver-side draw (under IKNP the side that
+// sends extension blobs, without waiting on anyone), then each sender-side
+// draw (which may wait for the peer's blob, sent by the peer's first loop)
+// followed by that peer's frame, then all receives. Each stream gives up
+// exactly nG OTs per round, so the two ends of every pair stay in lockstep.
 func (p *Party) andRound(ctx context.Context, vals []uint64, pr *circuit.PackedRound, evalID, round int) error {
 	nG := len(pr.Out)
 	nW := ot.Words(nG)
-	xs := make([]uint64, nW) // my shares of the A inputs, gathered
-	ys := make([]uint64, nW) // my shares of the B inputs, gathered
+	nb := (nG + 7) / 8
+	if cap(p.xs) < nW {
+		p.xs, p.ys = make([]uint64, nW), make([]uint64, nW)
+		p.acc, p.tmp = make([]uint64, nW), make([]uint64, nW)
+		p.frame = make([]byte, 16*nW) // 2·⌈nG/8⌉ ≤ 16·nW
+	}
+	xs, ys, acc, tmp := p.xs[:nW], p.ys[:nW], p.acc[:nW], p.tmp[:nW]
+	frame := p.frame[:2*nb]
+	clear(xs)
+	clear(ys)
 	for k := range pr.Out {
 		sh := uint(k) & 63
-		xs[k>>6] |= ot.Bit(vals, int(pr.A[k])) << sh
-		ys[k>>6] |= ot.Bit(vals, int(pr.B[k])) << sh
+		xs[k>>6] |= ot.Bit(vals, int(pr.A[k])) << sh // my shares of the A inputs
+		ys[k>>6] |= ot.Bit(vals, int(pr.B[k])) << sh // my shares of the B inputs
 	}
-	acc := make([]uint64, nW)
 	for w := range acc {
 		acc[w] = xs[w] & ys[w] // local diagonal term xᵢyᵢ
 	}
 
-	sent := make([][]uint64, p.n) // my pads r, per sender direction
-	got := make([][]uint64, p.n)  // received cross-term shares, per receiver direction
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-	record := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	// As receiver of pair j→me my share is wρ ⊕ (d∧ρ), as sender of
+	// me→j it is w0 ⊕ (x∧e): the pads go into acc now, the rest once the
+	// peer's d and e arrive.
+	for j, src := range p.rcv {
+		if j == p.me {
+			continue
 		}
-		mu.Unlock()
+		rho, wRho, err := src.RandomChoiceWords(ctx, nG)
+		if err != nil {
+			return fmt.Errorf("gmw: eval %d round %d OTs from %d: %w", evalID, round, j, err)
+		}
+		ot.XorInto(acc, wRho)
+		p.rho[j] = rho
 	}
+	tag := network.Tag(p.cfg.Tag, "and", evalID, round)
+	for j, src := range p.snd {
+		if j == p.me {
+			continue
+		}
+		w0, w1, err := src.RandomPadWords(ctx, nG)
+		if err != nil {
+			return fmt.Errorf("gmw: eval %d round %d OTs to %d: %w", evalID, round, j, err)
+		}
+		rho := p.rho[j]
+		for w := range acc {
+			acc[w] ^= w0[w]
+			w1[w] ^= w0[w] ^ xs[w]  // d = x ⊕ Δ
+			tmp[w] = ys[w] ^ rho[w] // e = y ⊕ ρ
+		}
+		ot.PutWords(frame[:nb], w1, nG)
+		ot.PutWords(frame[nb:], tmp, nG)
+		if err := p.ep.Send(p.cfg.Parties[j], tag, frame); err != nil {
+			return fmt.Errorf("gmw: eval %d round %d send to %d: %w", evalID, round, j, err)
+		}
+	}
+	// One batch of nG OTs per ordered pair, counted on the sender side so
+	// an in-process fleet does not count a pair twice.
+	obs.Add(ctx, "ot/derand_batches", int64(p.n-1))
+	obs.Add(ctx, "ot/derand_bits", int64(nG*(p.n-1)))
 
 	for j := 0; j < p.n; j++ {
 		if j == p.me {
 			continue
 		}
-		j := j
-		wg.Add(2)
-		// Sender direction me→j: contribute r, peer learns r ⊕ xs·(their y).
-		go func() {
-			defer wg.Done()
-			r, err := ot.RandomWords(nG)
-			if err != nil {
-				record(fmt.Errorf("gmw: eval %d round %d pad draw for %d: %w", evalID, round, j, err))
-				return
-			}
-			m1 := make([]uint64, nW)
-			for w := range m1 {
-				m1[w] = r[w] ^ xs[w]
-			}
-			if err := p.send[j].SendPacked(ctx, r, m1, nG); err != nil {
-				record(fmt.Errorf("gmw: eval %d round %d send to %d: %w", evalID, round, j, err))
-				return
-			}
-			sent[j] = r
-		}()
-		// Receiver direction j→me: select with my y shares.
-		go func() {
-			defer wg.Done()
-			g, err := p.recv[j].ReceivePacked(ctx, ys, nG)
-			if err != nil {
-				record(fmt.Errorf("gmw: eval %d round %d recv from %d: %w", evalID, round, j, err))
-				return
-			}
-			got[j] = g
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	for j := 0; j < p.n; j++ {
-		if sent[j] != nil {
-			ot.XorInto(acc, sent[j])
+		peer := p.cfg.Parties[j]
+		in, err := p.ep.Recv(ctx, peer, tag)
+		if err != nil {
+			return fmt.Errorf("gmw: eval %d round %d recv from %d: %w", evalID, round, j, err)
 		}
-		if got[j] != nil {
-			ot.XorInto(acc, got[j])
+		if len(in) != 2*nb {
+			return fmt.Errorf("%w: eval %d round %d: %d bytes from node %d, want %d", ErrBadFrame, evalID, round, len(in), peer, 2*nb)
+		}
+		rho := p.rho[j]
+		ot.ReadWords(tmp, in[:nb], nG) // the peer's d
+		for w := range acc {
+			acc[w] ^= tmp[w] & rho[w]
+		}
+		ot.ReadWords(tmp, in[nb:], nG) // the peer's e
+		for w := range acc {
+			acc[w] ^= xs[w] & tmp[w]
 		}
 	}
 	for k, w := range pr.Out {

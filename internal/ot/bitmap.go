@@ -5,7 +5,7 @@ import (
 )
 
 // Packed-bitmap primitives: the GMW/OT data plane keeps every bit vector —
-// wire values, OT pads, derandomization masks — as []uint64 words, LSB
+// wire values, OT pads, an AND round's opened bits — as []uint64 words, LSB
 // first (bit i lives in word i/64 at position i%64). The layout is the
 // little-endian view of the byte bitmaps PackBits produces, so packing a
 // word vector to bytes for the wire yields byte-identical messages to the
@@ -41,32 +41,43 @@ func XorInto(dst, src []uint64) {
 // words with a zeroed tail.
 func BytesToWords(b []byte, n int) []uint64 {
 	out := make([]uint64, Words(n))
+	ReadWords(out, b, n)
+	return out
+}
+
+// ReadWords is BytesToWords into dst, which must hold Words(n) words; it
+// overwrites them all, tail zeroed.
+func ReadWords(dst []uint64, b []byte, n int) {
+	dst = dst[:Words(n)]
+	clear(dst)
 	nb := (n + 7) / 8
 	for i := 0; i < nb; i++ {
-		out[i>>3] |= uint64(b[i]) << (uint(i&7) * 8)
+		dst[i>>3] |= uint64(b[i]) << (uint(i&7) * 8)
 	}
-	MaskTail(out, n)
-	return out
+	MaskTail(dst, n)
 }
 
 // WordsToBytes converts the low n bits of a packed word vector into the
 // byte bitmap PackBits would produce: (n+7)/8 bytes, tail bits zero.
 func WordsToBytes(w []uint64, n int) []byte {
-	nb := (n + 7) / 8
-	out := make([]byte, nb)
-	for i := 0; i < nb; i++ {
-		out[i] = byte(w[i>>3] >> (uint(i&7) * 8))
-	}
-	if r := n & 7; r != 0 {
-		out[nb-1] &= (1 << uint(r)) - 1
-	}
+	out := make([]byte, (n+7)/8)
+	PutWords(out, w, n)
 	return out
 }
 
+// PutWords is WordsToBytes into dst, which must hold (n+7)/8 bytes.
+func PutWords(dst []byte, w []uint64, n int) {
+	nb := (n + 7) / 8
+	for i := 0; i < nb; i++ {
+		dst[i] = byte(w[i>>3] >> (uint(i&7) * 8))
+	}
+	if r := n & 7; r != 0 {
+		dst[nb-1] &= (1 << uint(r)) - 1
+	}
+}
+
 // RandomWords draws n uniform bits from the entropy source, packed, tail
-// zeroed. An entropy failure is returned, not panicked: the GMW evaluator
-// calls this inside protocol rounds, where a failed read must abort the
-// query like any other I/O error.
+// zeroed; an entropy failure is returned, not panicked.
 func RandomWords(n int) ([]uint64, error) {
 	buf := make([]byte, (n+7)/8)
 	if err := readEntropy(buf); err != nil {

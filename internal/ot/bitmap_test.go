@@ -214,8 +214,11 @@ func TestRandomWordsTailZero(t *testing.T) {
 }
 
 func TestPackedChosenOTMatchesLegacy(t *testing.T) {
-	// The packed derandomization algebra must agree bit-for-bit with the
-	// scalar definition: y0 = m0 ⊕ w_e, y1 = m1 ⊕ w_{1−e}, out = y_c ⊕ w_ρ.
+	// Beaver's derandomization of a random OT into a chosen-message OT,
+	// done word-wise, must agree bit-for-bit with the scalar definition:
+	// y0 = m0 ⊕ w_e, y1 = m1 ⊕ w_{1−e}, out = y_c ⊕ w_ρ. No protocol runs
+	// it (GMW multiplies on the random-OT correlation directly); it pins
+	// the packed correlation algebra, wρ = w0 ⊕ ρ·(w0 ⊕ w1), included.
 	f := func(seed int64) bool {
 		const n = 97 // deliberately word- and byte-misaligned
 		m0, m1, c := randPacked(n), randPacked(n), randPacked(n)
@@ -229,7 +232,7 @@ func TestPackedChosenOTMatchesLegacy(t *testing.T) {
 				wantBits[i] = Bit(m0, i)
 			}
 		}
-		// Packed algebra, as SendPacked/ReceivePacked compute it.
+		// Packed algebra.
 		nW := Words(n)
 		e := make([]uint64, nW)
 		y0 := make([]uint64, nW)

@@ -10,12 +10,12 @@ import (
 // "can be offline and never sees any private information" — correlated
 // randomness is input-independent, so dealing it preserves that property).
 //
-// The online protocol is unchanged: chosen-message OTs still pay the
-// three-bit Beaver derandomization traffic through the network layer, so
-// traffic measurements remain faithful. Only the public-key bootstrap and
-// the extension messages are elided, which makes large benchmark
-// configurations (blocks of 20 over circuits with 10^5 AND gates)
-// tractable on a single machine.
+// The online protocol is unchanged: GMW's AND rounds still send their
+// opened bits (two per AND per ordered pair, see internal/gmw) through the
+// network layer, so traffic measurements remain faithful. Only the
+// public-key bootstrap and the extension messages are elided, which makes
+// large benchmark configurations (blocks of 20 over circuits with 10^5 AND
+// gates) tractable on a single machine.
 //
 // Both halves derive the identical stream from the shared seed: per OT
 // instance three bits (w0, w1, ρ); the receiver's pad is wρ = ρ ? w1 : w0.

@@ -141,16 +141,9 @@ func packWords(bits []uint8) []uint64 { return BytesToWords(PackBits(bits), len(
 
 func unpackWords(w []uint64, n int) []uint8 { return UnpackBits(WordsToBytes(w, n), n) }
 
-func sendBits(bs *BitSender, m0, m1 []uint8) error {
-	return bs.SendPacked(context.Background(), packWords(m0), packWords(m1), len(m0))
-}
-
-func receiveBits(br *BitReceiver, choices []uint8) ([]uint8, error) {
-	out, err := br.ReceivePacked(context.Background(), packWords(choices), len(choices))
-	return unpackWords(out, len(choices)), err
-}
-
-// checkRandomOTs validates the random-OT correlation on n instances.
+// checkRandomOTs validates the random-OT correlation on n instances. It
+// reports with t.Errorf and returns, so concurrent tests may call it off
+// the test goroutine.
 func checkRandomOTs(t *testing.T, s RandomOTSender, r RandomOTReceiver, n int) {
 	t.Helper()
 	var w0, w1, rho, wr []uint64
@@ -167,7 +160,8 @@ func checkRandomOTs(t *testing.T, s RandomOTSender, r RandomOTReceiver, n int) {
 	}()
 	wg.Wait()
 	if es != nil || er != nil {
-		t.Fatalf("errors: %v / %v", es, er)
+		t.Errorf("errors: %v / %v", es, er)
+		return
 	}
 	w0b, w1b, rhoB, wrB := unpackWords(w0, n), unpackWords(w1, n), unpackWords(rho, n), unpackWords(wr, n)
 	ones, rhoOnes := 0, 0
@@ -177,7 +171,8 @@ func checkRandomOTs(t *testing.T, s RandomOTSender, r RandomOTReceiver, n int) {
 			want = w1b[i]
 		}
 		if wrB[i] != want {
-			t.Fatalf("instance %d: receiver pad mismatch", i)
+			t.Errorf("instance %d: receiver pad mismatch", i)
+			return
 		}
 		ones += int(w0b[i])
 		rhoOnes += int(rhoB[i])
@@ -229,97 +224,6 @@ func TestDealerDeterministicFromSeed(t *testing.T) {
 	b0, b1, _ := s2.RandomPadWords(context.Background(), 64)
 	if !slices.Equal(a0, b0) || !slices.Equal(a1, b1) {
 		t.Error("dealer pads not deterministic in seed")
-	}
-}
-
-// checkChosenOT runs the full chosen-message OT stack over a source pair.
-func checkChosenOT(t *testing.T, mkPair func(net *network.Network) (RandomOTSender, RandomOTReceiver)) {
-	t.Helper()
-	net := network.New()
-	src, rcv := mkPair(net)
-	bs := NewBitSender(src, net.Endpoint(1), 2, "chosen")
-	br := NewBitReceiver(rcv, net.Endpoint(2), 1, "chosen")
-
-	const n = 3000
-	m0 := randBits(n)
-	m1 := randBits(n)
-	choices := randBits(n)
-
-	var got []uint8
-	var se, re error
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		se = sendBits(bs, m0, m1)
-	}()
-	go func() {
-		defer wg.Done()
-		got, re = receiveBits(br, choices)
-	}()
-	wg.Wait()
-	if se != nil || re != nil {
-		t.Fatalf("errors: %v / %v", se, re)
-	}
-	for i := 0; i < n; i++ {
-		want := m0[i]
-		if choices[i] == 1 {
-			want = m1[i]
-		}
-		if got[i] != want {
-			t.Fatalf("OT %d: got %d, want %d", i, got[i], want)
-		}
-	}
-}
-
-func TestChosenOTOverDealer(t *testing.T) {
-	checkChosenOT(t, func(net *network.Network) (RandomOTSender, RandomOTReceiver) {
-		s, r := mustDealerPair(t)
-		return s, r
-	})
-}
-
-func TestChosenOTOverIKNP(t *testing.T) {
-	checkChosenOT(t, func(net *network.Network) (RandomOTSender, RandomOTReceiver) {
-		return iknpPair(t, net)
-	})
-}
-
-func TestChosenOTSequentialBatches(t *testing.T) {
-	net := network.New()
-	ds, dr := mustDealerPair(t)
-	bs := NewBitSender(ds, net.Endpoint(1), 2, "seq")
-	br := NewBitReceiver(dr, net.Endpoint(2), 1, "seq")
-	for round := 0; round < 5; round++ {
-		n := 17 * (round + 1)
-		m0, m1, c := randBits(n), randBits(n), randBits(n)
-		var got []uint8
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			if err := sendBits(bs, m0, m1); err != nil {
-				t.Error(err)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			var err error
-			got, err = receiveBits(br, c)
-			if err != nil {
-				t.Error(err)
-			}
-		}()
-		wg.Wait()
-		for i := 0; i < n; i++ {
-			want := m0[i]
-			if c[i] == 1 {
-				want = m1[i]
-			}
-			if got[i] != want {
-				t.Fatalf("round %d OT %d mismatch", round, i)
-			}
-		}
 	}
 }
 
@@ -393,27 +297,5 @@ func BenchmarkDealerRandomOTs(b *testing.B) {
 		if _, _, err := r.RandomChoiceWords(context.Background(), 1024); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestPackedValidation(t *testing.T) {
-	ds, dr := mustDealerPair(t)
-	net := network.New()
-	bs := NewBitSender(ds, net.Endpoint(1), 2, "pv")
-	br := NewBitReceiver(dr, net.Endpoint(2), 1, "pv")
-	// Short word vectors must error, not panic (65 bits need 2 words).
-	short := make([]uint64, 1)
-	if err := bs.SendPacked(context.Background(), short, short, 65); err == nil {
-		t.Error("short message vectors accepted")
-	}
-	if _, err := br.ReceivePacked(context.Background(), short, 65); err == nil {
-		t.Error("short choice vector accepted")
-	}
-	// Zero-length calls are no-ops.
-	if err := bs.SendPacked(context.Background(), nil, nil, 0); err != nil {
-		t.Errorf("empty SendPacked: %v", err)
-	}
-	if out, err := br.ReceivePacked(context.Background(), nil, 0); err != nil || out != nil {
-		t.Errorf("empty ReceivePacked: %v %v", out, err)
 	}
 }

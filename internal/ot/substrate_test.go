@@ -16,9 +16,9 @@ func substratePair(t testing.TB) (*Substrate, *Substrate, *network.Network) {
 	return NewSubstrate(tg, net.Endpoint(1)), NewSubstrate(tg, net.Endpoint(2)), net
 }
 
-// attach builds the chosen-OT pair for one session tag over the substrates,
+// attach derives one session's random-OT stream pair over the substrates,
 // running the (possibly shared) handshake underneath.
-func attach(t testing.TB, s1, s2 *Substrate, tag string) (*BitSender, *BitReceiver) {
+func attach(t testing.TB, s1, s2 *Substrate, tag string) (*IKNPSender, *IKNPReceiver) {
 	t.Helper()
 	var snd *IKNPSender
 	var rcv *IKNPReceiver
@@ -37,7 +37,7 @@ func attach(t testing.TB, s1, s2 *Substrate, tag string) (*BitSender, *BitReceiv
 	if se != nil || re != nil {
 		t.Fatalf("substrate attach errors: %v / %v", se, re)
 	}
-	return NewBitSender(snd, s1.ep, 2, tag), NewBitReceiver(rcv, s2.ep, 1, tag)
+	return snd, rcv
 }
 
 func TestSubstrateOneHandshakePerPair(t *testing.T) {
@@ -45,36 +45,8 @@ func TestSubstrateOneHandshakePerPair(t *testing.T) {
 	// Three sessions over the same pair: the base OT must run exactly once
 	// per node, the sessions getting independent derived streams.
 	for _, tag := range []string{"blk/0/ot/0/1", "blk/7/ot/0/1", "aggblk/ot/0/1"} {
-		bs, br := attach(t, s1, s2, tag)
-		const n = 600
-		m0, m1, c := randBits(n), randBits(n), randBits(n)
-		var got []uint8
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			if err := sendBits(bs, m0, m1); err != nil {
-				t.Error(err)
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			var err error
-			got, err = receiveBits(br, c)
-			if err != nil {
-				t.Error(err)
-			}
-		}()
-		wg.Wait()
-		for i := 0; i < n; i++ {
-			want := m0[i]
-			if c[i] == 1 {
-				want = m1[i]
-			}
-			if got[i] != want {
-				t.Fatalf("session %s OT %d: got %d want %d", tag, i, got[i], want)
-			}
-		}
+		snd, rcv := attach(t, s1, s2, tag)
+		checkRandomOTs(t, snd, rcv, 600)
 	}
 	if h := s1.Handshakes(); h != 1 {
 		t.Errorf("node 1 ran %d handshakes for 3 sessions, want 1", h)
@@ -138,22 +110,7 @@ func equalWords(a, b []uint64) bool {
 
 func TestSubstrateRandomOTCorrelation(t *testing.T) {
 	s1, s2, _ := substratePair(t)
-	var snd *IKNPSender
-	var rcv *IKNPReceiver
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		snd, _ = s1.SenderFor(context.Background(), 2, "corr")
-	}()
-	go func() {
-		defer wg.Done()
-		rcv, _ = s2.ReceiverFor(context.Background(), 1, "corr")
-	}()
-	wg.Wait()
-	if snd == nil || rcv == nil {
-		t.Fatal("attach failed")
-	}
+	snd, rcv := attach(t, s1, s2, "corr")
 	checkRandomOTs(t, snd, rcv, 5000)
 }
 
@@ -168,35 +125,8 @@ func TestSubstrateConcurrentAttach(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bs, br := attach(t, s1, s2, tag)
-			m0, m1, c := randBits(64), randBits(64), randBits(64)
-			var inner sync.WaitGroup
-			inner.Add(2)
-			go func() {
-				defer inner.Done()
-				if err := sendBits(bs, m0, m1); err != nil {
-					t.Error(err)
-				}
-			}()
-			go func() {
-				defer inner.Done()
-				got, err := receiveBits(br, c)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				for k := range got {
-					want := m0[k]
-					if c[k] == 1 {
-						want = m1[k]
-					}
-					if got[k] != want {
-						t.Errorf("OT %d mismatch", k)
-						return
-					}
-				}
-			}()
-			inner.Wait()
+			snd, rcv := attach(t, s1, s2, tag)
+			checkRandomOTs(t, snd, rcv, 64)
 		}()
 	}
 	wg.Wait()
@@ -253,35 +183,8 @@ func TestSubstrateHandshakeFailureNotCached(t *testing.T) {
 	if h := s1.Handshakes() + s2.Handshakes(); h != 0 {
 		t.Fatalf("failed handshakes counted: %d", h)
 	}
-	bs, br := attach(t, s1, s2, "late")
-	m0, m1, c := randBits(64), randBits(64), randBits(64)
-	var got []uint8
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		if err := sendBits(bs, m0, m1); err != nil {
-			t.Error(err)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		var err error
-		got, err = receiveBits(br, c)
-		if err != nil {
-			t.Error(err)
-		}
-	}()
-	wg.Wait()
-	for i := range got {
-		want := m0[i]
-		if c[i] == 1 {
-			want = m1[i]
-		}
-		if got[i] != want {
-			t.Fatalf("OT %d mismatch after retried handshake", i)
-		}
-	}
+	snd, rcv := attach(t, s1, s2, "late")
+	checkRandomOTs(t, snd, rcv, 64)
 	if h := s1.Handshakes(); h != 1 {
 		t.Errorf("handshakes after retry = %d, want 1", h)
 	}

@@ -99,6 +99,35 @@ func (p Params) NoiseBound(pFail float64) int64 {
 	return 2 * m // noise is 2·Geo
 }
 
+// MaxTableEntries bounds the ElGamal lookup table a deployment may build.
+// Its size follows from α, which a node daemon learns from its setup
+// message, so the bound keeps a setup from demanding gigabytes. At
+// pFail = 1e-12 it covers α ≤ 0.99 for every K up to the paper's blocks of
+// 20 (131,093 entries at K = 19) and α ≤ 0.999 up to K = 8; α = 0.99999 at
+// K = 1 would need 16,777,219.
+const MaxTableEntries = 1 << 20
+
+// TableSizeError refuses an Alpha whose lookup table would hold Entries
+// sums, more than MaxTableEntries.
+type TableSizeError struct {
+	Alpha   float64
+	Entries int64
+}
+
+func (e *TableSizeError) Error() string {
+	return fmt.Sprintf("transfer: alpha %v needs a %d-entry lookup table, above the bound of %d", e.Alpha, e.Entries, MaxTableEntries)
+}
+
+// CheckTable returns a *TableSizeError when MakeTable(pFail) would exceed
+// MaxTableEntries. It allocates nothing, so it can vet untrusted
+// parameters before anything is built.
+func (p Params) CheckTable(pFail float64) error {
+	if n := int64(p.K+2) + 2*p.NoiseBound(pFail); n > MaxTableEntries {
+		return &TableSizeError{Alpha: p.Alpha, Entries: n}
+	}
+	return nil
+}
+
 // MakeTable builds a lookup table covering all decryptable sums given the
 // noise bound.
 func (p Params) MakeTable(pFail float64) *elgamal.Table {

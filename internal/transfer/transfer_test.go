@@ -2,6 +2,7 @@ package transfer
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/big"
 	"sync"
@@ -582,5 +583,27 @@ func TestCertKeyCacheFollowsCertificate(t *testing.T) {
 	}
 	if c.Len() != 1 {
 		t.Errorf("cache holds %d entries, want the one slot", c.Len())
+	}
+}
+
+func TestCheckTableBound(t *testing.T) {
+	// α near 1 would make MakeTable build millions of entries; CheckTable
+	// refuses it with the typed error; α ≤ 0.99 passes up to the paper's
+	// K = 19, α = 0.999 up to K = 8.
+	huge := Params{Group: tg, K: 1, L: 8, Alpha: 0.99999}
+	var te *TableSizeError
+	if err := huge.CheckTable(1e-12); !errors.As(err, &te) {
+		t.Fatalf("α=0.99999: CheckTable returned %v, want *TableSizeError", err)
+	}
+	if te.Entries != 16_777_219 {
+		t.Errorf("TableSizeError = %+v, want 16,777,219 entries", *te)
+	}
+	for _, k := range []int{1, 2, 5, 8, 19} {
+		for _, alpha := range []float64{0, 0.5, 0.9, 0.99, 0.999} {
+			p := Params{Group: tg, K: k, L: 8, Alpha: alpha}
+			if err := p.CheckTable(1e-12); (err != nil) != (alpha == 0.999 && k > 8) {
+				t.Errorf("K=%d α=%v: CheckTable = %v", k, alpha, err)
+			}
+		}
 	}
 }

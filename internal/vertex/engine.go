@@ -112,12 +112,22 @@ func NewDeployment(cfg Config, prog *Program, g *Graph) (*Deployment, error) {
 	if d.updCirc, err = prog.UpdateCircuit(g.D); err != nil {
 		return nil, err
 	}
-	d.tparam = transfer.Params{Group: cfg.Group, K: cfg.K, L: prog.MsgBits, Alpha: cfg.Alpha}
-	if err := d.tparam.Validate(); err != nil {
+	if d.tparam, err = cfg.TransferParams(prog.MsgBits); err != nil {
 		return nil, err
 	}
 	d.table = d.tparam.MakeTable(tablePFail)
 	return d, nil
+}
+
+// TransferParams returns the checked §3.5 transfer parameters for
+// msgBits-bit messages under c, lookup-table size included; it builds
+// nothing, so a coordinator can refuse what its nodes would.
+func (c Config) TransferParams(msgBits int) (transfer.Params, error) {
+	p := transfer.Params{Group: c.Group, K: c.K, L: msgBits, Alpha: c.Alpha}
+	if err := p.Validate(); err != nil {
+		return p, err
+	}
+	return p, p.CheckTable(tablePFail)
 }
 
 // ExpectCertUses announces n more encryptions under each certificate key
