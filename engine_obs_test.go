@@ -53,13 +53,13 @@ func TestClusterByteAccounting(t *testing.T) {
 		}
 		total += sum
 	}
-	// Phase deltas are carved out of each node's transport counters, so
-	// their sum cannot exceed the fleet's total sent+received traffic
-	// (phase *attribution* may differ across nodes — a byte sent in one
-	// node's compute window can land in another's transfer window — but
-	// every counted byte lives inside the transport totals).
-	if float64(total) > rep.AvgNodeBytes*float64(rep.Nodes)+1 {
-		t.Errorf("phase byte sum %d exceeds fleet transport total %.0f", total, rep.AvgNodeBytes*float64(rep.Nodes))
+	// Phase bytes are chained marks on each node's query counters, so a
+	// node's phases sum to its Stats exactly (phase *attribution* may differ
+	// across nodes — a byte sent in one node's compute window can land in
+	// another's transfer window — but no byte falls between two phases).
+	checkRowsSumToStats(t, "tcp", rep)
+	if float64(total) != rep.AvgNodeBytes*float64(rep.Nodes) {
+		t.Errorf("phase byte sum %d != fleet transport total %.0f", total, rep.AvgNodeBytes*float64(rep.Nodes))
 	}
 
 	// Straggler attribution: every phase names a real node.
@@ -109,6 +109,20 @@ func TestClusterByteAccounting(t *testing.T) {
 	if len(sim.SlowestNodes()) != 4 {
 		t.Errorf("sim report names %d stragglers, want one per phase", len(sim.SlowestNodes()))
 	}
+	// The hub charges a fixed size per message, so with dealt OTs every
+	// query of a session moves the same bytes, and its phases hold them all
+	// (which phase a byte lands in on a node still depends on timing).
+	checkRowsSumToStats(t, "sim", sim)
+	for q := 2; q <= 3; q++ {
+		again, err := sess.Query(ctx, dstress.QuerySpec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRowsSumToStats(t, "sim", again.Report)
+		if got, want := again.Report.TotalBytes(), sim.TotalBytes(); got != want {
+			t.Errorf("sim query %d: phase bytes total %d, query 1 moved %d", q, got, want)
+		}
+	}
 	if fh := sess.Fleet(); fh == nil || len(fh.Nodes) != sim.Nodes {
 		t.Errorf("sim fleet = %+v, want %d nodes", fh, sim.Nodes)
 	} else {
@@ -125,6 +139,21 @@ func TestClusterByteAccounting(t *testing.T) {
 		t.Errorf("sim report (nodes %d, iterations %d, AND gates %d/%d) != tcp report (%d, %d, %d/%d)",
 			sim.Nodes, sim.Iterations, sim.UpdateAndGates, sim.AggAndGates,
 			rep.Nodes, rep.Iterations, rep.UpdateAndGates, rep.AggAndGates)
+	}
+}
+
+// checkRowsSumToStats asserts that every node row's phase bytes add up to
+// exactly the node's own sent+received traffic for the query.
+func checkRowsSumToStats(t *testing.T, engine string, rep *dstress.Report) {
+	t.Helper()
+	for _, np := range rep.NodePhases {
+		var sum int64
+		for _, ph := range np.Phases() {
+			sum += ph.Bytes
+		}
+		if want := np.Stats.BytesSent + np.Stats.BytesReceived; sum != want {
+			t.Errorf("%s node %d: phase bytes sum to %d, Stats say %d", engine, np.Node, sum, want)
+		}
 	}
 }
 

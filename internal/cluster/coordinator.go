@@ -271,14 +271,12 @@ func (s *Session) stopHeartbeat() {
 // of heartbeat intervals is whoever remains silent called the casualty
 // (the regular heartbeat loop keeps re-probing in the background, so a
 // live straggler's eventual reply shrinks the set and resets the clock).
-// hint is the node the caller's evidence points at (its control
-// connection broke, or its report carried the failure); if it is still
-// silent once the set settles it is the casualty, however many loaded
-// survivors have not answered yet — else the node silent longest is.
-// Returns false when everyone answered (the failure was a protocol error
-// or a caller abort, not a death) — the caller then keeps its direct
-// attribution.
-func (s *Session) postMortem(hint network.NodeID) (network.NodeID, bool) {
+// hint is the node the caller's evidence points at: its control
+// connection broke, or (reported) its own report carried the failure. Once
+// the set settles, blame picks the casualty from it. Returns false when
+// everyone answered (the failure was a protocol error or a caller abort,
+// not a death) — the caller then keeps its direct attribution.
+func (s *Session) postMortem(hint network.NodeID, reported bool) (network.NodeID, bool) {
 	probe := time.Now()
 	s.pingAll()
 	settle := 2 * s.c.sc.HeartbeatInterval
@@ -308,22 +306,37 @@ func (s *Session) postMortem(hint network.NodeID) (network.NodeID, bool) {
 			lastLen, lastShrink = len(dead), now
 		}
 		if now.Sub(lastShrink) >= settle || !now.Before(deadline) {
-			if slices.Contains(dead, hint) {
-				return hint, true
-			}
-			return dead[0], true
+			return blame(dead, hint, reported), true
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
+// blame names the casualty from the settled silent set (silent longest
+// first): a hint whose connection broke while it stays silent, however many
+// loaded survivors have not answered yet; else the longest silent node,
+// passing over a hint that reported, and so proved itself alive, unless no
+// other node stays silent.
+func blame(silent []network.NodeID, hint network.NodeID, reported bool) network.NodeID {
+	if !reported && slices.Contains(silent, hint) {
+		return hint
+	}
+	for _, id := range silent {
+		if !reported || id != hint {
+			return id
+		}
+	}
+	return hint
+}
+
 // queryError assembles the health plane's enriched failure: post-mortem
 // node attribution, the node's last reported phase, heartbeat staleness,
 // and the flight-recorder tail (the node's own if it shipped one, the
-// coordinator-side ring otherwise).
-func (s *Session) queryError(seq int, node network.NodeID, lastPhase string, events []obs.FlightEvent, cause string) error {
-	if dead, ok := s.postMortem(node); ok {
-		node = dead
+// coordinator-side ring otherwise). A reporter's own phase and flight
+// describe the reporter, so they are dropped when another node is named.
+func (s *Session) queryError(seq int, node network.NodeID, reported bool, lastPhase string, events []obs.FlightEvent, cause string) error {
+	if dead, ok := s.postMortem(node, reported); ok && dead != node {
+		node, lastPhase, events = dead, "", nil
 	}
 	ringPhase, beatAge, ring := s.health.failureInfo(node, seq)
 	if lastPhase == "" {
@@ -576,10 +589,10 @@ func (s *Session) runQuery(ctx context.Context, tr *obs.Trace, q Query, seq int,
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-s.readDone:
-			return nil, s.queryError(seq, s.failNode, "", nil, s.readErr.Error())
+			return nil, s.queryError(seq, s.failNode, false, "", nil, s.readErr.Error())
 		case dead := <-s.deathCh:
 			if err := s.recoverDead(dead, seq, 0); err != nil {
-				return nil, s.queryError(seq, dead, "", nil, err.Error())
+				return nil, s.queryError(seq, dead, false, "", nil, err.Error())
 			}
 		case d := <-ch:
 			if d.Attempt != attempt {
@@ -599,7 +612,7 @@ func (s *Session) runQuery(ctx context.Context, tr *obs.Trace, q Query, seq int,
 					}
 					cause += " (recovery: " + err.Error() + ")"
 				}
-				return nil, s.queryError(seq, d.ID, d.LastPhase, d.Flight, cause)
+				return nil, s.queryError(seq, d.ID, true, d.LastPhase, d.Flight, cause)
 			}
 			got[d.ID] = d
 			slog.Debug("cluster node reported", "query", seq, "node", d.ID,
@@ -650,7 +663,7 @@ func (s *Session) dispatch(seq int, q Query) error {
 	select {
 	case dead := <-s.deathCh:
 		if err := s.recoverDead(dead, seq, 0); err != nil {
-			return s.queryError(seq, dead, "", nil, err.Error())
+			return s.queryError(seq, dead, false, "", nil, err.Error())
 		}
 	default:
 	}
@@ -676,7 +689,7 @@ func (s *Session) dispatch(seq int, q Query) error {
 			if s.c.sc.Recover && s.recoverDead(id, seq, 0) == nil {
 				return nil
 			}
-			return s.queryError(seq, id, "", nil, "dispatching job: "+err.Error())
+			return s.queryError(seq, id, false, "", nil, "dispatching job: "+err.Error())
 		}
 	}
 	s.dispatchMu.Unlock()
@@ -728,7 +741,7 @@ func (s *Session) recoverDead(hint network.NodeID, seq, attempt int) error {
 	// that silence is not a stall.
 	s.health.beginRecovery()
 	defer s.health.endRecovery(time.Now())
-	dead, ok := s.postMortem(hint)
+	dead, ok := s.postMortem(hint, false)
 	if !ok {
 		if hint == 0 {
 			return fmt.Errorf("cluster: query %d failed but every node answers pings: unrecoverable protocol error", seq)

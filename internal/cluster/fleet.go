@@ -205,16 +205,6 @@ func (h *hubFleet) recovery(_ group.Group, rm recoverMsg) (*vertex.Recovery, err
 	return nil, fmt.Errorf("cluster: no re-blocking announced for epoch %d", rm.Epoch)
 }
 
-// retire drops a finished query's namespace from every endpoint of the hub
-// and from the dealer broker. The engines retire their own on success; the
-// sweep also covers failed and superseded runs and a dead node's endpoint.
-func (h *hubFleet) retire(root string) {
-	h.net.RetireTagPrefix(root)
-	if h.broker != nil {
-		h.broker.RetireTagPrefix(root)
-	}
-}
-
 // pipeListener is the control plane of an in-process fleet: it hands the
 // coordinator the far ends of its nodes' control pipes, so Open serves
 // in-process nodes exactly as it serves TCP ones.

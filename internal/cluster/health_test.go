@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -365,5 +366,43 @@ func TestSilentSinceNamesLongestSilent(t *testing.T) {
 	dead := h.silentSince(probe)
 	if len(dead) != 2 || dead[0] != 2 || dead[1] != 1 {
 		t.Fatalf("silentSince = %v, want [2 1]: the victim, then the late survivor", dead)
+	}
+}
+
+// TestBlameSparesALiveReporter pins the post-mortem's choice on scripted
+// beats. A node whose control connection broke is named while it stays
+// silent. A node that reported the failure proved itself alive, so another
+// silent node is named ahead of it even when the reporter is silent longer;
+// it is named only when it alone stays silent.
+func TestBlameSparesALiveReporter(t *testing.T) {
+	h := newFleetHealth([]network.NodeID{1, 2, 3, 4})
+	probe := time.Now()
+	beat := func(id network.NodeID, at time.Time) { h.observeBeat(id, &beatMsg{ID: id}, at) }
+	beat(1, probe.Add(time.Millisecond))      // answered the probe
+	beat(2, probe.Add(-150*time.Millisecond)) // victim
+	beat(3, probe.Add(-3*time.Second))        // loaded reporter, silent longest
+	beat(4, probe.Add(-time.Millisecond))     // survivor, late on the probe
+	silent := h.silentSince(probe)
+	if !slices.Equal(silent, []network.NodeID{3, 2, 4}) {
+		t.Fatalf("silentSince = %v, want [3 2 4]", silent)
+	}
+	for _, c := range []struct {
+		hint     network.NodeID
+		reported bool
+		want     network.NodeID
+	}{
+		{3, true, 2},  // the reporter is alive: name the next longest silent
+		{3, false, 3}, // a broken connection wins while it stays silent
+		{4, false, 4},
+		{1, false, 3}, // a hint that answered: the longest silent
+		{0, false, 3}, // no hint
+		{1, true, 3},
+	} {
+		if got := blame(silent, c.hint, c.reported); got != c.want {
+			t.Errorf("blame(%v, hint %d, reported %v) = %d, want %d", silent, c.hint, c.reported, got, c.want)
+		}
+	}
+	if got := blame([]network.NodeID{3}, 3, true); got != 3 {
+		t.Errorf("blame([3], reporter 3) = %d, want 3: no other node stays silent", got)
 	}
 }

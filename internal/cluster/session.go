@@ -91,8 +91,9 @@ func (r *Report) SlowestNodes() []vertex.PhaseLeader { return vertex.SlowestNode
 // queries per year against a long-lived distributed graph, each charged to
 // an ε budget. Open did the one-time work — registration, trusted-party
 // setup, and handing every node the deployment it builds its engine from;
-// each Query then only refreshes shares and runs the protocol, and the
-// standing GMW sessions and OT handshakes carry over between queries.
+// each Query then only refreshes shares and runs the protocol: the
+// pairwise OT handshakes carry over between queries, while each query joins
+// its own GMW sessions under its own tag namespace.
 //
 // A session multiplexes queries: each dispatches a jobMsg under its own
 // query id ("q/<id>" tag namespace, crypto streams derived per query), and
@@ -199,7 +200,9 @@ func (s *Session) Query(ctx context.Context, q Query) (*Result, error) {
 	defer func() {
 		s.ckpts.Drop(seq)
 		if s.c.hub != nil {
-			s.c.hub.retire(network.Tag("q", seq))
+			// The engines retire their own namespace on success; the hub-wide
+			// sweep also covers failed and superseded runs and dead nodes.
+			s.c.hub.net.RetireTagPrefix(network.Tag("q", seq))
 		}
 		s.mu.Lock()
 		delete(s.pending, seq)
@@ -244,6 +247,9 @@ func (s *Session) admit(q Query) (int, chan doneMsg, error) {
 		return 0, nil, fmt.Errorf("cluster: negative iteration count %d", q.Iterations)
 	case q.Epsilon < 0 || math.IsNaN(q.Epsilon) || math.IsInf(q.Epsilon, 0):
 		return 0, nil, fmt.Errorf("cluster: invalid epsilon %v", q.Epsilon)
+	}
+	if err := vertex.CheckNoise(q.Epsilon, s.c.prog.Sensitivity); err != nil {
+		return 0, nil, err
 	}
 	if err := s.acct.Spend(q.Epsilon); err != nil {
 		return 0, nil, err

@@ -7,9 +7,9 @@
 // Endpoint, messages are delivered in-process through unbounded mailboxes
 // (so protocol goroutines can never deadlock on back-pressure), and the hub
 // keeps per-node byte and message counters that the benchmark harness reads
-// after a run. A configurable per-message header overhead models framing
-// (TCP/IP + TLS record) so traffic numbers are comparable in spirit to the
-// paper's packet captures.
+// after a run. A fixed per-message header overhead (DefaultHeaderOverhead)
+// models framing (TCP/IP + TLS record) so traffic numbers are comparable in
+// spirit to the paper's packet captures.
 //
 // Messages are addressed by (sender, receiver, tag). Tags multiplex the many
 // concurrent protocol instances a node participates in — a node may be a
@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // NodeID identifies a node (a participant machine, not a vertex).
@@ -77,46 +78,26 @@ const DefaultHeaderOverhead = 64
 type Network struct {
 	mu        sync.Mutex
 	endpoints map[NodeID]*Endpoint
-	overhead  int
 }
 
-// New creates an empty network with the default header overhead.
+// New creates an empty network.
 func New() *Network {
-	return &Network{
-		endpoints: make(map[NodeID]*Endpoint),
-		overhead:  DefaultHeaderOverhead,
-	}
-}
-
-// SetHeaderOverhead overrides the per-message framing cost (bytes). It must
-// be called before traffic starts flowing.
-func (n *Network) SetHeaderOverhead(b int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.overhead = b
+	return &Network{endpoints: make(map[NodeID]*Endpoint)}
 }
 
 // Endpoint returns (creating if necessary) the endpoint for id.
 func (n *Network) Endpoint(id NodeID) *Endpoint {
-	e, _ := n.route(id)
-	return e
-}
-
-// route returns the endpoint for id together with the framing overhead, in
-// one critical section: the pair every Send needs.
-func (n *Network) route(id NodeID) (*Endpoint, int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	e, ok := n.endpoints[id]
 	if !ok {
-		e = &Endpoint{net: n, id: id, tags: make(map[string]Stats)}
+		e = &Endpoint{net: n, id: id}
 		n.endpoints[id] = e
 	}
-	return e, n.overhead
+	return e
 }
 
-// all snapshots the endpoint set so hub-wide reads take each endpoint's own
-// lock outside n.mu.
+// all snapshots the endpoint set so hub-wide reads run outside n.mu.
 func (n *Network) all() []*Endpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -163,7 +144,7 @@ func TagPrefix(tag string) string {
 // TagUnder reports whether tag equals prefix or lives under it at a "/"
 // component boundary: "q/3" covers "q/3" and "q/3/...", never "q/30". It is
 // the one namespace-membership test — per-query accounting and retirement
-// on every transport and the dealer broker all use it.
+// use it.
 func TagUnder(tag, prefix string) bool {
 	return tag == prefix || (strings.HasPrefix(tag, prefix) && len(tag) > len(prefix) && tag[len(prefix)] == '/')
 }
@@ -223,18 +204,8 @@ func (n *Network) RetireTagPrefix(prefix string) {
 	}
 }
 
-// ResetStats zeroes all traffic counters (between experiment phases).
-func (n *Network) ResetStats() {
-	for _, e := range n.all() {
-		e.mu.Lock()
-		e.stats = Stats{}
-		e.tags = make(map[string]Stats)
-		e.mu.Unlock()
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Mailboxes and the hub endpoint
+// Mailboxes, the transport core and the hub endpoint
 // ---------------------------------------------------------------------------
 
 // ErrClosed is what a Recv returns once its mailbox has been closed — the
@@ -310,81 +281,143 @@ func (m *mailbox) get(ctx context.Context) ([]byte, error) {
 	return p, nil
 }
 
-// Mailboxes is one node's table of (sender, tag) mailboxes: the receiving
-// half of a Transport, shared by the hub Endpoint and tcpnet.Peer so that
-// delivery, cancellation, retirement and shutdown behave identically on
-// both. The zero value is ready to use.
-type Mailboxes struct {
+// counter accumulates one set of traffic counters without a lock.
+type counter struct {
+	bytesSent, bytesRecv, msgsSent atomic.Int64
+}
+
+func (c *counter) stats() Stats {
+	return Stats{
+		BytesSent:     c.bytesSent.Load(),
+		BytesReceived: c.bytesRecv.Load(),
+		MessagesSent:  c.msgsSent.Load(),
+	}
+}
+
+// Core is the half of a Transport that does not depend on the wire: one
+// node's (sender, tag) mailboxes and its traffic counters, node-wide and by
+// tag prefix. The hub Endpoint and tcpnet.Peer both embed it, so delivery,
+// cancellation, accounting and retirement have one implementation; each
+// transport keeps only its own Send and reports what it moves through
+// ChargeSent and Deliver, at its own per-message size. The counters are
+// atomics, so the data-plane hot path takes no lock. The zero value is
+// ready to use.
+type Core struct {
 	mu     sync.Mutex
 	boxes  map[boxKey]*mailbox
 	dead   map[NodeID]bool // senders closed by CloseFrom
 	closed bool
+
+	total counter
+	tags  sync.Map // TagPrefix → *counter
 }
 
-func (t *Mailboxes) box(from NodeID, tag string) *mailbox {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+func (c *Core) box(from NodeID, tag string) *mailbox {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	k := boxKey{from, tag}
-	b, ok := t.boxes[k]
+	b, ok := c.boxes[k]
 	if !ok {
-		b = &mailbox{closed: t.closed || t.dead[from]}
+		b = &mailbox{closed: c.closed || c.dead[from]}
 		b.cond = sync.NewCond(&b.mu)
-		if t.boxes == nil {
-			t.boxes = make(map[boxKey]*mailbox)
+		if c.boxes == nil {
+			c.boxes = make(map[boxKey]*mailbox)
 		}
-		t.boxes[k] = b
+		c.boxes[k] = b
 	}
 	return b
 }
 
-// Put queues payload, which the table now owns, as from's next message
-// under tag.
-func (t *Mailboxes) Put(from NodeID, tag string, payload []byte) {
-	t.box(from, tag).put(payload)
+func (c *Core) prefixCounter(tag string) *counter {
+	prefix := TagPrefix(tag)
+	t, ok := c.tags.Load(prefix)
+	if !ok {
+		t, _ = c.tags.LoadOrStore(prefix, new(counter))
+	}
+	return t.(*counter)
 }
 
-// Get blocks until from's next message under tag arrives, ctx is done (its
-// error), or the mailbox is closed (ErrClosed).
-func (t *Mailboxes) Get(ctx context.Context, from NodeID, tag string) ([]byte, error) {
-	return t.box(from, tag).get(ctx)
+// ChargeSent counts one message of n bytes sent under tag.
+func (c *Core) ChargeSent(tag string, n int64) {
+	c.total.bytesSent.Add(n)
+	c.total.msgsSent.Add(1)
+	t := c.prefixCounter(tag)
+	t.bytesSent.Add(n)
+	t.msgsSent.Add(1)
 }
 
-// Retire closes and drops every mailbox whose tag lives under prefix (see
-// TagUnder): a straggler still parked in Get fails at once instead of
-// waiting on an orphaned queue.
-func (t *Mailboxes) Retire(prefix string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for k, b := range t.boxes {
+// Deliver counts one message of n bytes received from `from` under tag and
+// queues payload, which the core now owns, for Recv.
+func (c *Core) Deliver(from NodeID, tag string, payload []byte, n int64) {
+	c.total.bytesRecv.Add(n)
+	c.prefixCounter(tag).bytesRecv.Add(n)
+	c.box(from, tag).put(payload)
+}
+
+// Recv blocks until a message from `from` with the given tag arrives and
+// returns its payload, ctx is done (its error), or the mailbox is closed
+// (ErrClosed). Queued messages drain before either failure is reported.
+func (c *Core) Recv(ctx context.Context, from NodeID, tag string) ([]byte, error) {
+	return c.box(from, tag).get(ctx)
+}
+
+// Stats returns this node's cumulative traffic counters.
+func (c *Core) Stats() Stats { return c.total.stats() }
+
+// TagStats returns a snapshot of this node's per-tag-prefix counters.
+func (c *Core) TagStats() map[string]Stats {
+	out := make(map[string]Stats)
+	c.tags.Range(func(k, v any) bool {
+		out[k.(string)] = v.(*counter).stats()
+		return true
+	})
+	return out
+}
+
+// RetireTagPrefix implements Transport: the counters and mailboxes whose
+// tag lives under prefix (see TagUnder) are dropped, and a straggler still
+// parked in Recv on one of them fails at once instead of waiting on an
+// orphaned queue.
+func (c *Core) RetireTagPrefix(prefix string) {
+	c.tags.Range(func(k, _ any) bool {
+		if TagUnder(k.(string), prefix) {
+			c.tags.Delete(k)
+		}
+		return true
+	})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k, b := range c.boxes {
 		if TagUnder(k.tag, prefix) {
 			b.close()
-			delete(t.boxes, k)
+			delete(c.boxes, k)
 		}
 	}
 }
 
 // CloseFrom closes every mailbox fed by one sender, present and future: the
-// sender is gone for good.
-func (t *Mailboxes) CloseFrom(from NodeID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.dead == nil {
-		t.dead = make(map[NodeID]bool)
+// sender is gone for good. Queued messages still drain.
+func (c *Core) CloseFrom(from NodeID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dead == nil {
+		c.dead = make(map[NodeID]bool)
 	}
-	t.dead[from] = true
-	for k, b := range t.boxes {
+	c.dead[from] = true
+	for k, b := range c.boxes {
 		if k.from == from {
 			b.close()
 		}
 	}
 }
 
-// Close closes every mailbox, present and future.
-func (t *Mailboxes) Close() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.closed = true
-	for _, b := range t.boxes {
+// CloseAll closes every mailbox, present and future: the node is shut down.
+// Queued messages still drain.
+func (c *Core) CloseAll() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+	for _, b := range c.boxes {
 		b.close()
 	}
 }
@@ -394,13 +427,9 @@ func (t *Mailboxes) Close() {
 // — so N protocol engines can share one hub without touching each other's
 // accounting or queues.
 type Endpoint struct {
-	net   *Network
-	id    NodeID
-	boxes Mailboxes
-
-	mu    sync.Mutex
-	stats Stats
-	tags  map[string]Stats
+	Core
+	net *Network
+	id  NodeID
 }
 
 var _ Transport = (*Endpoint)(nil)
@@ -408,80 +437,18 @@ var _ Transport = (*Endpoint)(nil)
 // ID returns the node id this endpoint belongs to.
 func (e *Endpoint) ID() NodeID { return e.id }
 
-// Stats returns this endpoint's traffic counters.
-func (e *Endpoint) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
-}
-
-// TagStats returns a snapshot of this node's per-tag-prefix counters.
-func (e *Endpoint) TagStats() map[string]Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[string]Stats, len(e.tags))
-	for k, v := range e.tags {
-		out[k] = v
-	}
-	return out
-}
-
-// RetireTagPrefix implements Transport.
-func (e *Endpoint) RetireTagPrefix(prefix string) {
-	e.mu.Lock()
-	for k := range e.tags {
-		if TagUnder(k, prefix) {
-			delete(e.tags, k)
-		}
-	}
-	e.mu.Unlock()
-	e.boxes.Retire(prefix)
-}
-
 // Send delivers payload to node `to` under the given tag, charging the
-// framed size to this node's sent counters and the receiver's received
-// counters. The payload is copied, so callers may reuse their buffer.
-// In-process delivery cannot fail; the error return satisfies Transport.
+// payload plus DefaultHeaderOverhead to this node's sent counters and the
+// receiver's received counters. The payload is copied, so callers may reuse
+// their buffer. In-process delivery cannot fail; the error return satisfies
+// Transport.
 func (e *Endpoint) Send(to NodeID, tag string, payload []byte) error {
-	dst, overhead := e.net.route(to)
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
-	total := int64(len(payload) + overhead)
-	prefix := TagPrefix(tag)
-
-	e.mu.Lock()
-	e.stats.BytesSent += total
-	e.stats.MessagesSent++
-	ts := e.tags[prefix]
-	ts.BytesSent += total
-	ts.MessagesSent++
-	e.tags[prefix] = ts
-	e.mu.Unlock()
-
-	dst.mu.Lock()
-	dst.stats.BytesReceived += total
-	ts = dst.tags[prefix]
-	ts.BytesReceived += total
-	dst.tags[prefix] = ts
-	dst.mu.Unlock()
-
-	dst.boxes.Put(e.id, tag, cp)
+	n := int64(len(payload) + DefaultHeaderOverhead)
+	e.ChargeSent(tag, n)
+	e.net.Endpoint(to).Deliver(e.id, tag, cp, n)
 	return nil
-}
-
-// Recv blocks until a message from `from` with the given tag arrives and
-// returns its payload, or until ctx is done.
-func (e *Endpoint) Recv(ctx context.Context, from NodeID, tag string) ([]byte, error) {
-	return e.boxes.Get(ctx, from, tag)
-}
-
-// Exchange sends payload to peer and receives the peer's payload under the
-// same tag: the symmetric step most MPC rounds need.
-func (e *Endpoint) Exchange(ctx context.Context, peer NodeID, tag string, payload []byte) ([]byte, error) {
-	if err := e.Send(peer, tag, payload); err != nil {
-		return nil, err
-	}
-	return e.Recv(ctx, peer, tag)
 }
 
 // Tag builds a hierarchical tag from parts; a helper so protocol layers

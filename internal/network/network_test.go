@@ -83,55 +83,33 @@ func TestPayloadCopied(t *testing.T) {
 	}
 }
 
-func TestExchange(t *testing.T) {
-	n := New()
-	var wg sync.WaitGroup
-	var gotA, gotB []byte
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		gotA, _ = n.Endpoint(1).Exchange(context.Background(), 2, "x", []byte("from A"))
-	}()
-	go func() {
-		defer wg.Done()
-		gotB, _ = n.Endpoint(2).Exchange(context.Background(), 1, "x", []byte("from B"))
-	}()
-	wg.Wait()
-	if string(gotA) != "from B" || string(gotB) != "from A" {
-		t.Errorf("exchange got %q / %q", gotA, gotB)
-	}
-}
-
 func TestTrafficAccounting(t *testing.T) {
 	n := New()
-	n.SetHeaderOverhead(10)
 	a := n.Endpoint(1)
 	a.Send(2, "t", make([]byte, 100))
 	a.Send(2, "t", make([]byte, 50))
 	n.Endpoint(2).Send(1, "t", make([]byte, 5))
 
+	const h = DefaultHeaderOverhead
 	s1 := n.NodeStats(1)
-	if s1.BytesSent != 170 { // 100+10 + 50+10
-		t.Errorf("node1 sent %d, want 170", s1.BytesSent)
+	if s1.BytesSent != 150+2*h {
+		t.Errorf("node1 sent %d, want %d", s1.BytesSent, 150+2*h)
 	}
-	if s1.BytesReceived != 15 {
-		t.Errorf("node1 received %d, want 15", s1.BytesReceived)
+	if s1.BytesReceived != 5+h {
+		t.Errorf("node1 received %d, want %d", s1.BytesReceived, 5+h)
 	}
 	if s1.MessagesSent != 2 {
 		t.Errorf("node1 msgs %d, want 2", s1.MessagesSent)
 	}
-	if n.TotalBytes() != 185 {
-		t.Errorf("total %d, want 185", n.TotalBytes())
+	const total = 155 + 3*h
+	if n.TotalBytes() != total {
+		t.Errorf("total %d, want %d", n.TotalBytes(), total)
 	}
-	if n.MaxNodeBytes() != 185 { // node1: 170 sent + 15 received
-		t.Errorf("max node bytes %d, want 185", n.MaxNodeBytes())
+	if n.MaxNodeBytes() != total { // node1: sent + received
+		t.Errorf("max node bytes %d, want %d", n.MaxNodeBytes(), total)
 	}
-	if avg := n.AvgNodeBytes(); avg != 185 { // both nodes total 185 each
-		t.Errorf("avg node bytes %v, want 185", avg)
-	}
-	n.ResetStats()
-	if n.TotalBytes() != 0 {
-		t.Error("ResetStats did not zero counters")
+	if avg := n.AvgNodeBytes(); avg != total { // both nodes see every byte once
+		t.Errorf("avg node bytes %v, want %d", avg, total)
 	}
 }
 

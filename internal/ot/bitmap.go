@@ -57,15 +57,9 @@ func ReadWords(dst []uint64, b []byte, n int) {
 	MaskTail(dst, n)
 }
 
-// WordsToBytes converts the low n bits of a packed word vector into the
-// byte bitmap PackBits would produce: (n+7)/8 bytes, tail bits zero.
-func WordsToBytes(w []uint64, n int) []byte {
-	out := make([]byte, (n+7)/8)
-	PutWords(out, w, n)
-	return out
-}
-
-// PutWords is WordsToBytes into dst, which must hold (n+7)/8 bytes.
+// PutWords writes the low n bits of a packed word vector into dst, which
+// must hold (n+7)/8 bytes, as the byte bitmap PackBits would produce: tail
+// bits zero.
 func PutWords(dst []byte, w []uint64, n int) {
 	nb := (n + 7) / 8
 	for i := 0; i < nb; i++ {
@@ -74,16 +68,6 @@ func PutWords(dst []byte, w []uint64, n int) {
 	if r := n & 7; r != 0 {
 		dst[nb-1] &= (1 << uint(r)) - 1
 	}
-}
-
-// RandomWords draws n uniform bits from the entropy source, packed, tail
-// zeroed; an entropy failure is returned, not panicked.
-func RandomWords(n int) ([]uint64, error) {
-	buf := make([]byte, (n+7)/8)
-	if err := readEntropy(buf); err != nil {
-		return nil, err
-	}
-	return BytesToWords(buf, n), nil
 }
 
 // ---------------------------------------------------------------------------

@@ -9,18 +9,25 @@ import (
 
 // randPacked returns n random bits as packed words with a zero tail.
 func randPacked(n int) []uint64 {
-	w, err := RandomWords(n)
-	if err != nil {
+	buf := make([]byte, (n+7)/8)
+	if _, err := rand.Read(buf); err != nil {
 		panic(err)
 	}
-	return w
+	return BytesToWords(buf, n)
+}
+
+// wordsToBytes is PutWords into a fresh (n+7)/8-byte bitmap.
+func wordsToBytes(w []uint64, n int) []byte {
+	out := make([]byte, (n+7)/8)
+	PutWords(out, w, n)
+	return out
 }
 
 func TestWordsBytesRoundTrip(t *testing.T) {
 	f := func(raw []byte) bool {
 		n := len(raw) * 8
 		w := BytesToWords(raw, n)
-		return bytes.Equal(WordsToBytes(w, n), raw)
+		return bytes.Equal(wordsToBytes(w, n), raw)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -44,7 +51,7 @@ func TestWordsMatchLegacyPacking(t *testing.T) {
 				return false
 			}
 		}
-		return bytes.Equal(WordsToBytes(w, n), PackBits(bits))
+		return bytes.Equal(wordsToBytes(w, n), PackBits(bits))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -54,7 +61,7 @@ func TestWordsMatchLegacyPacking(t *testing.T) {
 func TestWordsToBytesMasksTail(t *testing.T) {
 	w := []uint64{^uint64(0)}
 	for _, n := range []int{1, 3, 7, 8, 9, 13, 63, 64} {
-		out := WordsToBytes(w[:Words(n)], n)
+		out := wordsToBytes(w[:Words(n)], n)
 		total := 0
 		for _, b := range out {
 			total += int(popcount(b))
@@ -195,21 +202,6 @@ func TestTranspose8x8Property(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRandomWordsTailZero(t *testing.T) {
-	for _, n := range []int{1, 5, 63, 64, 65, 127, 1000} {
-		w, err := RandomWords(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(w) != Words(n) {
-			t.Fatalf("n=%d: %d words", n, len(w))
-		}
-		if r := n % 64; r != 0 && w[len(w)-1]>>uint(r) != 0 {
-			t.Errorf("n=%d: tail bits set", n)
-		}
 	}
 }
 

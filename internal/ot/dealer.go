@@ -33,16 +33,6 @@ func NewDealerPair(seed [SeedLen]byte) (*DealerSender, *DealerReceiver) {
 	return &DealerSender{g: newPRG(seed[:])}, &DealerReceiver{g: newPRG(seed[:])}
 }
 
-// NewRandomDealerPair creates a dealer pair from a fresh random seed.
-func NewRandomDealerPair() (*DealerSender, *DealerReceiver, error) {
-	var seed [SeedLen]byte
-	if err := readEntropy(seed[:]); err != nil {
-		return nil, nil, err
-	}
-	s, r := NewDealerPair(seed)
-	return s, r, nil
-}
-
 // dealerDraw returns the three packed bit vectors (w0, w1, rho) for n OTs.
 func dealerDraw(g *prg, n int) (w0, w1, rho []byte) {
 	nb := (n + 7) / 8

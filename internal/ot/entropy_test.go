@@ -39,20 +39,6 @@ func withFailingEntropy(t *testing.T, allow int) error {
 	return injected
 }
 
-func TestRandomWordsEntropyFailure(t *testing.T) {
-	injected := withFailingEntropy(t, 0)
-	if _, err := RandomWords(128); !errors.Is(err, injected) {
-		t.Fatalf("RandomWords: got %v, want the injected failure", err)
-	}
-}
-
-func TestDealerPairEntropyFailure(t *testing.T) {
-	injected := withFailingEntropy(t, 0)
-	if _, _, err := NewRandomDealerPair(); !errors.Is(err, injected) {
-		t.Fatalf("NewRandomDealerPair: got %v, want the injected failure", err)
-	}
-}
-
 func TestBrokerEntropyFailure(t *testing.T) {
 	injected := withFailingEntropy(t, 0)
 	b := NewDealerBroker()

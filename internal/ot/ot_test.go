@@ -139,7 +139,7 @@ func setupIKNP(t testing.TB) (*IKNPSender, *IKNPReceiver, *network.Network) {
 // The tests' unpacked view of the packed data plane: one 0/1 byte per bit.
 func packWords(bits []uint8) []uint64 { return BytesToWords(PackBits(bits), len(bits)) }
 
-func unpackWords(w []uint64, n int) []uint8 { return UnpackBits(WordsToBytes(w, n), n) }
+func unpackWords(w []uint64, n int) []uint8 { return UnpackBits(wordsToBytes(w, n), n) }
 
 // checkRandomOTs validates the random-OT correlation on n instances. It
 // reports with t.Errorf and returns, so concurrent tests may call it off
@@ -203,11 +203,11 @@ func TestIKNPMultipleBatches(t *testing.T) {
 
 func mustDealerPair(tb testing.TB) (*DealerSender, *DealerReceiver) {
 	tb.Helper()
-	s, r, err := NewRandomDealerPair()
-	if err != nil {
+	var seed [SeedLen]byte
+	if _, err := rand.Read(seed[:]); err != nil {
 		tb.Fatal(err)
 	}
-	return s, r
+	return NewDealerPair(seed)
 }
 
 func TestDealerRandomOTs(t *testing.T) {
@@ -231,9 +231,9 @@ func TestIKNPTrafficPerOT(t *testing.T) {
 	// IKNP's extension cost is Lambda bits = 16 bytes per OT; check the
 	// measured traffic is in that ballpark (amortized over a chunk).
 	s, r, net := setupIKNP(t)
-	net.ResetStats()
+	before := net.TotalBytes()
 	checkRandomOTs(t, s, r, extChunk)
-	total := net.TotalBytes()
+	total := net.TotalBytes() - before
 	perOT := float64(total) / float64(extChunk)
 	if perOT < 14 || perOT > 24 {
 		t.Errorf("IKNP extension traffic %.1f bytes/OT, expected ~16", perOT)

@@ -159,10 +159,41 @@ func TestDealerBrokerPerSessionStreams(t *testing.T) {
 	if slices.Equal(w1, w2) {
 		t.Error("distinct sessions drew identical dealt streams")
 	}
-	// Claiming the same half twice yields the same stream object (lockstep
-	// stays with the session's single consumer).
-	if sender(1, 2, "sess2") != s2 {
-		t.Error("broker did not cache the session stream")
+}
+
+// TestDealerBrokerDerivesFromMaster pins the broker to its one piece of
+// state: every half it hands out is the stream NewDealerPair builds from
+// the pair's master seed at the session tag's point, and serving many
+// sessions stores nothing beyond the per-pair masters.
+func TestDealerBrokerDerivesFromMaster(t *testing.T) {
+	ctx := context.Background()
+	b := NewDealerBroker()
+	for q := 0; q < 50; q++ {
+		tag := network.Tag("q", q, "blk", 0)
+		s, err := b.Sender(1, 2, tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := b.Receiver(1, 2, tag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seed [SeedLen]byte
+		copy(seed[:], deriveSeed(b.masters[[2]int{1, 2}], derivePoint(tag)))
+		ws, wr := NewDealerPair(seed)
+		g0, g1, _ := s.RandomPadWords(ctx, 300)
+		w0, w1, _ := ws.RandomPadWords(ctx, 300)
+		if !slices.Equal(g0, w0) || !slices.Equal(g1, w1) {
+			t.Fatalf("%s: sender half differs from NewDealerPair(deriveSeed(master, derivePoint(tag)))", tag)
+		}
+		gr, gw, _ := r.RandomChoiceWords(ctx, 300)
+		wrho, ww, _ := wr.RandomChoiceWords(ctx, 300)
+		if !slices.Equal(gr, wrho) || !slices.Equal(gw, ww) {
+			t.Fatalf("%s: receiver half differs from NewDealerPair(deriveSeed(master, derivePoint(tag)))", tag)
+		}
+	}
+	if len(b.masters) != 1 {
+		t.Errorf("broker holds %d master seeds after one pair's sessions, want 1", len(b.masters))
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"dstress"
 	"dstress/internal/cluster"
 	"dstress/internal/dp"
+	"dstress/internal/vertex"
 )
 
 // fakeRunner is a pool member that answers instantly (plus an optional
@@ -689,59 +690,63 @@ func TestSessionConcurrencyMultiplexing(t *testing.T) {
 }
 
 // TestSessionBusyDoesNotRecycle pins the typed-refusal seam at the
-// service layer: a runner that refuses with dstress.ErrSessionBusy is an
-// admission signal, not a protocol failure — the session must NOT be
-// poisoned and recycled, and the next query reuses it.
+// service layer: a runner that refuses with dstress.ErrSessionBusy, or with
+// a *vertex.NoiseSizeError for an ε too small to sample, is an admission
+// signal, not a protocol failure — the session must NOT be poisoned and
+// recycled, and the next query reuses it.
 func TestSessionBusyDoesNotRecycle(t *testing.T) {
-	var opened, closed atomic.Int64
-	var busy atomic.Bool
-	busy.Store(true)
-	svc, err := New(context.Background(), Config{
-		Open: func(ctx context.Context) (QueryRunner, error) {
-			opened.Add(1)
-			return busyOnceRunner{busy: &busy, closed: &closed}, nil
-		},
-		PoolCap: 1, Warm: 1,
-		DefaultBudget: math.Inf(1),
-		AllowUnnoised: true,
-		Logf:          func(string, ...any) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, refusal := range []error{dstress.ErrSessionBusy, &vertex.NoiseSizeError{Epsilon: 1e-6, Sensitivity: 10, Trials: 2e8}} {
+		var opened, closed atomic.Int64
+		var busy atomic.Bool
+		busy.Store(true)
+		svc, err := New(context.Background(), Config{
+			Open: func(ctx context.Context) (QueryRunner, error) {
+				opened.Add(1)
+				return busyOnceRunner{refusal: refusal, busy: &busy, closed: &closed}, nil
+			},
+			PoolCap: 1, Warm: 1,
+			DefaultBudget: math.Inf(1),
+			AllowUnnoised: true,
+			Logf:          func(string, ...any) {},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	st, err := svc.Do(context.Background(), Request{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != StateFailed {
-		t.Fatalf("busy-refused query state %v, want failed", st.State)
-	}
-	if closed.Load() != 0 {
-		t.Errorf("ErrSessionBusy poisoned the session (closed=%d), want it kept", closed.Load())
-	}
-	busy.Store(false)
-	st, err = svc.Do(context.Background(), Request{})
-	if err != nil || st.State != StateDone {
-		t.Fatalf("query after busy refusal: %v, state %v", err, st.State)
-	}
-	if opened.Load() != 1 {
-		t.Errorf("opened %d sessions, want 1 (busy refusal must not recycle)", opened.Load())
-	}
-	if err := svc.Drain(context.Background()); err != nil {
-		t.Fatal(err)
+		st, err := svc.Do(context.Background(), Request{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateFailed {
+			t.Fatalf("%v: refused query state %v, want failed", refusal, st.State)
+		}
+		if closed.Load() != 0 {
+			t.Errorf("%v poisoned the session (closed=%d), want it kept", refusal, closed.Load())
+		}
+		busy.Store(false)
+		st, err = svc.Do(context.Background(), Request{})
+		if err != nil || st.State != StateDone {
+			t.Fatalf("query after refusal %v: %v, state %v", refusal, err, st.State)
+		}
+		if opened.Load() != 1 {
+			t.Errorf("%v: opened %d sessions, want 1 (a refusal must not recycle)", refusal, opened.Load())
+		}
+		if err := svc.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-// busyOnceRunner refuses with ErrSessionBusy while busy is set.
+// busyOnceRunner refuses with its refusal error while busy is set.
 type busyOnceRunner struct {
-	busy   *atomic.Bool
-	closed *atomic.Int64
+	refusal error
+	busy    *atomic.Bool
+	closed  *atomic.Int64
 }
 
 func (r busyOnceRunner) Query(ctx context.Context, q dstress.QuerySpec) (*dstress.Result, error) {
 	if r.busy.Load() {
-		return nil, dstress.ErrSessionBusy
+		return nil, r.refusal
 	}
 	return &dstress.Result{Raw: 1, Value: 1, Report: &dstress.Report{Transport: "fake"}}, nil
 }

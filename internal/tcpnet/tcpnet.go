@@ -13,16 +13,16 @@
 // Delivery preserves per-(sender, tag) FIFO order (messages from one
 // sender travel on one connection in order and are queued in order).
 // Traffic counters record the actual framed wire bytes (header + tag +
-// payload) on both sides, where the in-process hub adds a modeled
-// per-message overhead; both therefore approximate the same packet-capture
-// quantity. Confidentiality/integrity of the channel itself is expected
-// from the usual TLS layer in a real deployment; the DStress protocols
-// additionally never place bare secrets on the wire (shares are encrypted
-// or information-theoretically masked).
+// payload) of every data frame on both sides, where the in-process hub adds
+// a modeled per-message overhead; both therefore approximate the same
+// packet-capture quantity. Counting, mailboxes and retirement are the
+// network.Core both transports embed. Confidentiality/integrity of the
+// channel itself is expected from the usual TLS layer in a real deployment;
+// the DStress protocols additionally never place bare secrets on the wire
+// (shares are encrypted or information-theoretically masked).
 package tcpnet
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -41,53 +41,24 @@ const maxFrame = 64 << 20
 // connection, so the accepting side knows which node feeds the connection
 // before any data arrives — and can release that sender's mailboxes if the
 // connection dies even mid-handshake. The NUL prefix keeps it out of the
-// protocol tag namespace.
+// protocol tag namespace; it carries no protocol message and is not counted.
 const identTag = "\x00tcpnet/ident"
 
 // Peer is one node's TCP attachment.
 type Peer struct {
+	network.Core
 	id       network.NodeID
 	listener net.Listener
-
-	// boxes is the receiving half, the same mailbox table the hub uses.
-	boxes network.Mailboxes
 
 	mu    sync.Mutex
 	dials map[network.NodeID]net.Conn // outbound connections by peer id
 	addrs map[network.NodeID]string   // directory: node id → address
-
-	// total counts framed wire bytes node-wide, tagStats by tag prefix
-	// (protocol layer): atomics in a sync.Map, so the data-plane hot path
-	// never takes p.mu.
-	total    counter
-	tagStats sync.Map // string → *counter
 
 	closed  atomic.Bool
 	writeMu sync.Map // per-conn *sync.Mutex
 }
 
 var _ network.Transport = (*Peer)(nil)
-
-// counter accumulates traffic; stats snapshots it as a network.Stats.
-type counter struct {
-	bytesSent, bytesRecv, msgsSent atomic.Int64
-}
-
-func (c *counter) stats() network.Stats {
-	return network.Stats{
-		BytesSent:     c.bytesSent.Load(),
-		BytesReceived: c.bytesRecv.Load(),
-		MessagesSent:  c.msgsSent.Load(),
-	}
-}
-
-func counterIn(m *sync.Map, key any) *counter {
-	c, ok := m.Load(key)
-	if !ok {
-		c, _ = m.LoadOrStore(key, new(counter))
-	}
-	return c.(*counter)
-}
 
 // Listen starts a peer on addr ("127.0.0.1:0" for an ephemeral port).
 func Listen(id network.NodeID, addr string) (*Peer, error) {
@@ -130,35 +101,8 @@ func (p *Peer) Close() error {
 		c.Close()
 	}
 	p.mu.Unlock()
-	p.boxes.Close()
+	p.CloseAll()
 	return err
-}
-
-// Stats returns the traffic snapshot, aligned with network.Stats.
-func (p *Peer) Stats() network.Stats { return p.total.stats() }
-
-// TagStats returns framed wire bytes and messages aggregated by tag prefix
-// (the protocol layer: "blk", "tx", "init", …). The ident greeting is
-// excluded — it carries no protocol tag.
-func (p *Peer) TagStats() map[string]network.Stats {
-	out := make(map[string]network.Stats)
-	p.tagStats.Range(func(k, v any) bool {
-		out[k.(string)] = v.(*counter).stats()
-		return true
-	})
-	return out
-}
-
-// RetireTagPrefix implements network.Transport. A standing daemon calls it
-// after reporting a query's doneMsg.
-func (p *Peer) RetireTagPrefix(prefix string) {
-	p.tagStats.Range(func(k, v any) bool {
-		if network.TagUnder(k.(string), prefix) {
-			p.tagStats.Delete(k)
-		}
-		return true
-	})
-	p.boxes.Retire(prefix)
 }
 
 func (p *Peer) acceptLoop() {
@@ -185,18 +129,15 @@ func (p *Peer) readLoop(conn net.Conn) {
 		from, tag, payload, err := readFrame(conn)
 		if err != nil {
 			if seen && !p.closed.Load() {
-				p.boxes.CloseFrom(lastFrom)
+				p.CloseFrom(lastFrom)
 			}
 			return
 		}
 		lastFrom, seen = from, true
-		n := frameBytes(tag, payload)
-		p.total.bytesRecv.Add(n)
 		if tag == identTag {
 			continue
 		}
-		counterIn(&p.tagStats, network.TagPrefix(tag)).bytesRecv.Add(n)
-		p.boxes.Put(from, tag, payload)
+		p.Deliver(from, tag, payload, frameBytes(tag, payload))
 	}
 }
 
@@ -238,7 +179,6 @@ func (p *Peer) conn(to network.NodeID) (net.Conn, error) {
 		c.Close()
 		return nil, fmt.Errorf("tcpnet: greeting node %d: %w", to, err)
 	}
-	p.total.bytesSent.Add(frameBytes(identTag, nil))
 	p.dials[to] = c
 	return c, nil
 }
@@ -256,12 +196,7 @@ func (p *Peer) Send(to network.NodeID, tag string, payload []byte) error {
 	if err := writeFrame(c, p.id, tag, payload); err != nil {
 		return fmt.Errorf("tcpnet: send to %d: %w", to, err)
 	}
-	n := frameBytes(tag, payload)
-	p.total.bytesSent.Add(n)
-	p.total.msgsSent.Add(1)
-	tc := counterIn(&p.tagStats, network.TagPrefix(tag))
-	tc.bytesSent.Add(n)
-	tc.msgsSent.Add(1)
+	p.ChargeSent(tag, frameBytes(tag, payload))
 	return nil
 }
 
@@ -269,13 +204,6 @@ func (p *Peer) Send(to network.NodeID, tag string, payload []byte) error {
 // uint32 length | int32 from | uint16 tagLen | tag | payload.
 func frameBytes(tag string, payload []byte) int64 {
 	return int64(4 + 4 + 2 + len(tag) + len(payload))
-}
-
-// Recv blocks until a message from `from` with the given tag arrives, the
-// context is done, or the peer is closed. Queued messages drain before
-// either failure is reported.
-func (p *Peer) Recv(ctx context.Context, from network.NodeID, tag string) ([]byte, error) {
-	return p.boxes.Get(ctx, from, tag)
 }
 
 // ---------------------------------------------------------------------------

@@ -123,9 +123,9 @@ func TestTrafficCounters(t *testing.T) {
 	if len(got) != 100 {
 		t.Fatal("payload lost")
 	}
-	// Counters record full frames (10-byte header + tag + payload),
-	// including the one-time greeting frame on the new connection.
-	want := frameBytes(identTag, nil) + frameBytes("t", make([]byte, 100))
+	// Counters record full data frames (10-byte header + tag + payload);
+	// the one-time greeting frame on the new connection is not counted.
+	want := frameBytes("t", make([]byte, 100))
 	if s := a.Stats(); s.BytesSent != want || s.MessagesSent != 1 {
 		t.Errorf("sender stats %+v, want %d bytes", s, want)
 	}

@@ -81,8 +81,8 @@ type Deployment struct {
 	certMu   sync.Mutex
 	certUses int
 
-	// plans caches the ε-dependent aggregation machinery: a standing
-	// deployment answers queries at different privacy budgets.
+	// plans caches the ε-dependent aggregation machinery, at most maxPlans:
+	// a standing deployment answers queries at different privacy budgets.
 	planMu sync.Mutex
 	plans  map[float64]*aggPlan
 }
@@ -162,13 +162,25 @@ func (d *Deployment) Prepare(epsilon float64) error {
 	return err
 }
 
+// maxPlans bounds the plan cache: a deployment's queries use a few
+// distinct budgets, and a tenant varying ε per query must not grow it.
+const maxPlans = 8
+
 // planFor returns (compiling and caching on first use) the aggregation plan
-// for the given privacy budget. Safe for overlapping queries.
+// for the given privacy budget, refusing one CheckNoise refuses before
+// anything compiles. A full cache is emptied first (a query holding a plan
+// keeps it). Safe for overlapping queries.
 func (d *Deployment) planFor(epsilon float64) (*aggPlan, error) {
+	if err := CheckNoise(epsilon, d.prog.Sensitivity); err != nil {
+		return nil, err
+	}
 	d.planMu.Lock()
 	defer d.planMu.Unlock()
 	if pl, ok := d.plans[epsilon]; ok {
 		return pl, nil
+	}
+	if len(d.plans) >= maxPlans {
+		clear(d.plans)
 	}
 	pl := &aggPlan{}
 	if epsilon > 0 {
@@ -442,10 +454,10 @@ func (e *Engine) queryTags(root string, withSetup bool) map[string]network.Stats
 	return tags
 }
 
-// queryStats sums queryTags.
-func (e *Engine) queryStats(root string, withSetup bool) network.Stats {
+// sumStats adds up a set of per-prefix counters.
+func sumStats(tags map[string]network.Stats) network.Stats {
 	var s network.Stats
-	for _, ts := range e.queryTags(root, withSetup) {
+	for _, ts := range tags {
 		s.BytesSent += ts.BytesSent
 		s.BytesReceived += ts.BytesReceived
 		s.MessagesSent += ts.MessagesSent
@@ -795,13 +807,16 @@ func (e *Engine) Run(ctx context.Context, job Job) (*NodeResult, error) {
 	e.setupDone = true
 	e.setupMu.Unlock()
 
-	phaseStart := func() (time.Time, int64) {
-		s := e.queryStats(run.root, paysSetup)
-		return time.Now(), s.BytesSent + s.BytesReceived
-	}
-	phaseBytes := func(b0 int64) int64 {
-		s := e.queryStats(run.root, paysSetup)
-		return s.BytesSent + s.BytesReceived - b0
+	// Phase bytes chain on the query's own counters: the first phase starts
+	// at 0 (a resumed attempt's Init also takes what earlier attempts
+	// moved), each phase takes what arrived since the last one closed, and
+	// Agg takes the rest of the final Stats, so the phases sum to them.
+	var mark int64
+	phaseBytes := func() int64 {
+		s := sumStats(e.queryTags(run.root, paysSetup))
+		b := s.BytesSent + s.BytesReceived - mark
+		mark += b
+		return b
 	}
 	trace := obs.From(ctx)
 
@@ -812,7 +827,7 @@ func (e *Engine) Run(ctx context.Context, job Job) (*NodeResult, error) {
 	// left unclosed — it marks where the protocol stopped.
 
 	// --- Initialization (§3.6): session joins + owner share distribution. ---
-	t0, b0 := phaseStart()
+	t0 := time.Now()
 	obs.ReportProgress(ctx, "phase/init")
 	endPhase := trace.Begin("phase/init")
 	if err := e.createSessions(ctx, run); err != nil {
@@ -837,7 +852,7 @@ func (e *Engine) Run(ctx context.Context, job Job) (*NodeResult, error) {
 		e.checkpointBarrier(run, job, 0)
 	}
 	rep.InitTime = time.Since(t0)
-	rep.InitBytes = phaseBytes(b0)
+	rep.InitBytes = phaseBytes()
 	e.setupMu.Lock()
 	rep.SetupTime = e.setupTime
 	e.setupMu.Unlock()
@@ -851,7 +866,7 @@ func (e *Engine) Run(ctx context.Context, job Job) (*NodeResult, error) {
 		startIter = job.FromBarrier
 	}
 	for it := startIter; it <= iterations; it++ {
-		t0, b0 = phaseStart()
+		t0 = time.Now()
 		obs.ReportProgress(ctx, fmt.Sprintf("iter/%d/compute", it))
 		endPhase = trace.Begin(fmt.Sprintf("iter/%d/compute", it))
 		out, err := e.computeStep(ctx, run, it)
@@ -860,7 +875,7 @@ func (e *Engine) Run(ctx context.Context, job Job) (*NodeResult, error) {
 		}
 		endPhase()
 		rep.ComputeTime += time.Since(t0)
-		rep.ComputeBytes += phaseBytes(b0)
+		rep.ComputeBytes += phaseBytes()
 
 		// Deterministic fault injection: the node dies after this
 		// iteration's compute, taking its un-checkpointed progress with it.
@@ -874,7 +889,7 @@ func (e *Engine) Run(ctx context.Context, job Job) (*NodeResult, error) {
 		if it == iterations {
 			break // final computation step: no communication follows
 		}
-		t0, b0 = phaseStart()
+		t0 = time.Now()
 		obs.ReportProgress(ctx, fmt.Sprintf("iter/%d/communicate", it))
 		endPhase = trace.Begin(fmt.Sprintf("iter/%d/communicate", it))
 		if err := e.communicateStep(ctx, run, it, out); err != nil {
@@ -882,12 +897,12 @@ func (e *Engine) Run(ctx context.Context, job Job) (*NodeResult, error) {
 		}
 		endPhase()
 		rep.CommTime += time.Since(t0)
-		rep.CommBytes += phaseBytes(b0)
+		rep.CommBytes += phaseBytes()
 		e.checkpointBarrier(run, job, it+1)
 	}
 
 	// --- Aggregation + noising (§3.6). ---
-	t0, b0 = phaseStart()
+	t0 = time.Now()
 	obs.ReportProgress(ctx, "phase/agg")
 	endPhase = trace.Begin("phase/agg")
 	result, hasResult, err := e.aggregate(ctx, run, plan)
@@ -896,15 +911,17 @@ func (e *Engine) Run(ctx context.Context, job Job) (*NodeResult, error) {
 	}
 	endPhase()
 	rep.AggTime = time.Since(t0)
-	rep.AggBytes = phaseBytes(b0)
 
 	// Per-query accounting, then retirement: snapshot this query's traffic
 	// and fold its per-prefix counters into the trace, then drop its tag
 	// namespace from the transport so a standing engine's counters and
 	// mailboxes do not grow with every query served.
-	res := &NodeResult{Node: e.id, Result: result, HasResult: hasResult, Report: *rep, Stats: e.queryStats(run.root, paysSetup)}
+	tags := e.queryTags(run.root, paysSetup)
+	stats := sumStats(tags)
+	rep.AggBytes = stats.BytesSent + stats.BytesReceived - mark
+	res := &NodeResult{Node: e.id, Result: result, HasResult: hasResult, Report: *rep, Stats: stats}
 	if trace != nil {
-		for prefix, ts := range e.queryTags(run.root, paysSetup) {
+		for prefix, ts := range tags {
 			trace.Add("net/"+prefix+"/bytes_sent", ts.BytesSent)
 			trace.Add("net/"+prefix+"/bytes_recv", ts.BytesReceived)
 			trace.Add("net/"+prefix+"/msgs_sent", ts.MessagesSent)

@@ -1,6 +1,7 @@
 package vertex
 
 import (
+	"fmt"
 	"math"
 
 	"dstress/internal/circuit"
@@ -38,17 +39,56 @@ type NoiseSpec struct {
 }
 
 // DefaultNoiseSpec returns a spec for the given ε and sensitivity (both in
-// aggregate-value units), sized so the truncation tail is below 1e-9.
+// aggregate-value units), sized so the truncation tail is below 1e-9; vet a
+// tenant's ε with CheckNoise first.
 func DefaultNoiseSpec(epsilon, sensitivity float64, shift int) NoiseSpec {
 	if epsilon <= 0 || sensitivity <= 0 {
 		return NoiseSpec{}
 	}
 	alpha := math.Exp(-epsilon / sensitivity)
-	trials := int(math.Ceil(math.Log(1e-9) / math.Log(alpha)))
-	if trials < 8 {
-		trials = 8
+	return NoiseSpec{Alpha: alpha, Trials: int(noiseTrials(epsilon, sensitivity)), CoinBits: 24, Shift: shift}
+}
+
+// noiseTrials is DefaultNoiseSpec's Trials, ⌈ln(1e-9)/ln α⌉ ≈ 20.7·s/ε, at
+// least 8. It is +Inf, not an overflowed int, for a vanishing ε, and when
+// α rounds to 1 (ε below ≈ 1e-16·s), where a small sampler would add 0.
+func noiseTrials(epsilon, sensitivity float64) float64 {
+	t := math.Ceil(math.Log(1e-9) / math.Log(math.Exp(-epsilon/sensitivity)))
+	if math.IsInf(t, -1) {
+		return math.Inf(1)
 	}
-	return NoiseSpec{Alpha: alpha, Trials: trials, CoinBits: 24, Shift: shift}
+	return max(8, t)
+}
+
+// MaxNoiseTrials bounds the noise sampler a query may ask for: without it a
+// tenant paying almost nothing (ε = 1e-6 at s = 10 asks for 2·10⁸ trials)
+// makes every node compile a sampler of any size. 2¹³ admits ε ≥ 0.0025·s;
+// Eisenberg–Noe (s = 10) at its usual ε = 0.23 needs 902.
+const MaxNoiseTrials = 1 << 13
+
+// NoiseSizeError refuses a privacy budget whose noise sampler would need
+// Trials coin rows per geometric variable, more than MaxNoiseTrials.
+type NoiseSizeError struct {
+	Epsilon, Sensitivity float64
+	Trials               float64
+}
+
+func (e *NoiseSizeError) Error() string {
+	return fmt.Sprintf("vertex: epsilon %v at sensitivity %v needs a noise sampler of %.0f trials, above the bound of %d",
+		e.Epsilon, e.Sensitivity, e.Trials, MaxNoiseTrials)
+}
+
+// CheckNoise returns a *NoiseSizeError when DefaultNoiseSpec(epsilon,
+// sensitivity, ·) would exceed MaxNoiseTrials. It builds nothing, so it can
+// vet a tenant's ε before anything is charged or compiled.
+func CheckNoise(epsilon, sensitivity float64) error {
+	if epsilon <= 0 || sensitivity <= 0 {
+		return nil
+	}
+	if t := noiseTrials(epsilon, sensitivity); t > MaxNoiseTrials {
+		return &NoiseSizeError{Epsilon: epsilon, Sensitivity: sensitivity, Trials: t}
+	}
+	return nil
 }
 
 // Enabled reports whether the spec actually adds noise.

@@ -1,6 +1,7 @@
 package vertex
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -117,4 +118,45 @@ func TestGeometricIsLogDepth(t *testing.T) {
 		t.Errorf("noise circuit depth %d at %d trials, want ≤ %d", c.Depth(), n.Trials, limit)
 	}
 	t.Logf("noise sampler at %d trials: %d ANDs, depth %d", n.Trials, c.NumAnd, c.Depth())
+}
+
+// TestNoiseSamplerBound pins the ε floor: a budget whose sampler would
+// exceed MaxNoiseTrials is refused by CheckNoise and by the plan cache
+// before anything compiles, including an ε so small that α rounds to 1
+// (which would otherwise compile an 8-trial sampler that adds no noise);
+// and a deployment asked for many distinct budgets caches at most maxPlans.
+func TestNoiseSamplerBound(t *testing.T) {
+	for _, eps := range []float64{1e-6, 1e-300} {
+		var ne *NoiseSizeError
+		if err := CheckNoise(eps, 10); !errors.As(err, &ne) {
+			t.Errorf("CheckNoise(%g, 10) = %v, want *NoiseSizeError", eps, err)
+		}
+	}
+	if err := CheckNoise(0.23, 10); err != nil {
+		t.Errorf("CheckNoise(0.23, 10) = %v, want nil (902 trials)", err)
+	}
+	if got := DefaultNoiseSpec(0.23, 10, 0).Trials; got != 902 {
+		t.Errorf("DefaultNoiseSpec(0.23, 10).Trials = %d, want 902", got)
+	}
+
+	p := sumProgram()
+	dep, err := NewDeployment(Config{Group: tg, K: 1, Alpha: 0.5}, p, ringGraph(t, 4, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ne *NoiseSizeError
+	if err := dep.Prepare(1e-6); !errors.As(err, &ne) {
+		t.Fatalf("Prepare(1e-6) = %v, want *NoiseSizeError", err)
+	}
+	if len(dep.plans) != 0 {
+		t.Errorf("refused budget left %d plans cached", len(dep.plans))
+	}
+	for i := 1; i <= 3*maxPlans; i++ {
+		if err := dep.Prepare(float64(i) / 10); err != nil {
+			t.Fatal(err)
+		}
+		if len(dep.plans) > maxPlans {
+			t.Fatalf("after %d budgets the cache holds %d plans, want at most %d", i, len(dep.plans), maxPlans)
+		}
+	}
 }
