@@ -16,9 +16,8 @@ import (
 //  1. library code does not mint context.Background()/context.TODO():
 //     the caller's ctx (or context.WithoutCancel(ctx) for deliberately
 //     detached lifetimes) is always available and always right;
-//  2. a function that calls a Recv/Exchange method (directly, or through
-//     one level of same-package calls) declares a context.Context
-//     parameter.
+//  2. a function that calls a Recv method (directly, or through one
+//     level of same-package calls) declares a context.Context parameter.
 //
 // //dstress:ctx-ok silences either rule on a line (for rule 2: on the
 // `func` line).
@@ -48,7 +47,7 @@ func runCtxFlow(pass *Pass) error {
 	}
 
 	// Rule 2: collect, per function declaration, whether it reaches a
-	// ctx-taking Recv/Exchange and which same-package functions it calls.
+	// ctx-taking Recv and which same-package functions it calls.
 	// Closures are attributed to their enclosing declaration: the ctx has
 	// to enter through the declared function either way.
 	type funcFacts struct {
@@ -108,10 +107,10 @@ func runCtxFlow(pass *Pass) error {
 	return nil
 }
 
-// isRecvLike reports whether fn is a transport receive: named Recv or
-// Exchange with a leading context.Context parameter.
+// isRecvLike reports whether fn is a transport receive: named Recv with a
+// leading context.Context parameter.
 func isRecvLike(fn *types.Func) bool {
-	if name := fn.Name(); name != "Recv" && name != "Exchange" {
+	if fn.Name() != "Recv" {
 		return false
 	}
 	sig, ok := fn.Type().(*types.Signature)

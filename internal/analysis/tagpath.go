@@ -18,7 +18,7 @@ import (
 // with another in-flight query, or collide two sessions onto one pad
 // stream. So in protocol packages:
 //
-//  1. the tag argument of a transport Send/Recv/Exchange must be a
+//  1. the tag argument of a transport Send/Recv must be a
 //     network.Tag/TagPrefix call, a variable holding one, or a
 //     '/'-free literal (a fixed root like "setup" is namespace-safe);
 //  2. no other expression may fabricate a '/'-separated path string,
@@ -57,14 +57,14 @@ func runTagPath(pass *Pass) error {
 	return nil
 }
 
-// checkTransportTag validates the tag argument of Send/Recv/Exchange calls.
+// checkTransportTag validates the tag argument of Send/Recv calls.
 func checkTransportTag(pass *Pass, call *ast.CallExpr) {
 	fn := calleeFunc(pass.TypesInfo, call)
 	if fn == nil {
 		return
 	}
 	name := fn.Name()
-	if name != "Send" && name != "Recv" && name != "Exchange" {
+	if name != "Send" && name != "Recv" {
 		return
 	}
 	idx := tagParamIndex(fn)
@@ -225,7 +225,7 @@ func sinkFunc(fn *types.Func) bool {
 }
 
 // underTransportTag reports whether the innermost enclosing call is a
-// transport Send/Recv/Exchange (whose tag argument checkTransportTag owns).
+// transport Send/Recv (whose tag argument checkTransportTag owns).
 func underTransportTag(pass *Pass, stack []ast.Node) bool {
 	for i := len(stack) - 1; i >= 0; i-- {
 		if call, ok := stack[i].(*ast.CallExpr); ok {
@@ -234,7 +234,7 @@ func underTransportTag(pass *Pass, stack []ast.Node) bool {
 				return false
 			}
 			name := fn.Name()
-			return (name == "Send" || name == "Recv" || name == "Exchange") && tagParamIndex(fn) >= 0
+			return (name == "Send" || name == "Recv") && tagParamIndex(fn) >= 0
 		}
 	}
 	return false

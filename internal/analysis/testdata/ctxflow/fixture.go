@@ -12,9 +12,6 @@ type Endpoint struct{}
 func (Endpoint) Recv(ctx context.Context, from NodeID, tag string) ([]byte, error) {
 	return nil, nil
 }
-func (Endpoint) Exchange(ctx context.Context, peer NodeID, tag string, payload []byte) ([]byte, error) {
-	return nil, nil
-}
 
 var ep Endpoint
 
@@ -45,10 +42,6 @@ func bad() error { // want `bad reaches a blocking Recv but has no context.Conte
 // indirect reaches Recv through one level of same-package calls.
 func indirect() error { // want `indirect reaches a blocking Recv but has no context.Context parameter`
 	return good(context.TODO()) // want `context.TODO\(\) minted in library code`
-}
-
-func badExchange() { // want `badExchange reaches a blocking Recv but has no context.Context parameter`
-	_, _ = ep.Exchange(storedCtx, 1, "t", nil)
 }
 
 var storedCtx = context.Background() //dstress:ctx-ok — fixture escape

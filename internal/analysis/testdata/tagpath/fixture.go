@@ -16,9 +16,6 @@ func (Endpoint) Send(to NodeID, tag string, payload []byte) error { return nil }
 func (Endpoint) Recv(ctx context.Context, from NodeID, tag string) ([]byte, error) {
 	return nil, nil
 }
-func (Endpoint) Exchange(ctx context.Context, peer NodeID, tag string, payload []byte) ([]byte, error) {
-	return nil, nil
-}
 
 func Tag(parts ...any) string { return "tag" }
 
@@ -54,9 +51,6 @@ func protocol(ctx context.Context, e Endpoint, qid int) error {
 		return err
 	}
 	if _, err := e.Recv(ctx, 1, fmt.Sprintf("q/%d/x", qid)); err != nil { // want `tag argument of Recv must derive from network.Tag`
-		return err
-	}
-	if _, err := e.Exchange(ctx, 1, "a/"+t, nil); err != nil { // want `tag argument of Exchange must derive from network.Tag`
 		return err
 	}
 

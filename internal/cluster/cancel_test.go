@@ -2,11 +2,14 @@ package cluster
 
 import (
 	"context"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"dstress/internal/group"
 	"dstress/internal/network"
+	"dstress/internal/obs"
 )
 
 // TestNodeKillMidRunAbortsFleet kills one node in the middle of a
@@ -19,6 +22,9 @@ import (
 func TestNodeKillMidRunAbortsFleet(t *testing.T) {
 	cfg := Config{Group: group.ModP256(), K: 1, Alpha: 0.5}
 	sc, _ := enChainScenario(t, 4, cfg, 8)
+	// Heartbeats carry the fleet's progress to the driver's callback; at
+	// the default 1 s interval the query can end before the first beat.
+	sc.HeartbeatInterval = 25 * time.Millisecond
 	co, err := NewCoordinator("127.0.0.1:0", sc)
 	if err != nil {
 		t.Fatal(err)
@@ -52,16 +58,19 @@ func TestNodeKillMidRunAbortsFleet(t *testing.T) {
 	}
 	defer sess.Close()
 
-	// Kill the victim once the query is under way.
-	go func() {
-		time.Sleep(500 * time.Millisecond)
-		kill()
-	}()
+	// Kill the victim once the health plane shows the query computing, so
+	// the kill lands mid-run however fast the query is.
+	var killOnce sync.Once
+	onPhase := func(phase string) {
+		if strings.HasPrefix(phase, "iter/") {
+			killOnce.Do(kill)
+		}
+	}
 
 	runCtx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	start := time.Now()
-	if _, err := sess.Query(runCtx, Query{Iterations: 8}); err == nil {
+	if _, err := sess.Query(obs.WithProgress(runCtx, onPhase), Query{Iterations: 8}); err == nil {
 		t.Fatal("coordinator run succeeded despite a killed node")
 	} else {
 		t.Logf("coordinator failed after %v: %v", time.Since(start), err)

@@ -37,7 +37,7 @@
 // miss at least one share of every wire (GMW is secure against n−1
 // semi-honest corruptions). An opened d is masked by Δ, which the receiver
 // cannot know (it holds only wρ), and an opened e by ρ, which the sender
-// cannot know; every pair and round draws fresh OTs.
+// cannot know; every pair and round uses fresh OTs.
 package gmw
 
 import (
@@ -100,12 +100,16 @@ type Party struct {
 	rcv []ot.RandomOTReceiver // by peer index: ordered pair j→me
 	seq int
 
-	// AND-round scratch, grown to the widest round and reused after it;
-	// rho holds each peer's choice bits until that peer's frame arrives.
+	// AND-round scratch, grown to the widest round and reused after it.
 	xs, ys, acc, tmp []uint64
 	frame            []byte
-	rho              [][]uint64
 }
+
+// evalOTs are one evaluation's random OTs with one peer, a circuit's AND
+// count of them per direction: (ρ, wρ) as receiver of the pair peer→me and
+// (w0, w1) as its sender. AND round r uses the bits from the round's offset,
+// the number of AND gates in the rounds before it.
+type evalOTs struct{ rho, wRho, w0, w1 []uint64 }
 
 // ErrBadFrame marks an AND-round frame whose length is not the 2·⌈nG/8⌉
 // bytes its round's gate count fixes.
@@ -137,7 +141,6 @@ func NewParty(ctx context.Context, cfg Config) (*Party, error) {
 		me:  cfg.Index,
 		snd: make([]ot.RandomOTSender, n),
 		rcv: make([]ot.RandomOTReceiver, n),
-		rho: make([][]uint64, n),
 	}
 
 	switch opt := cfg.OT.(type) {
@@ -218,16 +221,22 @@ func (p *Party) Evaluate(ctx context.Context, c *circuit.Circuit, inputShares []
 		}
 		ot.SetBit(vals, 2+i, uint64(b))
 	}
+	ots, err := p.drawOTs(ctx, c.NumAnd, evalID)
+	if err != nil {
+		return nil, err
+	}
 
 	obs.Add(ctx, "gmw/evals", 1)
 	packed := c.PackedRounds()
+	off := 0
 	for r, round := range c.Rounds {
 		if len(round.And) > 0 {
 			obs.Add(ctx, "gmw/and_rounds", 1)
 			obs.Add(ctx, "gmw/and_gates", int64(len(round.And)))
-			if err := p.andRound(ctx, vals, &packed[r], evalID, r); err != nil {
+			if err := p.andRound(ctx, vals, &packed[r], ots, off, evalID, r); err != nil {
 				return nil, err
 			}
+			off += len(round.And)
 		}
 		for _, gi := range round.Local {
 			g := c.Gates[gi]
@@ -242,14 +251,40 @@ func (p *Party) Evaluate(ctx context.Context, c *circuit.Circuit, inputShares []
 	return out, nil
 }
 
+// drawOTs draws an evaluation's nA random OTs with every peer, both
+// directions, in an order that keeps IKNP streams deadlock-free: first
+// every receiver-side draw (under IKNP the side that sends the extension
+// blob, without waiting on anyone), then every sender-side draw (which may
+// wait for the peer's blob, sent by the peer's first loop). Each stream
+// gives up exactly nA OTs per evaluation, so the two ends of every pair
+// stay in lockstep, and no AND round waits on an extension.
+func (p *Party) drawOTs(ctx context.Context, nA, evalID int) ([]evalOTs, error) {
+	ots := make([]evalOTs, p.n)
+	for j, src := range p.rcv {
+		if j == p.me {
+			continue
+		}
+		var err error
+		if ots[j].rho, ots[j].wRho, err = src.RandomChoiceWords(ctx, nA); err != nil {
+			return nil, fmt.Errorf("gmw: eval %d OTs from %d: %w", evalID, j, err)
+		}
+	}
+	for j, src := range p.snd {
+		if j == p.me {
+			continue
+		}
+		var err error
+		if ots[j].w0, ots[j].w1, err = src.RandomPadWords(ctx, nA); err != nil {
+			return nil, fmt.Errorf("gmw: eval %d OTs to %d: %w", evalID, j, err)
+		}
+	}
+	return ots, nil
+}
+
 // andRound evaluates a batch of AND gates in one half-trip, entirely on
-// packed words. The OT draws come in an order that keeps IKNP streams
-// deadlock-free: first every receiver-side draw (under IKNP the side that
-// sends extension blobs, without waiting on anyone), then each sender-side
-// draw (which may wait for the peer's blob, sent by the peer's first loop)
-// followed by that peer's frame, then all receives. Each stream gives up
-// exactly nG OTs per round, so the two ends of every pair stay in lockstep.
-func (p *Party) andRound(ctx context.Context, vals []uint64, pr *circuit.PackedRound, evalID, round int) error {
+// packed words, on bits [off, off+nG) of the evaluation's OTs: one frame
+// to each peer, then one frame from each.
+func (p *Party) andRound(ctx context.Context, vals []uint64, pr *circuit.PackedRound, ots []evalOTs, off, evalID, round int) error {
 	nG := len(pr.Out)
 	nW := ot.Words(nG)
 	nb := (nG + 7) / 8
@@ -274,33 +309,21 @@ func (p *Party) andRound(ctx context.Context, vals []uint64, pr *circuit.PackedR
 	// As receiver of pair j→me my share is wρ ⊕ (d∧ρ), as sender of
 	// me→j it is w0 ⊕ (x∧e): the pads go into acc now, the rest once the
 	// peer's d and e arrive.
-	for j, src := range p.rcv {
-		if j == p.me {
-			continue
-		}
-		rho, wRho, err := src.RandomChoiceWords(ctx, nG)
-		if err != nil {
-			return fmt.Errorf("gmw: eval %d round %d OTs from %d: %w", evalID, round, j, err)
-		}
-		ot.XorInto(acc, wRho)
-		p.rho[j] = rho
-	}
 	tag := network.Tag(p.cfg.Tag, "and", evalID, round)
-	for j, src := range p.snd {
+	for j := range ots {
 		if j == p.me {
 			continue
 		}
-		w0, w1, err := src.RandomPadWords(ctx, nG)
-		if err != nil {
-			return fmt.Errorf("gmw: eval %d round %d OTs to %d: %w", evalID, round, j, err)
-		}
-		rho := p.rho[j]
+		o := &ots[j]
 		for w := range acc {
-			acc[w] ^= w0[w]
-			w1[w] ^= w0[w] ^ xs[w]  // d = x ⊕ Δ
-			tmp[w] = ys[w] ^ rho[w] // e = y ⊕ ρ
+			w0 := ot.WordAt(o.w0, off+64*w)
+			acc[w] ^= ot.WordAt(o.wRho, off+64*w) ^ w0
+			tmp[w] = ot.WordAt(o.w1, off+64*w) ^ w0 ^ xs[w] // d = x ⊕ Δ
 		}
-		ot.PutWords(frame[:nb], w1, nG)
+		ot.PutWords(frame[:nb], tmp, nG)
+		for w := range tmp {
+			tmp[w] = ys[w] ^ ot.WordAt(o.rho, off+64*w) // e = y ⊕ ρ
+		}
 		ot.PutWords(frame[nb:], tmp, nG)
 		if err := p.ep.Send(p.cfg.Parties[j], tag, frame); err != nil {
 			return fmt.Errorf("gmw: eval %d round %d send to %d: %w", evalID, round, j, err)
@@ -311,7 +334,7 @@ func (p *Party) andRound(ctx context.Context, vals []uint64, pr *circuit.PackedR
 	obs.Add(ctx, "ot/derand_batches", int64(p.n-1))
 	obs.Add(ctx, "ot/derand_bits", int64(nG*(p.n-1)))
 
-	for j := 0; j < p.n; j++ {
+	for j := range ots {
 		if j == p.me {
 			continue
 		}
@@ -323,10 +346,10 @@ func (p *Party) andRound(ctx context.Context, vals []uint64, pr *circuit.PackedR
 		if len(in) != 2*nb {
 			return fmt.Errorf("%w: eval %d round %d: %d bytes from node %d, want %d", ErrBadFrame, evalID, round, len(in), peer, 2*nb)
 		}
-		rho := p.rho[j]
+		rho := ots[j].rho
 		ot.ReadWords(tmp, in[:nb], nG) // the peer's d
 		for w := range acc {
-			acc[w] ^= tmp[w] & rho[w]
+			acc[w] ^= tmp[w] & ot.WordAt(rho, off+64*w)
 		}
 		ot.ReadWords(tmp, in[nb:], nG) // the peer's e
 		for w := range acc {

@@ -358,3 +358,71 @@ func TestFusedANDOpenedBitsBalanced(t *testing.T) {
 		}
 	}
 }
+
+func TestSubstrateExtendsOncePerEvaluation(t *testing.T) {
+	// Under SubstrateOT each stream extends once per Evaluate, at its head,
+	// however many AND rounds the circuit has: one blob of 16 bytes per OT
+	// of the shortfall rounded up to a word, tagged with the stream's first
+	// OT index. AND counts that are not multiples of 64 leave OTs over, and
+	// the next evaluation uses those first.
+	b := circuit.NewBuilder()
+	x, y := b.InputWord(7), b.InputWord(7)
+	b.OutputWord(b.Mul(x, y))
+	mul := b.Build()
+	circuits := []*circuit.Circuit{mul, andBatch(5), andBatch(70), mul}
+
+	const n = 3
+	rng := mrand.New(mrand.NewSource(3))
+	s := newSession(t, n, otModes[1].opts)
+	extended, left := 0, 0 // per stream, the same on every one
+	for e, c := range circuits {
+		if c.NumAnd%64 == 0 {
+			t.Fatalf("evaluation %d: %d AND gates, want a count that leaves OTs over", e, c.NumAnd)
+		}
+		in := make([]uint8, c.NumInputs)
+		shares := make([][]uint8, n)
+		for i := range shares {
+			shares[i] = make([]uint8, c.NumInputs)
+		}
+		for k := range in {
+			in[k] = uint8(rng.Intn(2))
+			shares[0][k] = in[k]
+			for i := 1; i < n; i++ {
+				shares[i][k] = uint8(rng.Intn(2))
+				shares[0][k] ^= shares[i][k]
+			}
+		}
+		s.reset()
+		out := s.eval(t, c, shares)
+		want, err := c.Eval(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range want {
+			if v := out[0][k] ^ out[1][k] ^ out[2][k]; v != want[k] {
+				t.Fatalf("evaluation %d output %d: got %d, want %d", e, k, v, want[k])
+			}
+		}
+
+		m := 0
+		if c.NumAnd > left {
+			m = (c.NumAnd - left + 63) &^ 63
+		}
+		blobs := 0
+		for _, f := range s.sent {
+			if !strings.Contains(f.tag, "/ext/") {
+				continue
+			}
+			blobs++
+			if !strings.HasSuffix(f.tag, fmt.Sprintf("/ext/%d", extended)) || len(f.payload) != 16*m {
+				t.Errorf("evaluation %d: blob %q of %d bytes, want one under ext/%d of %d", e, f.tag, len(f.payload), extended, 16*m)
+			}
+		}
+		t.Logf("evaluation %d: %d ANDs in %d rounds, %d left over, %d extended", e, c.NumAnd, len(andRounds(c)), left, m)
+		if wantBlobs := n * (n - 1) * min(m, 1); blobs != wantBlobs {
+			t.Errorf("evaluation %d (%d ANDs, %d left over): %d extension blobs, want %d", e, c.NumAnd, left, blobs, wantBlobs)
+		}
+		extended += m
+		left += m - c.NumAnd
+	}
+}

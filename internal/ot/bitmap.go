@@ -1,9 +1,5 @@
 package ot
 
-import (
-	"fmt"
-)
-
 // Packed-bitmap primitives: the GMW/OT data plane keeps every bit vector —
 // wire values, OT pads, an AND round's opened bits — as []uint64 words, LSB
 // first (bit i lives in word i/64 at position i%64). The layout is the
@@ -70,69 +66,23 @@ func PutWords(dst []byte, w []uint64, n int) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// bitbuf: a FIFO of packed bits
-// ---------------------------------------------------------------------------
-
-// bitbuf queues packed bits: the IKNP extension pushes whole chunks and the
-// pad consumers pop arbitrary bit counts, so pads flow from the transpose
-// to the wire without ever unpacking to one byte per bit.
-type bitbuf struct {
-	w []uint64
-	n int // valid bits in w; tail bits beyond n are zero
+// WordAt returns the 64 bits of the packed vector v that start at bit off,
+// as one word; bits past the end of v read as zero.
+func WordAt(v []uint64, off int) uint64 {
+	i, sh := off>>6, uint(off&63)
+	w := v[i] >> sh
+	if sh != 0 && i+1 < len(v) {
+		w |= v[i+1] << (64 - sh)
+	}
+	return w
 }
 
-func (b *bitbuf) len() int { return b.n }
-
-// push appends n bits from src (packed, tail past n zero).
-func (b *bitbuf) push(src []uint64, n int) {
-	if n == 0 {
-		return
+// orWordAt ORs the 64 bits of x into the packed vector dst starting at bit
+// off; dst must hold bit off+63.
+func orWordAt(dst []uint64, off int, x uint64) {
+	i, sh := off>>6, uint(off&63)
+	dst[i] |= x << sh
+	if sh != 0 {
+		dst[i+1] |= x >> (64 - sh)
 	}
-	off := uint(b.n & 63)
-	need := Words(b.n + n)
-	for len(b.w) < need {
-		b.w = append(b.w, 0)
-	}
-	if off == 0 {
-		copy(b.w[b.n>>6:], src[:Words(n)])
-	} else {
-		base := b.n >> 6
-		for i := 0; i < Words(n); i++ {
-			b.w[base+i] |= src[i] << off
-			if base+i+1 < len(b.w) {
-				b.w[base+i+1] = src[i] >> (64 - off)
-			}
-		}
-	}
-	b.n += n
-	MaskTail(b.w, b.n)
-}
-
-// pop removes the first n bits and returns them packed with a zero tail.
-func (b *bitbuf) pop(n int) []uint64 {
-	if n > b.n {
-		panic(fmt.Sprintf("ot: bitbuf underflow: pop %d of %d", n, b.n))
-	}
-	out := make([]uint64, Words(n))
-	copy(out, b.w[:min(len(b.w), Words(n))])
-	MaskTail(out, n)
-
-	rem := b.n - n
-	wshift, shift := n>>6, uint(n&63)
-	if shift == 0 {
-		copy(b.w, b.w[wshift:])
-	} else {
-		for i := 0; i < Words(rem); i++ {
-			v := b.w[wshift+i] >> shift
-			if wshift+i+1 < len(b.w) {
-				v |= b.w[wshift+i+1] << (64 - shift)
-			}
-			b.w[i] = v
-		}
-	}
-	b.w = b.w[:Words(rem)]
-	b.n = rem
-	MaskTail(b.w, b.n)
-	return out
 }

@@ -80,91 +80,43 @@ func popcount(b byte) int {
 	return c
 }
 
-func TestBitbufRoundTrip(t *testing.T) {
-	// Property: pushing random chunks and popping arbitrary sizes yields
-	// the same bit stream in order, across word-misaligned boundaries.
-	f := func(sizes []uint16) bool {
-		var b bitbuf
-		var want []uint64 // reference: every buffered bit, one per entry
-		for _, s := range sizes {
-			n := int(s % 300)
-			chunk := randPacked(n)
-			b.push(chunk, n)
-			for i := 0; i < n; i++ {
-				want = append(want, Bit(chunk, i))
-			}
-			if b.len() != len(want) {
-				return false
-			}
-			// Pop a prefix of uneven size to exercise misaligned shifts.
-			pop := n / 3
-			if pop > b.len() {
-				pop = b.len()
-			}
-			out := b.pop(pop)
-			for i := 0; i < pop; i++ {
-				if Bit(out, i) != want[0] {
-					return false
-				}
-				want = want[1:]
-			}
-			// The popped slice must have a clean tail.
-			MaskTail(out, pop)
+func TestWordAtRoundTrip(t *testing.T) {
+	// Property: words ORed in at arbitrary bit offsets, back to back, read
+	// back in order across word-misaligned boundaries, and a reader past
+	// the last word sees zeros.
+	f := func(off uint8, xs []uint64) bool {
+		o := int(off % 64)
+		v := make([]uint64, Words(o+64*len(xs)))
+		for k, x := range xs {
+			orWordAt(v, o+64*k, x)
 		}
-		// Drain the rest.
-		rest := b.pop(b.len())
-		for i := 0; i < len(want); i++ {
-			if Bit(rest, i) != want[i] {
+		for k, x := range xs {
+			if WordAt(v, o+64*k) != x {
 				return false
 			}
 		}
-		return b.len() == 0
+		for i := 0; i < o; i++ {
+			if Bit(v, i) != 0 {
+				return false
+			}
+		}
+		return len(xs) == 0 || WordAt(v, o+64*len(xs)-1)>>1 == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-func FuzzBitbuf(f *testing.F) {
-	f.Add([]byte{3, 7, 200}, []byte{1, 5})
-	f.Fuzz(func(t *testing.T, pushSizes, popSizes []byte) {
-		var b bitbuf
-		var want []uint64
-		pi := 0
-		for _, s := range pushSizes {
-			n := int(s)
-			chunk := randPacked(n)
-			b.push(chunk, n)
-			for i := 0; i < n; i++ {
-				want = append(want, Bit(chunk, i))
-			}
-			if pi < len(popSizes) {
-				pop := int(popSizes[pi]) % (b.len() + 1)
-				pi++
-				out := b.pop(pop)
-				for i := 0; i < pop; i++ {
-					if Bit(out, i) != want[i] {
-						t.Fatalf("bit %d: got %d want %d", i, Bit(out, i), want[i])
-					}
-				}
-				want = want[pop:]
-			}
-		}
-		if b.len() != len(want) {
-			t.Fatalf("buffered %d bits, want %d", b.len(), len(want))
-		}
-	})
-}
-
 // transposeRef is the original per-bit transpose, kept as the reference
-// semantics for the 8×8-block version.
-func transposeRef(cols [][]byte, m int) []byte {
-	rows := make([]byte, m*Lambda/8)
+// semantics for the 8×8-block version: λ columns of m/8 bytes each, back
+// to back, into m rows of λ/8 bytes.
+func transposeRef(cols []byte, m int) []byte {
+	rows := make([]byte, m*rowBytes)
 	for j := 0; j < Lambda; j++ {
-		col := cols[j]
+		col := cols[j*m/8 : (j+1)*m/8]
 		for i := 0; i < m; i++ {
 			if (col[i/8]>>(i%8))&1 == 1 {
-				rows[i*(Lambda/8)+j/8] |= 1 << (j % 8)
+				rows[i*rowBytes+j/8] |= 1 << (j % 8)
 			}
 		}
 	}
@@ -172,33 +124,35 @@ func transposeRef(cols [][]byte, m int) []byte {
 }
 
 func TestTransposePackedMatchesReference(t *testing.T) {
-	for _, m := range []int{8, 64, 256, 2048} {
-		cols := make([][]byte, Lambda)
-		for j := range cols {
-			cols[j] = make([]byte, m/8)
-			if _, err := rand.Read(cols[j]); err != nil {
-				t.Fatal(err)
-			}
+	for _, m := range []int{64, 256, 2048} {
+		cols := make([]byte, Lambda*m/8)
+		if _, err := rand.Read(cols); err != nil {
+			t.Fatal(err)
 		}
-		got := transposePacked(cols, m)
 		want := transposeRef(cols, m)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("m=%d: packed transpose diverges from reference", m)
+		rows := make([]byte, stripBytes)
+		for b := 0; b < m/64; b++ {
+			transposePacked(rows, cols, m/8, b)
+			if !bytes.Equal(rows, want[b*stripBytes:(b+1)*stripBytes]) {
+				t.Fatalf("m=%d strip %d: packed transpose diverges from reference", m, b)
+			}
 		}
 	}
 }
 
-func TestTranspose8x8Property(t *testing.T) {
-	f := func(x uint64) bool {
-		y := transpose8x8(x)
-		for r := 0; r < 8; r++ {
-			for c := 0; c < 8; c++ {
-				if (x>>(8*r+c))&1 != (y>>(8*c+r))&1 {
+func TestTranspose64Property(t *testing.T) {
+	f := func(x [64]uint64) bool {
+		y := x
+		transpose64(&y)
+		for r := 0; r < 64; r++ {
+			for c := 0; c < 64; c++ {
+				if (x[r]>>c)&1 != (y[c]>>r)&1 {
 					return false
 				}
 			}
 		}
-		return transpose8x8(y) == x
+		transpose64(&y)
+		return y == x
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

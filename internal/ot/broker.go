@@ -1,6 +1,9 @@
 package ot
 
-import "sync"
+import (
+	"crypto/cipher"
+	"sync"
+)
 
 // DealerBroker hands out the two halves of dealt random-OT streams for
 // ordered party pairs. It plays the trusted party's role in the offline
@@ -29,7 +32,7 @@ func NewDealerBroker() *DealerBroker {
 // stream derives session tag's stream for directed pair (i → j), drawing
 // the pair's master seed on first use: the stream NewDealerPair builds from
 // deriveSeed(master, derivePoint(tag)).
-func (b *DealerBroker) stream(i, j int, tag string) (*prg, error) {
+func (b *DealerBroker) stream(i, j int, tag string) (cipher.Stream, error) {
 	b.mu.Lock()
 	master, ok := b.masters[[2]int{i, j}]
 	if !ok {

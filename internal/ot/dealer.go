@@ -2,6 +2,7 @@ package ot
 
 import (
 	"context"
+	"crypto/cipher"
 )
 
 // Dealer source: random OTs drawn from a shared AES-CTR stream that models
@@ -21,10 +22,10 @@ import (
 // instance three bits (w0, w1, ρ); the receiver's pad is wρ = ρ ? w1 : w0.
 
 // DealerSender is the pad-holding half of a dealt random-OT stream.
-type DealerSender struct{ g *prg }
+type DealerSender struct{ g cipher.Stream }
 
 // DealerReceiver is the choice-holding half of a dealt random-OT stream.
-type DealerReceiver struct{ g *prg }
+type DealerReceiver struct{ g cipher.Stream }
 
 // NewDealerPair creates the two linked halves from a seed. Both halves must
 // consume OTs in the same order and quantity, which GMW guarantees because
@@ -34,9 +35,10 @@ func NewDealerPair(seed [SeedLen]byte) (*DealerSender, *DealerReceiver) {
 }
 
 // dealerDraw returns the three packed bit vectors (w0, w1, rho) for n OTs.
-func dealerDraw(g *prg, n int) (w0, w1, rho []byte) {
+func dealerDraw(g cipher.Stream, n int) (w0, w1, rho []byte) {
 	nb := (n + 7) / 8
-	buf := g.next(3 * nb)
+	buf := make([]byte, 3*nb)
+	g.XORKeyStream(buf, buf)
 	return buf[:nb], buf[nb : 2*nb], buf[2*nb:]
 }
 

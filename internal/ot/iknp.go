@@ -19,7 +19,7 @@ import (
 // Role reversal is inherent to IKNP: the party who will *receive* the
 // extended OTs acts as the *sender* of the base OTs, and vice versa.
 //
-// Per extension chunk of m OTs:
+// Per extension of m OTs (m a multiple of 64):
 //
 //	receiver: ρ ← {0,1}^m; for each j < λ:
 //	            t_j = PRG(k0_j, m),  u_j = t_j ⊕ PRG(k1_j, m) ⊕ ρ   → sender
@@ -28,7 +28,15 @@ import (
 //	            w0_i = lsb(H(i, q_i)),  w1_i = lsb(H(i, q_i ⊕ s))
 //
 // Since q_i = t_i ⊕ ρ_i·s, the receiver's pad equals w0 when ρ_i = 0 and w1
-// when ρ_i = 1, which is exactly a random OT.
+// when ρ_i = 1, which is exactly a random OT. The index i is the OT's
+// position in the stream, and each PRG is one AES-CTR stream per column, so
+// an OT's pads depend on the seeds, its choice bit and its index alone —
+// not on how the stream was cut into extensions.
+//
+// A draw extends exactly its shortfall, rounded up to a whole word: the
+// gmw evaluator draws a circuit's AND count once per evaluation, so each
+// stream sends one blob per evaluation and carries fewer than 64 OTs over
+// to the next.
 //
 // The base-OT bootstrap lives in the pairwise Substrate: it runs once per
 // node pair and hands per-session PRF-derived seeds to
@@ -37,10 +45,12 @@ import (
 // Lambda is the IKNP security parameter (number of base OTs).
 const Lambda = 128
 
-// extChunk is the minimum extension batch, in OT instances; small requests
-// are rounded up and buffered. Must stay a multiple of 64 (the packed data
-// plane appends whole words).
-const extChunk = 2048
+// rowBytes is one row of the transposed matrix: an OT's λ column bits.
+const rowBytes = Lambda / 8
+
+// stripBytes is one strip of 64 transposed rows, the unit the correlation-
+// robust hash runs over and the width of one packed output word.
+const stripBytes = 64 * rowBytes
 
 // hashKey is the fixed AES key of the correlation-robust hash. Any fixed
 // public constant works; this spells "dstress-iknp-crh".
@@ -54,76 +64,107 @@ func newCRH() cipher.Block {
 	return b
 }
 
-// crhBit hashes a 16-byte row with its index and returns a single pad bit.
-func crhBit(crh cipher.Block, idx uint64, row []byte) uint8 {
-	var buf [16]byte
-	copy(buf[:], row)
-	var ib [8]byte
-	binary.LittleEndian.PutUint64(ib[:], idx)
-	for i := 0; i < 8; i++ {
-		buf[i] ^= ib[i]
+// crhStrip hashes the 64 rows of one transposed strip, row i under OT index
+// ctr+i: bit i of h0 is lsb(AES_k(x) ⊕ x) for x = row_i ⊕ (ctr+i), and, if
+// s is non-nil, bit i of h1 is the same hash of x ⊕ s (the sender's w1). It
+// overwrites rows with the hash inputs, and out (one AES block) is the
+// caller's scratch: handing cipher.Block a stack array would move it to the
+// heap on every call.
+func crhStrip(crh cipher.Block, out, rows []byte, ctr uint64, s []byte) (h0, h1 uint64) {
+	le := binary.LittleEndian
+	for i := 0; i < 64; i++ {
+		x := rows[i*rowBytes : (i+1)*rowBytes]
+		le.PutUint64(x, le.Uint64(x)^(ctr+uint64(i)))
+		crh.Encrypt(out, x)
+		h0 |= uint64((out[0]^x[0])&1) << i
+		if s != nil {
+			le.PutUint64(x, le.Uint64(x)^le.Uint64(s))
+			le.PutUint64(x[8:], le.Uint64(x[8:])^le.Uint64(s[8:]))
+			crh.Encrypt(out, x)
+			h1 |= uint64((out[0]^x[0])&1) << i
+		}
 	}
-	var out [16]byte
-	crh.Encrypt(out[:], buf[:])
-	return (out[0] ^ buf[0]) & 1
+	return h0, h1
 }
 
-// prg wraps AES-CTR as a deterministic byte stream.
-type prg struct{ stream cipher.Stream }
-
-func newPRG(seed []byte) *prg {
+// newPRG returns AES-CTR under seed as a deterministic byte stream; XORing
+// it into zeroed bytes reads it.
+func newPRG(seed []byte) cipher.Stream {
 	block, err := aes.NewCipher(seed[:SeedLen])
 	if err != nil {
 		panic(err) //dstress:panic-ok — SeedLen is a valid AES key size, cannot fail
 	}
-	iv := make([]byte, aes.BlockSize)
-	return &prg{stream: cipher.NewCTR(block, iv)}
+	return cipher.NewCTR(block, make([]byte, aes.BlockSize))
 }
 
-func (p *prg) next(n int) []byte {
-	out := make([]byte, n)
-	p.stream.XORKeyStream(out, out)
-	return out
-}
-
-// transpose8x8 transposes an 8×8 bit matrix packed row-major into a uint64
-// (byte r = row r, bit c of that byte = column c) with the classic
-// mask-and-shift network.
-func transpose8x8(x uint64) uint64 {
-	t := (x ^ (x >> 7)) & 0x00AA00AA00AA00AA
-	x = x ^ t ^ (t << 7)
-	t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCC
-	x = x ^ t ^ (t << 14)
-	t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0
-	x = x ^ t ^ (t << 28)
-	return x
-}
-
-// transposePacked converts λ columns of m/8 bytes each into m rows of λ/8
-// bytes, processing 8×8 bit blocks at a time (m must be a multiple of 8).
-func transposePacked(cols [][]byte, m int) []byte {
-	const rowBytes = Lambda / 8
-	rows := make([]byte, m*rowBytes)
-	mBytes := m / 8
-	for j0 := 0; j0 < Lambda; j0 += 8 {
-		c := cols[j0 : j0+8]
-		for bi := 0; bi < mBytes; bi++ {
-			x := uint64(c[0][bi]) | uint64(c[1][bi])<<8 | uint64(c[2][bi])<<16 |
-				uint64(c[3][bi])<<24 | uint64(c[4][bi])<<32 | uint64(c[5][bi])<<40 |
-				uint64(c[6][bi])<<48 | uint64(c[7][bi])<<56
-			x = transpose8x8(x)
-			base := bi*8*rowBytes + j0/8
-			rows[base] = byte(x)
-			rows[base+rowBytes] = byte(x >> 8)
-			rows[base+2*rowBytes] = byte(x >> 16)
-			rows[base+3*rowBytes] = byte(x >> 24)
-			rows[base+4*rowBytes] = byte(x >> 32)
-			rows[base+5*rowBytes] = byte(x >> 40)
-			rows[base+6*rowBytes] = byte(x >> 48)
-			rows[base+7*rowBytes] = byte(x >> 56)
+// transpose64 transposes a 64×64 bit matrix in place, row r in word r
+// with column c at bit c, by swapping ever smaller off-diagonal blocks
+// (Hacker's Delight §7-3).
+func transpose64(a *[64]uint64) {
+	m := uint64(0x00000000FFFFFFFF)
+	for j := 32; j != 0; j, m = j>>1, m^(m<<(j>>1)) {
+		for k := 0; k < 64; k = (k + j + 1) &^ j {
+			l := (k + j) & 63 // = k+j; the mask lets the compiler drop the bounds check
+			t := (a[k]>>j ^ a[l]) & m
+			a[l] ^= t
+			a[k] ^= t << j
 		}
 	}
-	return rows
+}
+
+// transposePacked writes strip b of the matrix whose λ columns of mBytes
+// bytes each lie back to back in cols — bit i of column j is OT i's bit j —
+// as the 64 rows of OTs 64b…64b+63, λ/8 bytes each, into rows: 64 columns'
+// strip words at a time, as one 64×64 block.
+func transposePacked(rows, cols []byte, mBytes, b int) {
+	var a [64]uint64
+	for g := 0; g < Lambda/64; g++ {
+		for k := range a {
+			a[k] = binary.LittleEndian.Uint64(cols[(64*g+k)*mBytes+8*b:])
+		}
+		transpose64(&a)
+		for i, x := range a {
+			binary.LittleEndian.PutUint64(rows[i*rowBytes+8*g:], x)
+		}
+	}
+}
+
+// carry holds the OTs a stream extended past its last draw — fewer than
+// 64, since an extension covers a draw's shortfall rounded up to a word —
+// as the low n bits of its two packed outputs: (w0, w1) on the sender,
+// (ρ, wρ) on the receiver.
+type carry struct {
+	a, b uint64
+	n    int
+}
+
+// draw returns n OTs' two outputs as packed words with zeroed tails: the
+// carried OTs first, then fresh ones. ext(a, b, off, m) must OR m fresh
+// OTs' outputs, m a multiple of 64, into bits [off, off+m) of a and b.
+func (c *carry) draw(n int, ext func(a, b []uint64, off, m int) error) ([]uint64, []uint64, error) {
+	m := 0
+	if n > c.n {
+		m = (n - c.n + 63) &^ 63
+	}
+	total := c.n + m
+	a, b := make([]uint64, Words(total)), make([]uint64, Words(total))
+	if c.n > 0 {
+		a[0], b[0] = c.a, c.b
+	}
+	if m > 0 {
+		if err := ext(a, b, c.n, m); err != nil {
+			return nil, nil, err
+		}
+	}
+	c.n = total - n
+	c.a, c.b = 0, 0
+	if c.n > 0 {
+		c.a, c.b = WordAt(a, n), WordAt(b, n)
+	}
+	a, b = a[:Words(n)], b[:Words(n)]
+	MaskTail(a, n)
+	MaskTail(b, n)
+	return a, b, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -136,21 +177,19 @@ type IKNPSender struct {
 	ep      network.Transport
 	peer    network.NodeID
 	tag     string
-	sPacked [Lambda / 8]byte // λ base-OT choice bits, packed
-	prgs    []*prg           // PRG(k_{s_j})
+	sPacked [rowBytes]byte  // λ base-OT choice bits, packed
+	prgs    []cipher.Stream // PRG(k_{s_j})
 	crh     cipher.Block
-	chunk   int
-	ctr     uint64
-
-	buf0, buf1 bitbuf // buffered pads, packed
+	ctr     uint64 // OTs extended so far: the next extension's first index
+	left    carry
 }
 
 // newIKNPSenderFromSeeds builds the extension over already-established base
 // material: sPacked are the λ choice bits, seeds[j] = k_{s_j}.
 func newIKNPSenderFromSeeds(ep network.Transport, peer network.NodeID, tag string, sPacked []byte, seeds [][]byte) *IKNPSender {
-	s := &IKNPSender{ep: ep, peer: peer, tag: tag, crh: newCRH(), chunk: extChunk}
+	s := &IKNPSender{ep: ep, peer: peer, tag: tag, crh: newCRH()}
 	copy(s.sPacked[:], sPacked)
-	s.prgs = make([]*prg, Lambda)
+	s.prgs = make([]cipher.Stream, Lambda)
 	for j := range s.prgs {
 		s.prgs[j] = newPRG(seeds[j])
 	}
@@ -160,50 +199,39 @@ func newIKNPSenderFromSeeds(ep network.Transport, peer network.NodeID, tag strin
 // RandomPadWords implements RandomOTSender: n random pad pairs as packed
 // words with zeroed tails.
 func (s *IKNPSender) RandomPadWords(ctx context.Context, n int) ([]uint64, []uint64, error) {
-	for s.buf0.len() < n {
-		if err := s.extend(ctx); err != nil {
-			return nil, nil, err
-		}
-	}
-	return s.buf0.pop(n), s.buf1.pop(n), nil
+	return s.left.draw(n, func(w0, w1 []uint64, off, m int) error {
+		return s.extend(ctx, w0, w1, off, m)
+	})
 }
 
-func (s *IKNPSender) extend(ctx context.Context) error {
-	m := s.chunk
+// extend receives the blob for the next m OTs and ORs their pads into bits
+// [off, off+m) of w0 and w1.
+func (s *IKNPSender) extend(ctx context.Context, w0, w1 []uint64, off, m int) error {
 	mBytes := m / 8
-	blob, err := s.ep.Recv(ctx, s.peer, network.Tag(s.tag, "ext", s.ctr/uint64(m)))
+	q, err := s.ep.Recv(ctx, s.peer, network.Tag(s.tag, "ext", s.ctr))
 	if err != nil {
 		return err
 	}
-	if len(blob) != Lambda*mBytes {
-		return fmt.Errorf("ot: IKNP extension blob has %d bytes, want %d", len(blob), Lambda*mBytes)
+	if len(q) != Lambda*mBytes {
+		return fmt.Errorf("ot: IKNP extension blob has %d bytes, want %d", len(q), Lambda*mBytes)
 	}
-	cols := make([][]byte, Lambda)
-	for j := 0; j < Lambda; j++ {
-		q := s.prgs[j].next(mBytes)
-		if (s.sPacked[j/8]>>(j%8))&1 == 1 {
-			u := blob[j*mBytes : (j+1)*mBytes]
-			for i := range q {
-				q[i] ^= u[i]
-			}
+	// Recv hands the blob over, so Q's columns are built in it:
+	// q_j = PRG(k_{s_j}) ⊕ s_j·u_j.
+	for j, g := range s.prgs {
+		col := q[j*mBytes : (j+1)*mBytes]
+		if (s.sPacked[j/8]>>(j%8))&1 == 0 {
+			clear(col)
 		}
-		cols[j] = q
+		g.XORKeyStream(col, col)
 	}
-	rows := transposePacked(cols, m)
-	chunk0 := make([]uint64, m/64)
-	chunk1 := make([]uint64, m/64)
-	var row1 [Lambda / 8]byte
-	for i := 0; i < m; i++ {
-		row := rows[i*(Lambda/8) : (i+1)*(Lambda/8)]
-		for k := range row1 {
-			row1[k] = row[k] ^ s.sPacked[k]
-		}
-		idx := s.ctr + uint64(i)
-		chunk0[i>>6] |= uint64(crhBit(s.crh, idx, row)) << (uint(i) & 63)
-		chunk1[i>>6] |= uint64(crhBit(s.crh, idx, row1[:])) << (uint(i) & 63)
+	scratch := make([]byte, stripBytes+aes.BlockSize)
+	rows, out := scratch[:stripBytes], scratch[stripBytes:]
+	for b := 0; b < m/64; b++ {
+		transposePacked(rows, q, mBytes, b)
+		h0, h1 := crhStrip(s.crh, out, rows, s.ctr+uint64(64*b), s.sPacked[:])
+		orWordAt(w0, off+64*b, h0)
+		orWordAt(w1, off+64*b, h1)
 	}
-	s.buf0.push(chunk0, m)
-	s.buf1.push(chunk1, m)
 	s.ctr += uint64(m)
 	return nil
 }
@@ -218,21 +246,19 @@ type IKNPReceiver struct {
 	ep    network.Transport
 	peer  network.NodeID
 	tag   string
-	prg0s []*prg // PRG(k0_j)
-	prg1s []*prg // PRG(k1_j)
+	prg0s []cipher.Stream // PRG(k0_j)
+	prg1s []cipher.Stream // PRG(k1_j)
 	crh   cipher.Block
-	chunk int
-	ctr   uint64
-
-	bufRho, bufW bitbuf
+	ctr   uint64 // OTs extended so far: the next extension's first index
+	left  carry
 }
 
 // newIKNPReceiverFromSeeds builds the extension over already-established
 // base material: the λ seed pairs (k0_j, k1_j).
 func newIKNPReceiverFromSeeds(ep network.Transport, peer network.NodeID, tag string, k0, k1 [][]byte) *IKNPReceiver {
-	r := &IKNPReceiver{ep: ep, peer: peer, tag: tag, crh: newCRH(), chunk: extChunk}
-	r.prg0s = make([]*prg, Lambda)
-	r.prg1s = make([]*prg, Lambda)
+	r := &IKNPReceiver{ep: ep, peer: peer, tag: tag, crh: newCRH()}
+	r.prg0s = make([]cipher.Stream, Lambda)
+	r.prg1s = make([]cipher.Stream, Lambda)
 	for j := 0; j < Lambda; j++ {
 		r.prg0s[j] = newPRG(k0[j])
 		r.prg1s[j] = newPRG(k1[j])
@@ -243,43 +269,41 @@ func newIKNPReceiverFromSeeds(ep network.Transport, peer network.NodeID, tag str
 // RandomChoiceWords implements RandomOTReceiver: n random choices and their
 // pads as packed words with zeroed tails.
 func (r *IKNPReceiver) RandomChoiceWords(ctx context.Context, n int) ([]uint64, []uint64, error) {
-	for r.bufRho.len() < n {
-		if err := r.extend(ctx); err != nil {
-			return nil, nil, err
-		}
-	}
-	return r.bufRho.pop(n), r.bufW.pop(n), nil
+	return r.left.draw(n, func(rho, w []uint64, off, m int) error {
+		return r.extend(ctx, rho, w, off, m)
+	})
 }
 
-func (r *IKNPReceiver) extend(ctx context.Context) error {
-	m := r.chunk
+// extend draws the next m OTs' choices, sends their blob, and ORs choices
+// and pads into bits [off, off+m) of rho and w.
+func (r *IKNPReceiver) extend(ctx context.Context, rho, w []uint64, off, m int) error {
 	mBytes := m / 8
 	rhoPacked := make([]byte, mBytes)
 	if err := readEntropy(rhoPacked); err != nil {
 		return fmt.Errorf("ot: drawing IKNP choice vector: %w", err)
 	}
-	blob := make([]byte, 0, Lambda*mBytes)
-	cols := make([][]byte, Lambda)
+	// T's columns, then the blob of u_j = t_j ⊕ PRG(k1_j) ⊕ ρ.
+	tu := make([]byte, 2*Lambda*mBytes)
+	t, u := tu[:Lambda*mBytes], tu[Lambda*mBytes:]
 	for j := 0; j < Lambda; j++ {
-		t := r.prg0s[j].next(mBytes)
-		u := r.prg1s[j].next(mBytes)
-		for i := range u {
-			u[i] ^= t[i] ^ rhoPacked[i]
+		tc, uc := t[j*mBytes:(j+1)*mBytes], u[j*mBytes:(j+1)*mBytes]
+		r.prg0s[j].XORKeyStream(tc, tc)
+		for i := range uc {
+			uc[i] = tc[i] ^ rhoPacked[i]
 		}
-		cols[j] = t
-		blob = append(blob, u...)
+		r.prg1s[j].XORKeyStream(uc, uc)
 	}
-	if err := r.ep.Send(r.peer, network.Tag(r.tag, "ext", r.ctr/uint64(m)), blob); err != nil {
+	if err := r.ep.Send(r.peer, network.Tag(r.tag, "ext", r.ctr), u); err != nil {
 		return err
 	}
-	rows := transposePacked(cols, m)
-	chunkW := make([]uint64, m/64)
-	for i := 0; i < m; i++ {
-		row := rows[i*(Lambda/8) : (i+1)*(Lambda/8)]
-		chunkW[i>>6] |= uint64(crhBit(r.crh, r.ctr+uint64(i), row)) << (uint(i) & 63)
+	scratch := make([]byte, stripBytes+aes.BlockSize)
+	rows, out := scratch[:stripBytes], scratch[stripBytes:]
+	for b := 0; b < m/64; b++ {
+		transposePacked(rows, t, mBytes, b)
+		hw, _ := crhStrip(r.crh, out, rows, r.ctr+uint64(64*b), nil)
+		orWordAt(w, off+64*b, hw)
+		orWordAt(rho, off+64*b, binary.LittleEndian.Uint64(rhoPacked[8*b:]))
 	}
-	r.bufRho.push(BytesToWords(rhoPacked, m), m)
-	r.bufW.push(chunkW, m)
 	r.ctr += uint64(m)
 	return nil
 }

@@ -3,7 +3,15 @@ package ot
 import (
 	"bytes"
 	"context"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"io"
+	mrand "math/rand"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -229,12 +237,13 @@ func TestDealerDeterministicFromSeed(t *testing.T) {
 
 func TestIKNPTrafficPerOT(t *testing.T) {
 	// IKNP's extension cost is Lambda bits = 16 bytes per OT; check the
-	// measured traffic is in that ballpark (amortized over a chunk).
+	// measured traffic is in that ballpark (amortized over one batch).
+	const batch = 2048
 	s, r, net := setupIKNP(t)
 	before := net.TotalBytes()
-	checkRandomOTs(t, s, r, extChunk)
+	checkRandomOTs(t, s, r, batch)
 	total := net.TotalBytes() - before
-	perOT := float64(total) / float64(extChunk)
+	perOT := float64(total) / float64(batch)
 	if perOT < 14 || perOT > 24 {
 		t.Errorf("IKNP extension traffic %.1f bytes/OT, expected ~16", perOT)
 	}
@@ -242,22 +251,215 @@ func TestIKNPTrafficPerOT(t *testing.T) {
 
 func TestTransposeRoundTrip(t *testing.T) {
 	const m = 256
-	cols := make([][]byte, Lambda)
-	for j := range cols {
-		cols[j] = make([]byte, m/8)
-		if _, err := rand.Read(cols[j]); err != nil {
-			t.Fatal(err)
-		}
+	cols := make([]byte, Lambda*m/8)
+	if _, err := rand.Read(cols); err != nil {
+		t.Fatal(err)
 	}
-	rows := transposePacked(cols, m)
-	for j := 0; j < Lambda; j++ {
-		for i := 0; i < m; i++ {
-			cb := (cols[j][i/8] >> (i % 8)) & 1
-			rb := (rows[i*(Lambda/8)+j/8] >> (j % 8)) & 1
-			if cb != rb {
-				t.Fatalf("transpose mismatch at (%d,%d)", i, j)
+	rows := make([]byte, stripBytes)
+	for b := 0; b < m/64; b++ {
+		transposePacked(rows, cols, m/8, b)
+		for j := 0; j < Lambda; j++ {
+			for i := 64 * b; i < 64*(b+1); i++ {
+				cb := (cols[j*m/8+i/8] >> (i % 8)) & 1
+				rb := (rows[(i-64*b)*rowBytes+j/8] >> (j % 8)) & 1
+				if cb != rb {
+					t.Fatalf("transpose mismatch at (%d,%d)", i, j)
+				}
 			}
 		}
+	}
+}
+
+// crhBit is the per-row hash the IKNP stream used before crhStrip, kept as
+// its oracle: one 16-byte row and its OT index hash to one pad bit,
+// lsb(AES_k(x) ⊕ x) for x = row ⊕ idx.
+func crhBit(crh cipher.Block, idx uint64, row []byte) uint8 {
+	var buf [16]byte
+	copy(buf[:], row)
+	var ib [8]byte
+	binary.LittleEndian.PutUint64(ib[:], idx)
+	for i := 0; i < 8; i++ {
+		buf[i] ^= ib[i]
+	}
+	var out [16]byte
+	crh.Encrypt(out[:], buf[:])
+	return (out[0] ^ buf[0]) & 1
+}
+
+func TestCRHStripMatchesPerRowHash(t *testing.T) {
+	// The batched hash must give every row the per-row oracle's bit, for
+	// the plain rows (w0, wρ) and the rows masked by s (w1), at counters
+	// whose strip crosses 2^32.
+	crh := newCRH()
+	rng := mrand.New(mrand.NewSource(5))
+	s := make([]byte, rowBytes)
+	rng.Read(s)
+	out := make([]byte, aes.BlockSize)
+	for _, ctr := range []uint64{0, 1<<32 - 1, 1<<32 - 40, 1 << 32, 5<<32 - 63, rng.Uint64()} {
+		rows := make([]byte, stripBytes)
+		rng.Read(rows)
+		orig := slices.Clone(rows)
+		h0, h1 := crhStrip(crh, out, rows, ctr, s)
+		plain, _ := crhStrip(crh, out, slices.Clone(orig), ctr, nil)
+		for i := 0; i < 64; i++ {
+			row := orig[i*rowBytes : (i+1)*rowBytes]
+			masked := make([]byte, rowBytes)
+			for k := range masked {
+				masked[k] = row[k] ^ s[k]
+			}
+			want0 := uint64(crhBit(crh, ctr+uint64(i), row))
+			want1 := uint64(crhBit(crh, ctr+uint64(i), masked))
+			if (h0>>i)&1 != want0 || (plain>>i)&1 != want0 || (h1>>i)&1 != want1 {
+				t.Fatalf("ctr %#x row %d: batched hash differs from the per-row oracle", ctr, i)
+			}
+		}
+	}
+}
+
+// streamReader reads an AES-CTR stream: a deterministic entropy source, so
+// two IKNP pairs built from the same seeds draw the same choice bits.
+type streamReader struct{ s cipher.Stream }
+
+func (r streamReader) Read(p []byte) (int, error) {
+	clear(p)
+	r.s.XORKeyStream(p, p)
+	return len(p), nil
+}
+
+// withEntropy swaps the package entropy source for r until the test ends.
+func withEntropy(t testing.TB, r io.Reader) {
+	t.Helper()
+	old := entropy
+	entropy = r
+	t.Cleanup(func() { entropy = old })
+}
+
+// fixedIKNPPair builds an extension pair on net, node 1 toward node 2,
+// from fixed base material (no handshake): seed pair j is (k0_j, k1_j)
+// with k0_j[0] = j, k1_j[0] = j+1, k1_j[1] = 1, and s_j follows the bits
+// of 0x5a5a….
+func fixedIKNPPair(net *network.Network) (*IKNPSender, *IKNPReceiver) {
+	k0 := make([][]byte, Lambda)
+	k1 := make([][]byte, Lambda)
+	chosen := make([][]byte, Lambda)
+	sPacked := bytes.Repeat([]byte{0x5a}, rowBytes)
+	for j := 0; j < Lambda; j++ {
+		k0[j], k1[j] = make([]byte, SeedLen), make([]byte, SeedLen)
+		k0[j][0], k1[j][0], k1[j][1] = byte(j), byte(j)+1, 1
+		chosen[j] = k0[j]
+		if (sPacked[j/8]>>(j%8))&1 == 1 {
+			chosen[j] = k1[j]
+		}
+	}
+	return newIKNPSenderFromSeeds(net.Endpoint(1), 2, "fixed", sPacked, chosen),
+		newIKNPReceiverFromSeeds(net.Endpoint(2), 1, "fixed", k0, k1)
+}
+
+// drawAll makes each draw of sizes on both ends of a pair, receiver first
+// (its blob is queued on the hub, so the sender's draw never waits), and
+// returns the four outputs concatenated as 0/1 bytes: w0, w1, ρ, wρ.
+func drawAll(tb testing.TB, s *IKNPSender, r *IKNPReceiver, sizes []int) [4][]uint8 {
+	tb.Helper()
+	var out [4][]uint8
+	for _, n := range sizes {
+		rho, wr, err := r.RandomChoiceWords(context.Background(), n)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		w0, w1, err := s.RandomPadWords(context.Background(), n)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for k, v := range [][]uint64{w0, w1, rho, wr} {
+			if len(v) != Words(n) || (n%64 != 0 && v[len(v)-1]>>(n%64) != 0) {
+				tb.Fatalf("draw of %d: output %d has %d words or a dirty tail", n, k, len(v))
+			}
+			out[k] = append(out[k], unpackWords(v, n)...)
+		}
+	}
+	return out
+}
+
+func TestIKNPPadsPinned(t *testing.T) {
+	// For fixed seeds, choice bits and OT indices the stream's outputs are
+	// pinned: the digest below is what the stream produced while it still
+	// extended in fixed 2048-OT chunks and hashed one row at a time.
+	withEntropy(t, streamReader{newPRG(make([]byte, SeedLen))})
+	s, r := fixedIKNPPair(network.New())
+	out := drawAll(t, s, r, []int{3, 100, 2048, 1, 4000, 64})
+	h := sha256.New()
+	for _, v := range out {
+		h.Write(v)
+	}
+	const want = "c56460a73223935f3c06199071bf9b72011bc762a1a194a52a691e67965c3d55"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("IKNP outputs digest %s, want %s", got, want)
+	}
+	n := len(out[0])
+	for i := 0; i < n; i++ {
+		if want := out[0][i] ^ out[2][i]&(out[0][i]^out[1][i]); out[3][i] != want {
+			t.Fatalf("OT %d: wρ ≠ w_ρ", i)
+		}
+	}
+}
+
+func FuzzIKNPDrawSizes(f *testing.F) {
+	// However a stream's OTs are cut into draws, they are the OTs one
+	// draw of the total yields: the carry between draws loses, repeats and
+	// reorders nothing, whatever the word alignment.
+	f.Add([]byte{3, 7, 200, 1, 64, 0, 61})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		sizes := make([]int, len(raw))
+		total := 0
+		for i, b := range raw {
+			sizes[i] = int(b)
+			total += int(b)
+		}
+		withEntropy(t, streamReader{newPRG(make([]byte, SeedLen))})
+		s, r := fixedIKNPPair(network.New())
+		split := drawAll(t, s, r, sizes)
+		withEntropy(t, streamReader{newPRG(make([]byte, SeedLen))})
+		s, r = fixedIKNPPair(network.New())
+		whole := drawAll(t, s, r, []int{total})
+		for k := range split {
+			if !bytes.Equal(split[k], whole[k]) {
+				t.Fatalf("output %d of draws %v differs from one draw of %d", k, sizes, total)
+			}
+		}
+	})
+}
+
+// raceEnabled reports a build with the race detector, under which
+// sync.Pool drops items at random and allocation counts stop repeating.
+var raceEnabled bool
+
+func TestIKNPDrawAllocsIndependentOfSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	// An extension allocates per call, never per OT: drawing 64 OTs and
+	// drawing 65,536 cost the same few allocations. Each size gets a fresh
+	// pair, so both walk the same sequence of hub mailboxes, warmed past the
+	// OT indices below 256 that box into a tag without allocating. The
+	// collector stays off while counting: a collection empties fmt's
+	// sync.Pool, and the larger draws would trigger more of them.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(n int) float64 {
+		s, r := fixedIKNPPair(network.New())
+		drawAll(t, s, r, []int{256})
+		return testing.AllocsPerRun(10, func() {
+			if _, _, err := r.RandomChoiceWords(context.Background(), n); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.RandomPadWords(context.Background(), n); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(64), allocs(1<<16)
+	t.Logf("allocations per draw pair: %.0f for 64 OTs, %.0f for 65,536", small, large)
+	if small != large || large > 40 {
+		t.Errorf("a draw pair costs %.0f allocations for 64 OTs and %.0f for 65,536; want the same, at most 40", small, large)
 	}
 }
 

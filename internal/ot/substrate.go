@@ -26,7 +26,7 @@ import (
 // *not* entitled to stays unknown because deriving its subseed requires the
 // missing base seed (AES under an unknown key). The sender-side correlation
 // vector s is drawn once per pair and shared by all sessions, exactly as
-// IKNP shares it across extension chunks within one session.
+// IKNP shares it across the extensions of one session.
 //
 // Lockstep stays per session: each derived stream is consumed by exactly
 // one (session, direction) pair, whose GMW schedule already guarantees both

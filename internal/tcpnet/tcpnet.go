@@ -23,6 +23,7 @@
 package tcpnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -120,13 +121,15 @@ func (p *Peer) acceptLoop() {
 // is gone for good (there is no reconnection — fail-stop, like the paper's
 // prototype): every mailbox fed by it is released so blocked Recvs fail
 // instead of hanging the surviving daemons forever. Already-queued messages
-// still drain first.
+// still drain first. Frames are read through a buffer so that a small
+// frame's header and body cost one read syscall, not two.
 func (p *Peer) readLoop(conn net.Conn) {
 	defer conn.Close()
+	r := bufio.NewReaderSize(conn, 64<<10)
 	var lastFrom network.NodeID
 	seen := false
 	for {
-		from, tag, payload, err := readFrame(conn)
+		from, tag, payload, err := readFrame(r)
 		if err != nil {
 			if seen && !p.closed.Load() {
 				p.CloseFrom(lastFrom)
