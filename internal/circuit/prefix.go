@@ -10,8 +10,7 @@ package circuit
 //   - A carry or borrow that a sequential loop waits on uses the prefix
 //     form. DivU's restoring steps each wait for the previous step's
 //     borrow, so a ripple borrow there costs width × steps rounds in
-//     strict sequence; the prefix borrow costs log₂ width × steps. The
-//     noise sampler's prefix-AND over its coins is the same case.
+//     strict sequence; the prefix borrow costs log₂ width × steps.
 //   - Everything else stays ripple. A chain of ripple adders pipelines
 //     (adder k's carry at bit i lands in the round of adder k+1's carry at
 //     bit i−1), so Add, Sub, Mul, LessS and SumWords already run at depth
@@ -89,14 +88,6 @@ func (b *Builder) SubPrefix(x, y Word) (Word, Wire) {
 	}
 	sum, carry := b.AddPrefixCarry(xs, ys)
 	return sum[1:], b.Not(carry)
-}
-
-// PrefixAnd returns the running conjunctions of x: out[i] = x[0] ∧ … ∧ x[i],
-// with a Sklansky scan of depth ⌈log₂ len(x)⌉.
-func (b *Builder) PrefixAnd(x []Wire) []Wire {
-	out := append([]Wire{}, x...)
-	sklansky(len(out), func(i, j int) { out[i] = b.And(out[i], out[j]) })
-	return out
 }
 
 // SumWordsTree adds words with a balanced tree of prefix adders: depth

@@ -1,7 +1,6 @@
 package circuit
 
 import (
-	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -186,31 +185,6 @@ func TestSubPrefixBorrowMatchesLessU(t *testing.T) {
 				f.errorf("w=%d: %d−%d = %d borrow %d, LessU %d", w, x, y, gotDiff, gotBorrow, less)
 			}
 		})
-	}
-}
-
-func TestPrefixAnd(t *testing.T) {
-	for n := 1; n <= 10; n++ {
-		b := NewBuilder()
-		x := b.InputWord(n)
-		b.OutputWord(b.PrefixAnd(x))
-		c := b.Build()
-		for v := 0; v < 1<<n; v++ {
-			out, err := c.Eval(EncodeWord(int64(v), n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			acc := uint8(1)
-			for i := 0; i < n; i++ {
-				acc &= uint8(v >> i & 1)
-				if out[i] != acc {
-					t.Fatalf("n=%d x=%b: prefix %d = %d, want %d", n, v, i, out[i], acc)
-				}
-			}
-		}
-		if logN := bits.Len(uint(n - 1)); c.Depth() > logN {
-			t.Errorf("n=%d: depth %d, want ≤ ⌈log₂ n⌉ = %d", n, c.Depth(), logN)
-		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dstress/internal/dp"
 	"dstress/internal/finnet"
 	"dstress/internal/group"
 	"dstress/internal/risk"
@@ -110,14 +111,15 @@ func TestClusterNoisyEN(t *testing.T) {
 	sc.Epsilon = epsilon
 	released := runLoopbackCluster(t, sc).Raw
 
-	// The in-MPC sampler truncates each geometric variable at Trials, so
-	// |noise| ≤ Trials·2^Shift is a structural bound, not a tail estimate.
+	// Each geometric variable the in-MPC sampler draws has
+	// len(digits) binary digits, so |noise| < 2^len(digits)·2^Shift is a
+	// structural bound, not a tail estimate.
 	prog, err := sc.Spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := vertex.DefaultNoiseSpec(epsilon, prog.Sensitivity, 0)
-	bound := int64(spec.Trials) << spec.Shift
+	bound := (int64(1)<<len(dp.GeometricDigits(spec.Lambda)) - 1) << spec.Shift
 	diff := released - exact
 	if diff < 0 {
 		diff = -diff

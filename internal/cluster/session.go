@@ -248,9 +248,6 @@ func (s *Session) admit(q Query) (int, chan doneMsg, error) {
 	case q.Epsilon < 0 || math.IsNaN(q.Epsilon) || math.IsInf(q.Epsilon, 0):
 		return 0, nil, fmt.Errorf("cluster: invalid epsilon %v", q.Epsilon)
 	}
-	if err := vertex.CheckNoise(q.Epsilon, s.c.prog.Sensitivity); err != nil {
-		return 0, nil, err
-	}
 	if err := s.acct.Spend(q.Epsilon); err != nil {
 		return 0, nil, err
 	}

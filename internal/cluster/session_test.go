@@ -9,7 +9,6 @@ import (
 	"dstress/internal/group"
 	"dstress/internal/network"
 	"dstress/internal/obs"
-	"dstress/internal/vertex"
 )
 
 // openBudgetedHub stands up a 4-node in-process fleet whose session may
@@ -201,22 +200,24 @@ func TestMergeTraceUnsyncedNode(t *testing.T) {
 	s.mergeTrace(nil, doneMsg{}) // no trace: nothing to do
 }
 
-// TestSessionRefusesOversizedNoise pins admission's ε floor: a query whose
-// noise sampler would exceed vertex.MaxNoiseTrials fails with the typed
-// error before the accountant is charged or any node compiles anything,
-// and the session still serves the next query.
-func TestSessionRefusesOversizedNoise(t *testing.T) {
+// TestSessionAnswersTinyEpsilon pins that admission has no ε floor: the
+// noise sampler grows with log(1/ε), so queries at ε = 1e-6 and 1e-300 on
+// the EN program (s = 10) are answered and charged exactly their ε, and
+// the session serves the next query.
+func TestSessionAnswersTinyEpsilon(t *testing.T) {
 	sess := openBudgetedHub(t, 1.0)
 	defer sess.Close()
 	ctx := context.Background()
-	var ne *vertex.NoiseSizeError
-	if _, err := sess.Query(ctx, Query{Epsilon: 1e-6}); !errors.As(err, &ne) {
-		t.Fatalf("ε = 1e-6 query returned %v, want *vertex.NoiseSizeError", err)
-	}
-	if got := sess.Spent(); got != 0 {
-		t.Errorf("refused query charged the accountant: spent %v, want 0", got)
+	want := 0.0
+	for _, eps := range []float64{1e-6, 1e-300} {
+		if _, err := sess.Query(ctx, Query{Epsilon: eps}); err != nil {
+			t.Fatalf("ε = %g query: %v", eps, err)
+		}
+		if want += eps; sess.Spent() != want {
+			t.Errorf("after the ε = %g query the accountant spent %g, want %g", eps, sess.Spent(), want)
+		}
 	}
 	if _, err := sess.Query(ctx, Query{Epsilon: 0.5}); err != nil {
-		t.Fatalf("query after the refusal: %v", err)
+		t.Fatalf("query after the tiny ones: %v", err)
 	}
 }

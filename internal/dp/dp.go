@@ -24,7 +24,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sync"
 )
@@ -33,125 +32,116 @@ import (
 // Randomness
 // ---------------------------------------------------------------------------
 
-// Source yields uniform float64s in (0,1). It abstracts the randomness so
-// tests can substitute a deterministic stream; production code uses
+// Source yields uniform 64-bit words. It abstracts the randomness so tests
+// can substitute a deterministic stream; production code uses
 // CryptoSource.
 type Source interface {
-	Uniform() float64
+	// Uint64s fills dst with independent uniform words.
+	Uint64s(dst []uint64)
 }
 
 // CryptoSource draws from crypto/rand.
 type CryptoSource struct{}
 
-// Uniform returns a uniform float64 in (0,1) with 53 bits of precision.
-func (CryptoSource) Uniform() float64 {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
+// Uint64s fills dst from crypto/rand in one read.
+func (CryptoSource) Uint64s(dst []uint64) {
+	b := make([]byte, 8*len(dst))
+	if _, err := rand.Read(b); err != nil {
 		panic(fmt.Sprintf("dp: entropy failure: %v", err))
 	}
-	u := binary.LittleEndian.Uint64(b[:]) >> 11 // 53 bits
-	return (float64(u) + 0.5) / (1 << 53)
-}
-
-// ReaderSource adapts an io.Reader (e.g. a seeded PRG) to Source.
-type ReaderSource struct{ R io.Reader }
-
-// Uniform reads 8 bytes and maps them to (0,1).
-func (s ReaderSource) Uniform() float64 {
-	var b [8]byte
-	if _, err := io.ReadFull(s.R, b[:]); err != nil {
-		panic(fmt.Sprintf("dp: reading randomness: %v", err))
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
-	u := binary.LittleEndian.Uint64(b[:]) >> 11
-	return (float64(u) + 0.5) / (1 << 53)
 }
 
 // ---------------------------------------------------------------------------
-// Laplace mechanism
+// Laplace tail
 // ---------------------------------------------------------------------------
-
-// Laplace draws one sample from the Laplace distribution with scale b,
-// centred at zero, via inverse-CDF sampling.
-func Laplace(src Source, b float64) float64 {
-	u := src.Uniform() - 0.5
-	sign := 1.0
-	if u < 0 {
-		sign = -1.0
-		u = -u
-	}
-	return -b * sign * math.Log(1-2*u)
-}
-
-// LaplaceMechanism releases value + Lap(sensitivity/epsilon): the standard
-// ε-DP release for a query with the given global sensitivity.
-func LaplaceMechanism(src Source, value, sensitivity, epsilon float64) float64 {
-	if epsilon <= 0 {
-		panic("dp: epsilon must be positive")
-	}
-	if sensitivity < 0 {
-		panic("dp: sensitivity must be non-negative")
-	}
-	return value + Laplace(src, sensitivity/epsilon)
-}
 
 // LaplaceTail returns P(|Lap(b)| > t), the two-sided tail probability.
 func LaplaceTail(b, t float64) float64 {
 	return math.Exp(-t / b)
 }
 
-// LaplaceUpperTail returns P(Lap(b) > t), the one-sided tail.
-func LaplaceUpperTail(b, t float64) float64 {
-	return 0.5 * math.Exp(-t/b)
-}
-
 // ---------------------------------------------------------------------------
 // Geometric mechanism (Ghosh–Roughgarden–Sundararajan)
 // ---------------------------------------------------------------------------
 
-// Geometric draws from the two-sided geometric distribution with parameter
-// α ∈ (0,1): P[Y = d] = (1-α)/(1+α) · α^|d|, over all integers. It is the
-// discrete analogue of the Laplace distribution; DStress's transfer protocol
-// adds 2·Geo to the bit-share sums (§3.5).
+// maxDigits bounds a digit table, so that a geometric variable and the
+// difference of two fit an int64.
+const maxDigits = 63
+
+// Digits is the table both geometric samplers share: the host's Geometric
+// and the aggregation circuit's noise (vertex.NoiseSpec). A one-sided
+// geometric variable G with P[G = k] ∝ e^(−λk) has independent binary
+// digits: digit j is 1 with probability 1/(1 + e^(2^j·λ)). Entry j is that
+// probability as a threshold on a uniform 64-bit word,
+// t_j = ⌊2^64 / (1 + e^(2^j·λ))⌋, so digit j is [u_j < t_j]. It is
+// computed from λ with one exp per digit, never by squaring e^−λ. The
+// table ends at the first t_j that is 0, where the exact law puts
+// e^(−2^j·λ) ≈ 2^−64 on G ≥ 2^j, or at maxDigits. TestGeometricDigitsExact
+// bounds the privacy loss of the law the thresholds realize.
+type Digits []uint64
+
+// GeometricDigits returns the digit table for the per-unit loss λ > 0; an
+// infinite λ (no noise) gives an empty table.
+func GeometricDigits(lambda float64) Digits {
+	if !(lambda > 0) {
+		panic("dp: geometric loss must be positive")
+	}
+	d := make(Digits, 0, maxDigits)
+	for j := 0; j < maxDigits; j++ {
+		t := uint64(math.Ldexp(1/(1+math.Exp(math.Ldexp(lambda, j))), 64))
+		if t == 0 {
+			break
+		}
+		d = append(d, t)
+	}
+	return d
+}
+
+// Sample returns the variable the coin words u (one per digit) select:
+// the sum of 2^j over the digits j with u[j] < t_j.
+func (d Digits) Sample(u []uint64) int64 {
+	var g int64
+	for j, t := range d {
+		if u[j] < t {
+			g |= 1 << j
+		}
+	}
+	return g
+}
+
+// Geometric fills y with independent draws from the two-sided geometric
+// distribution with per-unit loss λ > 0, P[Y = d] = (1−α)/(1+α) · α^|d|
+// with α = e^−λ, over all integers. It is the discrete analogue of the
+// Laplace distribution, and ε-DP for a sensitivity-1 integer query with
+// ε = λ; DStress's transfer protocol adds 2·Geo to the bit-share sums
+// (§3.5).
 //
-// The sample is produced as the difference of two one-sided geometric
-// variables: if G1, G2 are i.i.d. with P[G = k] = (1-α)·α^k, then G1−G2 has
-// exactly the two-sided law above.
-func Geometric(src Source, alpha float64) int64 {
-	if alpha <= 0 || alpha >= 1 {
-		panic("dp: geometric parameter must lie in (0,1)")
+// Each draw is G1 − G2 for two independent one-sided variables, each read
+// from its own coin words through the digit table; the coin words of every
+// draw come from one call to src.
+func Geometric(src Source, lambda float64, y []int64) {
+	d := GeometricDigits(lambda)
+	m := len(d)
+	u := make([]uint64, 2*m*len(y))
+	src.Uint64s(u)
+	for i := range y {
+		w := u[2*m*i:]
+		y[i] = d.Sample(w[:m]) - d.Sample(w[m:2*m])
 	}
-	return oneSidedGeo(src, alpha) - oneSidedGeo(src, alpha)
 }
 
-// oneSidedGeo samples P[G = k] = (1-α)·α^k, k ≥ 0, by inverse CDF.
-func oneSidedGeo(src Source, alpha float64) int64 {
-	u := src.Uniform()
-	// G = floor(log(1-u) / log(alpha)); 1-u is uniform too, use u directly.
-	g := math.Floor(math.Log(u) / math.Log(alpha))
-	if g < 0 {
-		return 0
+// TransferNoise fills e with the even noise terms 2·Geo(α^(2/Δ)) that node
+// i adds to the encrypted bit sums of a transfer, with Δ = k+1 (§3.5, final
+// protocol; Appendix B's release mechanism Mech): per-unit loss
+// λ = −(2/Δ)·ln α.
+func TransferNoise(src Source, alpha float64, k int, e []int64) {
+	Geometric(src, -2*math.Log(alpha)/float64(k+1), e)
+	for i := range e {
+		e[i] *= 2
 	}
-	if g > math.MaxInt32 {
-		return math.MaxInt32
-	}
-	return int64(g)
-}
-
-// GeometricMechanism releases value + Geo(α^(1/Δ)) for an integer query with
-// sensitivity Δ, which is ε-DP with ε = -ln α (Appendix B).
-func GeometricMechanism(src Source, value int64, sensitivity int64, alpha float64) int64 {
-	if sensitivity < 1 {
-		panic("dp: geometric sensitivity must be at least 1")
-	}
-	return value + Geometric(src, math.Pow(alpha, 1/float64(sensitivity)))
-}
-
-// TransferNoise draws the even noise term 2·Geo(α^(2/Δ)) that node i adds to
-// each encrypted bit sum during a transfer, with Δ = k+1 (§3.5, final
-// protocol; Appendix B's release mechanism Mech).
-func TransferNoise(src Source, alpha float64, k int) int64 {
-	delta := float64(k + 1)
-	return 2 * Geometric(src, math.Pow(alpha, 2/delta))
 }
 
 // GeometricTail returns P(|Geo(α)| > m) = 2·α^(m+1)/(1+α), the exact

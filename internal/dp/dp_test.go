@@ -1,75 +1,69 @@
 package dp
 
 import (
+	"encoding/binary"
+	"io"
 	"math"
+	"math/big"
+	"math/rand"
 	"testing"
 )
 
+// ReaderSource adapts an io.Reader (a seeded stream) to Source.
+type ReaderSource struct{ R io.Reader }
+
+func (s ReaderSource) Uint64s(dst []uint64) {
+	b := make([]byte, 8*len(dst))
+	if _, err := io.ReadFull(s.R, b); err != nil {
+		panic(err)
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+}
+
+// seeded returns a deterministic Source.
+func seeded(seed int64) Source { return ReaderSource{R: rand.New(rand.NewSource(seed))} }
+
+// draw returns one Geometric draw.
+func draw(src Source, lambda float64) int64 {
+	var y [1]int64
+	Geometric(src, lambda, y[:])
+	return y[0]
+}
+
+// laplace draws Lap(b) by inverse CDF: the oracle TestLaplaceTails checks
+// LaplaceTail against.
+func laplace(r *rand.Rand, b float64) float64 {
+	u := r.Float64() - 0.5
+	if u < 0 {
+		return b * math.Log(1+2*u)
+	}
+	return -b * math.Log(1-2*u)
+}
+
 func TestUniformInRange(t *testing.T) {
-	src := CryptoSource{}
-	for i := 0; i < 1000; i++ {
-		u := src.Uniform()
-		if u <= 0 || u >= 1 {
-			t.Fatalf("Uniform() = %v out of (0,1)", u)
+	// CryptoSource fills every word it is handed: a word left 0 would be a
+	// coin that always succeeds.
+	for _, n := range []int{1, 14, 1008} {
+		u := make([]uint64, n)
+		CryptoSource{}.Uint64s(u)
+		for i, w := range u {
+			if w == 0 {
+				t.Fatalf("%d words: word %d is 0", n, i)
+			}
 		}
-	}
-}
-
-func TestLaplaceMoments(t *testing.T) {
-	// Lap(b) has mean 0 and variance 2b².
-	src := CryptoSource{}
-	const n = 200000
-	const b = 3.0
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		x := Laplace(src, b)
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.1 {
-		t.Errorf("Laplace mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-2*b*b)/(2*b*b) > 0.1 {
-		t.Errorf("Laplace variance = %v, want ~%v", variance, 2*b*b)
-	}
-}
-
-func TestLaplaceMechanismCentred(t *testing.T) {
-	src := CryptoSource{}
-	const n = 50000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += LaplaceMechanism(src, 100, 1, 0.5)
-	}
-	mean := sum / n
-	if math.Abs(mean-100) > 0.2 {
-		t.Errorf("mechanism mean = %v, want ~100", mean)
-	}
-}
-
-func TestLaplaceMechanismPanics(t *testing.T) {
-	for _, tc := range []struct{ s, e float64 }{{1, 0}, {1, -1}, {-1, 1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("no panic for sensitivity=%v epsilon=%v", tc.s, tc.e)
-				}
-			}()
-			LaplaceMechanism(CryptoSource{}, 0, tc.s, tc.e)
-		}()
 	}
 }
 
 func TestLaplaceTails(t *testing.T) {
 	// Empirical tail should match the analytic formula.
-	src := CryptoSource{}
+	r := rand.New(rand.NewSource(1))
 	const n = 100000
 	const b, thresh = 2.0, 4.0
 	count := 0
 	for i := 0; i < n; i++ {
-		if math.Abs(Laplace(src, b)) > thresh {
+		if math.Abs(laplace(r, b)) > thresh {
 			count++
 		}
 	}
@@ -77,9 +71,6 @@ func TestLaplaceTails(t *testing.T) {
 	got := float64(count) / n
 	if math.Abs(got-want) > 0.02 {
 		t.Errorf("tail = %v, want ~%v", got, want)
-	}
-	if lu := LaplaceUpperTail(b, thresh); math.Abs(lu-want/2) > 1e-12 {
-		t.Errorf("upper tail %v != half of two-sided %v", lu, want)
 	}
 }
 
@@ -90,7 +81,7 @@ func TestGeometricDistribution(t *testing.T) {
 	const alpha = 0.5
 	counts := map[int64]int{}
 	for i := 0; i < n; i++ {
-		counts[Geometric(src, alpha)]++
+		counts[draw(src, math.Ln2)]++
 	}
 	p0 := float64(counts[0]) / n
 	want0 := (1 - alpha) / (1 + alpha)
@@ -107,39 +98,144 @@ func TestGeometricDistribution(t *testing.T) {
 	}
 }
 
+// TestGeometricChiSquare checks Geometric against the closed-form pmf
+// (1−α)/(1+α)·α^|d|, α = e^−λ, with Pearson's χ² over every d whose
+// expected count is at least 20 and the two tails pooled. The stream is
+// seeded, so the statistic is a fixed number; the bound is the mean plus
+// five standard deviations of χ².
+func TestGeometricChiSquare(t *testing.T) {
+	for _, lambda := range []float64{0.023, 0.462, 2} {
+		const n = 200000
+		alpha := math.Exp(-lambda)
+		pmf := func(d int64) float64 { return (1 - alpha) / (1 + alpha) * math.Pow(alpha, math.Abs(float64(d))) }
+		var max int64
+		for n*pmf(max+1) >= 20 {
+			max++
+		}
+		y := make([]int64, n)
+		Geometric(seeded(1), lambda, y)
+		counts := make(map[int64]int)
+		for _, d := range y {
+			if d > max || d < -max {
+				d = max + 1 // the pooled tails
+			}
+			counts[d]++
+		}
+		var chi2 float64
+		for d := -max; d <= max+1; d++ {
+			e := n * pmf(d)
+			if d == max+1 {
+				e = n * GeometricTail(alpha, max)
+			}
+			o := float64(counts[d])
+			chi2 += (o - e) * (o - e) / e
+		}
+		df := float64(2*max + 1)
+		if bound := df + 5*math.Sqrt(2*df); chi2 > bound {
+			t.Errorf("λ = %v: χ² = %.1f over %v degrees of freedom, want ≤ %.1f", lambda, chi2, df, bound)
+		}
+	}
+}
+
+// TestGeometricDigitsExact computes, in exact arithmetic, the law of G that
+// the shipped thresholds realize: P̃(k) = Π_j (k_j = 1 ? t_j : 2^64 − t_j)
+// / 2^(64m) for k < 2^m, and 0 beyond. It checks the privacy loss of each
+// unit step, |ln P̃(k)/P̃(k+1)| ≤ λ + 2^−24, for every k outside a set of
+// mass at most 1e−12, and that the table truncates at most 2^−60 of the
+// exact law's mass.
+//
+// The released noise is G1 − G2 for independent copies of G, and
+// P[G1 − G2 = d] = Σ_b P̃(b)·P̃(d + b) is a mixture, over b, of shifts of
+// G1's pmf. A bound P̃(k) ≤ e^(λ+η)·P̃(k+1), and its reverse, that holds
+// for every k outside the excluded set therefore holds term by term for
+// each step d → d+1 of the difference, apart from terms whose total mass
+// is at most the excluded set's.
+func TestGeometricDigitsExact(t *testing.T) {
+	// 0.023 is ε/s of the EN workloads (ε = 0.23, s = 10); 0.462 is the
+	// transfers' −ln α′ with α′ = 0.5^(2/3).
+	for _, lambda := range []float64{0.023, 0.1, 0.001, 0.462, 2} {
+		d := GeometricDigits(lambda)
+		m := len(d)
+		if tail := math.Exp(-math.Ldexp(lambda, m)); m == maxDigits || tail > 0x1p-60 {
+			t.Fatalf("λ = %v: %d digits truncate %g of the exact law", lambda, m, tail)
+		}
+		prec := uint(64*m + 64) // every product below is exact
+		two64 := new(big.Float).SetPrec(prec).SetMantExp(big.NewFloat(1), 64)
+		p := []*big.Float{new(big.Float).SetPrec(prec).SetInt64(1)}
+		for _, tj := range d {
+			one := new(big.Float).SetPrec(prec).SetUint64(tj)
+			zero := new(big.Float).SetPrec(prec).Sub(two64, one)
+			next := make([]*big.Float, 2*len(p))
+			for k, pk := range p {
+				next[k] = new(big.Float).SetPrec(prec).Mul(pk, zero)
+				next[k+len(p)] = new(big.Float).SetPrec(prec).Mul(pk, one)
+			}
+			p = next
+		}
+		mass := func(k int) float64 {
+			v, _ := new(big.Float).SetMantExp(p[k], -64*m).Float64()
+			return v
+		}
+		var excluded, worst float64
+		for k := range p {
+			if k+1 == len(p) { // P̃(2^m) = 0
+				excluded += mass(k)
+				continue
+			}
+			r, _ := new(big.Float).Quo(p[k], p[k+1]).Float64()
+			excess := math.Abs(math.Log(r)) - lambda
+			if excess > 0x1p-24 {
+				excluded += mass(k) + mass(k+1)
+				continue
+			}
+			worst = math.Max(worst, excess)
+		}
+		if excluded > 1e-12 {
+			t.Errorf("λ = %v: the per-step bound fails on mass %g, want ≤ 1e-12", lambda, excluded)
+		}
+		t.Logf("λ = %v: %d digits, worst excess 2^%.1f, excluded mass %.2g", lambda, m, math.Log2(worst), excluded)
+	}
+}
+
+func TestGeometricDigitsTable(t *testing.T) {
+	for _, lambda := range []float64{1e-300, 1e-6, 0.023, 2, 50} {
+		d := GeometricDigits(lambda)
+		for j, tj := range d {
+			if tj == 0 || tj > 1<<63 || (j > 0 && tj > d[j-1]) {
+				t.Fatalf("λ = %v: digit %d threshold %#x out of order", lambda, j, tj)
+			}
+		}
+	}
+	// A vanishing λ keeps every digit a fair coin, up to the int64 bound.
+	if d := GeometricDigits(1e-300); len(d) != maxDigits || d[maxDigits-1] != 1<<63 {
+		t.Errorf("λ = 1e-300: %d digits, last %#x", len(d), d[len(d)-1])
+	}
+	if d := GeometricDigits(math.Inf(1)); len(d) != 0 {
+		t.Errorf("λ = +Inf: %d digits, want none", len(d))
+	}
+}
+
 func TestGeometricPanicsOnBadAlpha(t *testing.T) {
-	for _, a := range []float64{0, 1, -0.5, 1.5} {
+	// α = e^−λ must lie in (0,1): λ in (0, ∞].
+	for _, lambda := range []float64{0, -0.5, math.Inf(-1), math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("no panic for alpha=%v", a)
+					t.Errorf("no panic for λ = %v", lambda)
 				}
 			}()
-			Geometric(CryptoSource{}, a)
+			draw(CryptoSource{}, lambda)
 		}()
 	}
 }
 
 func TestTransferNoiseEven(t *testing.T) {
-	src := CryptoSource{}
-	for i := 0; i < 1000; i++ {
-		n := TransferNoise(src, 0.5, 19)
+	e := make([]int64, 1000)
+	TransferNoise(CryptoSource{}, 0.5, 19, e)
+	for _, n := range e {
 		if n%2 != 0 {
 			t.Fatalf("transfer noise %d is odd; parity-based recovery would break", n)
 		}
-	}
-}
-
-func TestGeometricMechanismUnbiased(t *testing.T) {
-	src := CryptoSource{}
-	const n = 100000
-	var sum int64
-	for i := 0; i < n; i++ {
-		sum += GeometricMechanism(src, 42, 3, 0.5)
-	}
-	mean := float64(sum) / n
-	if math.Abs(mean-42) > 0.5 {
-		t.Errorf("geometric mechanism mean = %v, want ~42", mean)
 	}
 }
 
@@ -150,7 +246,7 @@ func TestGeometricTailMatchesEmpirical(t *testing.T) {
 	const m = 5
 	count := 0
 	for i := 0; i < n; i++ {
-		v := Geometric(src, alpha)
+		v := draw(src, -math.Log(alpha))
 		if v > m || v < -m {
 			count++
 		}
@@ -257,34 +353,19 @@ func TestAlphaMaxMonotone(t *testing.T) {
 }
 
 func TestReaderSourceDeterministic(t *testing.T) {
-	mk := func() Source { return ReaderSource{R: &fixedReader{}} }
-	a1 := Laplace(mk(), 1)
-	a2 := Laplace(mk(), 1)
-	if a1 != a2 {
-		t.Errorf("deterministic source produced %v and %v", a1, a2)
+	a, b := seeded(7), seeded(7)
+	for i := 0; i < 100; i++ {
+		if x, y := draw(a, 0.1), draw(b, 0.1); x != y {
+			t.Fatalf("draw %d: one seed produced %d and %d", i, x, y)
+		}
 	}
 }
 
-type fixedReader struct{ n byte }
-
-func (f *fixedReader) Read(p []byte) (int, error) {
-	for i := range p {
-		f.n = f.n*7 + 13
-		p[i] = f.n
-	}
-	return len(p), nil
-}
-
-func BenchmarkLaplace(b *testing.B) {
-	src := CryptoSource{}
+func BenchmarkTransferNoise(b *testing.B) {
+	// One relay's noise at K = 1, L = 24: 48 draws at α′ = 0.5.
+	e := make([]int64, 48)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Laplace(src, 1.0)
-	}
-}
-
-func BenchmarkGeometric(b *testing.B) {
-	src := CryptoSource{}
-	for i := 0; i < b.N; i++ {
-		Geometric(src, 0.999)
+		TransferNoise(CryptoSource{}, 0.5, 1, e)
 	}
 }

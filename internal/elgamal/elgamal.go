@@ -222,39 +222,3 @@ func (t *Table) Lookup(point group.Element) (int64, error) {
 
 // Size returns the number of table entries (N_l in Appendix B).
 func (t *Table) Size() int64 { return t.Hi - t.Lo + 1 }
-
-// BSGS recovers m = dlog_g(point) for |m| <= bound using baby-step
-// giant-step in O(sqrt(bound)) group operations. It needs no precomputed
-// table and is used where a single large-range recovery is cheaper than
-// building one (e.g. aggregate decryption in examples).
-func BSGS(g group.Group, point group.Element, bound int64) (int64, error) {
-	if bound < 0 {
-		return 0, errors.New("elgamal: negative BSGS bound")
-	}
-	// Solve for m in [-bound, bound]. Shift to n = m + bound ∈ [0, 2*bound].
-	shifted := g.Op(point, g.ScalarBaseMul(big.NewInt(bound)))
-	limit := 2*bound + 1
-	step := int64(1)
-	for step*step < limit {
-		step++
-	}
-	// Baby steps: g^j for j in [0, step).
-	baby := make(map[string]int64, step)
-	e := g.Identity()
-	gen := g.Generator()
-	for j := int64(0); j < step; j++ {
-		baby[string(g.Encode(e))] = j
-		e = g.Op(e, gen)
-	}
-	// Giant steps: shifted · (g^-step)^i.
-	giant := g.Inv(g.ScalarBaseMul(big.NewInt(step)))
-	cur := shifted
-	for i := int64(0); i*step < limit; i++ {
-		if j, ok := baby[string(g.Encode(cur))]; ok {
-			n := i*step + j
-			return n - bound, nil
-		}
-		cur = g.Op(cur, giant)
-	}
-	return 0, ErrOutOfRange
-}

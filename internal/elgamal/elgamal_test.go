@@ -207,26 +207,6 @@ func TestCiphertextsRandomized(t *testing.T) {
 	}
 }
 
-func TestBSGS(t *testing.T) {
-	for _, m := range []int64{0, 1, -1, 500, -500, 9999, -10000} {
-		p := tg.ScalarBaseMul(big.NewInt(m))
-		got, err := BSGS(tg, p, 10000)
-		if err != nil {
-			t.Fatalf("BSGS(%d): %v", m, err)
-		}
-		if got != m {
-			t.Errorf("BSGS(%d) = %d", m, got)
-		}
-	}
-}
-
-func TestBSGSOutOfRange(t *testing.T) {
-	p := tg.ScalarBaseMul(big.NewInt(1000))
-	if _, err := BSGS(tg, p, 10); err != ErrOutOfRange {
-		t.Errorf("expected ErrOutOfRange, got %v", err)
-	}
-}
-
 func TestTableSize(t *testing.T) {
 	table := NewTable(tg, -5, 5)
 	if table.Size() != 11 {

@@ -145,7 +145,7 @@ func Fig6Projection(o Options) *Table {
 			continue
 		}
 		nb := circuit.NewBuilder()
-		rnd := nb.InputWord(spec.RandBits())
+		rnd := nb.InputWord(spec.RandBits(enProg.AggBits))
 		nb.OutputWord(spec.Build(nb, rnd, enProg.AggBits))
 		noiseC := nb.Build()
 

@@ -24,12 +24,12 @@ func riskCfg() risk.CircuitConfig {
 
 // noiseSpec returns the noising-circuit spec per scale. The full spec
 // approximates §4.5's parameters (ε = 0.23, sensitivity 20 in units of T);
-// the quick spec keeps the same structure two orders of magnitude smaller.
+// the quick spec's larger ε/s needs a few digits fewer.
 func noiseSpec(full bool) vertex.NoiseSpec {
 	if full {
-		return vertex.NoiseSpec{Alpha: 0.98855, Trials: 1024, CoinBits: 24}
+		return vertex.NoiseSpec{Lambda: 0.0115}
 	}
-	return vertex.NoiseSpec{Alpha: 0.9, Trials: 64, CoinBits: 16}
+	return vertex.NoiseSpec{Lambda: 0.1}
 }
 
 // mpcMeasurement is one microbenchmark cell.
@@ -124,7 +124,7 @@ func buildMicroCircuits(o Options, d, aggN int) (microCircuits, error) {
 	// Standalone noising circuit: random bits in, noise word out.
 	spec := noiseSpec(o.Full)
 	b := circuit.NewBuilder()
-	rnd := b.InputWord(spec.RandBits())
+	rnd := b.InputWord(spec.RandBits(enProg.AggBits))
 	b.OutputWord(spec.Build(b, rnd, enProg.AggBits))
 	mc.noise = b.Build()
 	return mc, nil

@@ -37,11 +37,6 @@ func FromFloat(f float64) Val {
 	return Val(math.Round(f * float64(One)))
 }
 
-// FromInt converts an integer quantity (e.g. whole dollars) to fixed point.
-func FromInt(i int64) Val {
-	return Val(i) << Frac
-}
-
 // Float converts back to float64. The conversion is exact for values whose
 // magnitude fits in a float64 mantissa.
 func (v Val) Float() float64 {
@@ -185,17 +180,6 @@ func Max(v, w Val) Val {
 		return v
 	}
 	return w
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi Val) Val {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // String formats the value with six decimal places, enough to distinguish

@@ -16,18 +16,6 @@ func TestFromFloatRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromIntExact(t *testing.T) {
-	for _, i := range []int64{0, 1, -1, 42, -42, 1 << 40, -(1 << 40)} {
-		v := FromInt(i)
-		if v.Int() != i {
-			t.Errorf("FromInt(%d).Int() = %d", i, v.Int())
-		}
-		if v.Float() != float64(i) {
-			t.Errorf("FromInt(%d).Float() = %v", i, v.Float())
-		}
-	}
-}
-
 func TestAddSub(t *testing.T) {
 	a, b := FromFloat(1.5), FromFloat(2.25)
 	if got := a.Add(b).Float(); got != 3.75 {
@@ -61,7 +49,7 @@ func TestMulExactDyadics(t *testing.T) {
 func TestMulLargeMagnitude(t *testing.T) {
 	// Dollar amounts up to ~10^12 (a trillion) with fractional factors must
 	// stay exact: 2^40 * 0.5.
-	a := FromInt(1 << 40)
+	a := Val(1<<40) * One
 	half := FromFloat(0.5)
 	if got := a.Mul(half).Int(); got != 1<<39 {
 		t.Errorf("2^40 * 0.5 = %d, want %d", got, int64(1)<<39)
@@ -87,30 +75,21 @@ func TestDivBasics(t *testing.T) {
 }
 
 func TestDivByZeroSaturates(t *testing.T) {
-	if got := FromInt(5).Div(0); got != Val(math.MaxInt64) {
+	if got := (5 * One).Div(0); got != Val(math.MaxInt64) {
 		t.Errorf("5/0 = %d, want MaxInt64", got)
 	}
-	if got := FromInt(-5).Div(0); got != Val(math.MinInt64) {
+	if got := (-5 * One).Div(0); got != Val(math.MinInt64) {
 		t.Errorf("-5/0 = %d, want MinInt64", got)
 	}
 }
 
 func TestMinMaxClamp(t *testing.T) {
-	a, b := FromInt(3), FromInt(7)
+	a, b := 3*One, 7*One
 	if Min(a, b) != a || Min(b, a) != a {
 		t.Error("Min wrong")
 	}
 	if Max(a, b) != b || Max(b, a) != b {
 		t.Error("Max wrong")
-	}
-	if Clamp(FromInt(10), a, b) != b {
-		t.Error("Clamp upper wrong")
-	}
-	if Clamp(FromInt(1), a, b) != a {
-		t.Error("Clamp lower wrong")
-	}
-	if Clamp(FromInt(5), a, b) != FromInt(5) {
-		t.Error("Clamp identity wrong")
 	}
 }
 

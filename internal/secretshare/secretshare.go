@@ -8,9 +8,6 @@
 // commutative, which is exactly the property the transfer protocol relies on
 // when recipients combine subshares from different senders into fresh
 // shares.
-//
-// The package also provides additive sharing modulo 2^L, used by the
-// aggregation step where vertex states are summed inside MPC.
 package secretshare
 
 import (
@@ -72,82 +69,12 @@ func CombineXOR(shares []Word) Word {
 	return v
 }
 
-// SplitAdditive splits value into n shares that sum to value modulo 2^bits.
-func SplitAdditive(value Word, n, bits int) []Word {
-	if n < 1 {
-		panic("secretshare: need at least one share")
-	}
-	m := Mask(bits)
-	value &= m
-	shares := make([]Word, n)
-	var acc Word
-	for i := 0; i < n-1; i++ {
-		shares[i] = randWord(bits)
-		acc = (acc + shares[i]) & m
-	}
-	shares[n-1] = (value - acc) & m
-	return shares
-}
-
-// CombineAdditive reconstructs the value from additive shares mod 2^bits.
-func CombineAdditive(shares []Word, bits int) Word {
-	m := Mask(bits)
-	var v Word
-	for _, s := range shares {
-		v = (v + s) & m
-	}
-	return v
-}
-
 // Bits explodes an L-bit word into individual bits, least significant first.
 // The transfer protocol encrypts each bit separately (Strawman #3).
 func Bits(w Word, bits int) []uint8 {
 	out := make([]uint8, bits)
 	for i := 0; i < bits; i++ {
 		out[i] = uint8((w >> i) & 1)
-	}
-	return out
-}
-
-// FromBits reassembles a word from its bits, least significant first.
-func FromBits(bits []uint8) Word {
-	var w Word
-	for i, b := range bits {
-		if b > 1 {
-			panic("secretshare: bit value out of range")
-		}
-		w |= Word(b) << i
-	}
-	return w
-}
-
-// Subshare splits each of the n shares into m subshares. Element [i][j] is
-// the j-th subshare of share i; XOR over j recovers share i, and XOR over
-// all i,j recovers the original value (Strawman #2's construction).
-func Subshare(shares []Word, m, bits int) [][]Word {
-	out := make([][]Word, len(shares))
-	for i, s := range shares {
-		out[i] = SplitXOR(s, m, bits)
-	}
-	return out
-}
-
-// RecombineSubshares gives each recipient j the XOR of subshares [i][j] over
-// all senders i — the "fresh share" a member of the receiving block holds
-// after a transfer. XOR over the returned slice equals the original value.
-func RecombineSubshares(sub [][]Word) []Word {
-	if len(sub) == 0 {
-		return nil
-	}
-	m := len(sub[0])
-	out := make([]Word, m)
-	for _, row := range sub {
-		if len(row) != m {
-			panic("secretshare: ragged subshare matrix")
-		}
-		for j, v := range row {
-			out[j] ^= v
-		}
 	}
 	return out
 }

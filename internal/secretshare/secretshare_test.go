@@ -25,24 +25,9 @@ func TestSplitCombineXOR(t *testing.T) {
 	}
 }
 
-func TestSplitCombineAdditive(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 20} {
-		for _, bits := range []int{8, 12, 32, 64} {
-			v := randWord(bits)
-			shares := SplitAdditive(v, n, bits)
-			if got := CombineAdditive(shares, bits); got != v {
-				t.Errorf("n=%d bits=%d: combine = %x, want %x", n, bits, got, v)
-			}
-		}
-	}
-}
-
 func TestSingleShareIsValue(t *testing.T) {
 	if got := SplitXOR(0xabc, 1, 12)[0]; got != 0xabc {
 		t.Errorf("1-share XOR split = %x", got)
-	}
-	if got := SplitAdditive(0xabc, 1, 12)[0]; got != 0xabc {
-		t.Errorf("1-share additive split = %x", got)
 	}
 }
 
@@ -53,7 +38,11 @@ func TestBitsRoundTrip(t *testing.T) {
 		if len(b) != bits {
 			t.Fatalf("Bits returned %d entries, want %d", len(b), bits)
 		}
-		if got := FromBits(b); got != v {
+		var got Word
+		for i, bit := range b {
+			got |= Word(bit) << i
+		}
+		if got != v {
 			t.Errorf("round trip bits=%d: %x != %x", bits, got, v)
 		}
 	}
@@ -66,39 +55,6 @@ func TestBitsLSBFirst(t *testing.T) {
 		if b[i] != want[i] {
 			t.Fatalf("Bits(0b0110) = %v, want %v", b, want)
 		}
-	}
-}
-
-func TestFromBitsRejectsInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("FromBits accepted a non-bit value")
-		}
-	}()
-	FromBits([]uint8{0, 2})
-}
-
-func TestSubshareRecombine(t *testing.T) {
-	const bits = 12
-	v := randWord(bits)
-	shares := SplitXOR(v, 4, bits)
-	sub := Subshare(shares, 5, bits)
-	if len(sub) != 4 || len(sub[0]) != 5 {
-		t.Fatalf("subshare shape %dx%d", len(sub), len(sub[0]))
-	}
-	// Each row XORs back to its share.
-	for i, row := range sub {
-		if CombineXOR(row) != shares[i] {
-			t.Errorf("row %d does not recombine to its share", i)
-		}
-	}
-	// Column-wise recombination yields fresh shares of v.
-	fresh := RecombineSubshares(sub)
-	if len(fresh) != 5 {
-		t.Fatalf("fresh share count %d", len(fresh))
-	}
-	if CombineXOR(fresh) != v {
-		t.Error("fresh shares do not reconstruct the value")
 	}
 }
 
@@ -127,31 +83,6 @@ func TestQuickXORRoundTrip(t *testing.T) {
 		n := int(nRaw%19) + 1
 		shares := SplitXOR(v, n, 64)
 		return CombineXOR(shares) == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickAdditiveRoundTrip(t *testing.T) {
-	f := func(v uint64, nRaw uint8, bitsRaw uint8) bool {
-		n := int(nRaw%19) + 1
-		bits := int(bitsRaw%63) + 1
-		v &= Mask(bits)
-		return CombineAdditive(SplitAdditive(v, n, bits), bits) == v
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickSubshareAssociativity(t *testing.T) {
-	// XOR sharing must commute with subsharing: recombining columns then
-	// XORing equals XORing rows then recombining.
-	f := func(v uint16) bool {
-		shares := SplitXOR(uint64(v), 3, 16)
-		sub := Subshare(shares, 4, 16)
-		return CombineXOR(RecombineSubshares(sub)) == uint64(v)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

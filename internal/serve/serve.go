@@ -30,7 +30,6 @@ import (
 	"dstress/internal/cluster"
 	"dstress/internal/dp"
 	"dstress/internal/obs"
-	"dstress/internal/vertex"
 )
 
 // wallPhase labels the end-to-end histogram that sits next to the phase
@@ -528,10 +527,10 @@ func (m *member) release(s *Service) {
 // protocol state (Session documents that only Close is then safe), so the
 // member recycles it: close now, reopen lazily when the next query arrives
 // — a persistently broken deployment then fails queries with a clear error
-// instead of wedging the service. The exceptions are the typed admission
-// refusals, ErrSessionBusy and *vertex.NoiseSizeError: by contract they
-// charged the session nothing and touched no protocol state, so the session
-// stays standing for the queries already multiplexed on it.
+// instead of wedging the service. The exception is the typed admission
+// refusal ErrSessionBusy: by contract it charged the session nothing and
+// touched no protocol state, so the session stays standing for the queries
+// already multiplexed on it.
 func (s *Service) worker(m *member) {
 	defer s.wg.Done()
 	defer m.release(s)
@@ -558,8 +557,7 @@ func (s *Service) worker(m *member) {
 			s.mu.Unlock()
 		})
 		res, err := r.Query(ctx, q.spec)
-		var noise *vertex.NoiseSizeError
-		if err != nil && !errors.Is(err, dstress.ErrSessionBusy) && !errors.As(err, &noise) {
+		if err != nil && !errors.Is(err, dstress.ErrSessionBusy) {
 			m.poison(s, gen)
 			// A fleet-level death (*cluster.QueryError) is the one
 			// failure worth retrying automatically: the query itself was

@@ -15,7 +15,6 @@ import (
 	"dstress"
 	"dstress/internal/cluster"
 	"dstress/internal/dp"
-	"dstress/internal/vertex"
 )
 
 // fakeRunner is a pool member that answers instantly (plus an optional
@@ -528,6 +527,44 @@ func TestRealSessionPool(t *testing.T) {
 	}
 }
 
+// TestTinyEpsilonAnswered runs a query at ε = 1e-6 on a real sim session:
+// the in-MPC sampler has no ε floor, so the query is answered and the
+// tenant is charged exactly what it asked for.
+func TestTinyEpsilonAnswered(t *testing.T) {
+	job, err := cycleJob()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := dstress.NewSimEngine(dstress.EngineConfig{
+		Group: dstress.TestGroup(), K: 1, Alpha: 0.5, OTMode: dstress.OTDealer,
+	})
+	svc, err := New(context.Background(), Config{
+		Open: func(ctx context.Context) (QueryRunner, error) {
+			return eng.Open(ctx, job, 0)
+		},
+		PoolCap: 1, Warm: 1,
+		DefaultBudget: math.Inf(1),
+		Logf:          func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := 1e-6
+	st, err := svc.Do(context.Background(), Request{Tenant: "t", Epsilon: &eps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone {
+		t.Errorf("ε = 1e-6 query ended %v (%s), want done", st.State, st.Err)
+	}
+	if got := svc.Metrics().EpsilonCharged; got != 1e-6 {
+		t.Errorf("charged %g, want 1e-6", got)
+	}
+	if err := svc.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPoisonedSimSessionIsRecycledWhole runs genuine simulation sessions
 // whose every deployment loses a node on its first query (no recovery):
 // the failure poisons the session, the worker resubmits the query once on a
@@ -690,50 +727,48 @@ func TestSessionConcurrencyMultiplexing(t *testing.T) {
 }
 
 // TestSessionBusyDoesNotRecycle pins the typed-refusal seam at the
-// service layer: a runner that refuses with dstress.ErrSessionBusy, or with
-// a *vertex.NoiseSizeError for an ε too small to sample, is an admission
-// signal, not a protocol failure — the session must NOT be poisoned and
-// recycled, and the next query reuses it.
+// service layer: a runner that refuses with dstress.ErrSessionBusy is
+// giving an admission signal, not reporting a protocol failure — the
+// session must NOT be poisoned and recycled, and the next query reuses it.
 func TestSessionBusyDoesNotRecycle(t *testing.T) {
-	for _, refusal := range []error{dstress.ErrSessionBusy, &vertex.NoiseSizeError{Epsilon: 1e-6, Sensitivity: 10, Trials: 2e8}} {
-		var opened, closed atomic.Int64
-		var busy atomic.Bool
-		busy.Store(true)
-		svc, err := New(context.Background(), Config{
-			Open: func(ctx context.Context) (QueryRunner, error) {
-				opened.Add(1)
-				return busyOnceRunner{refusal: refusal, busy: &busy, closed: &closed}, nil
-			},
-			PoolCap: 1, Warm: 1,
-			DefaultBudget: math.Inf(1),
-			AllowUnnoised: true,
-			Logf:          func(string, ...any) {},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	refusal := dstress.ErrSessionBusy
+	var opened, closed atomic.Int64
+	var busy atomic.Bool
+	busy.Store(true)
+	svc, err := New(context.Background(), Config{
+		Open: func(ctx context.Context) (QueryRunner, error) {
+			opened.Add(1)
+			return busyOnceRunner{refusal: refusal, busy: &busy, closed: &closed}, nil
+		},
+		PoolCap: 1, Warm: 1,
+		DefaultBudget: math.Inf(1),
+		AllowUnnoised: true,
+		Logf:          func(string, ...any) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		st, err := svc.Do(context.Background(), Request{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State != StateFailed {
-			t.Fatalf("%v: refused query state %v, want failed", refusal, st.State)
-		}
-		if closed.Load() != 0 {
-			t.Errorf("%v poisoned the session (closed=%d), want it kept", refusal, closed.Load())
-		}
-		busy.Store(false)
-		st, err = svc.Do(context.Background(), Request{})
-		if err != nil || st.State != StateDone {
-			t.Fatalf("query after refusal %v: %v, state %v", refusal, err, st.State)
-		}
-		if opened.Load() != 1 {
-			t.Errorf("%v: opened %d sessions, want 1 (a refusal must not recycle)", refusal, opened.Load())
-		}
-		if err := svc.Drain(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+	st, err := svc.Do(context.Background(), Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed {
+		t.Fatalf("%v: refused query state %v, want failed", refusal, st.State)
+	}
+	if closed.Load() != 0 {
+		t.Errorf("%v poisoned the session (closed=%d), want it kept", refusal, closed.Load())
+	}
+	busy.Store(false)
+	st, err = svc.Do(context.Background(), Request{})
+	if err != nil || st.State != StateDone {
+		t.Fatalf("query after refusal %v: %v, state %v", refusal, err, st.State)
+	}
+	if opened.Load() != 1 {
+		t.Errorf("%v: opened %d sessions, want 1 (a refusal must not recycle)", refusal, opened.Load())
+	}
+	if err := svc.Drain(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -24,6 +24,7 @@ package tcpnet
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -37,6 +38,12 @@ import (
 
 // maxFrame bounds a single message; GMW rounds batch at most a few MB.
 const maxFrame = 64 << 20
+
+// readAhead bounds what readFrame allocates for bytes that have not
+// arrived yet, so a 4-byte header cannot make it allocate maxFrame before
+// any identity is checked. A frame below it is read into one allocation:
+// en-tcp's largest, the EN update's IKNP extension blob, is 84,992 bytes.
+const readAhead = 1 << 20
 
 // identTag marks the greeting frame a dialer sends first on every outbound
 // connection, so the accepting side knows which node feeds the connection
@@ -246,12 +253,26 @@ func readFrame(r io.Reader) (from network.NodeID, tag string, payload []byte, er
 	if total > maxFrame || total < 6 {
 		return 0, "", nil, fmt.Errorf("%w: length %d", ErrBadFrame, total)
 	}
-	body := make([]byte, total)
-	if _, err = io.ReadFull(r, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF // the header promised a body
+	fill := func(b []byte) error {
+		if _, err := io.ReadFull(r, b); err != io.EOF {
+			return err
 		}
+		return io.ErrUnexpectedEOF // the header promised a body
+	}
+	body := make([]byte, min(total, readAhead))
+	if err = fill(body); err != nil {
 		return 0, "", nil, err
+	}
+	if len(body) < int(total) {
+		chunks := [][]byte{body}
+		for got := len(body); got < int(total); got += readAhead {
+			chunk := make([]byte, min(int(total)-got, readAhead))
+			if err = fill(chunk); err != nil {
+				return 0, "", nil, err
+			}
+			chunks = append(chunks, chunk)
+		}
+		body = bytes.Join(chunks, nil)
 	}
 	from = network.NodeID(binary.BigEndian.Uint32(body[0:]))
 	tagLen := int(binary.BigEndian.Uint16(body[4:]))

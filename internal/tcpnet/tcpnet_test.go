@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -186,16 +187,20 @@ func TestThreePeerShareExchange(t *testing.T) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, 7, "a/b/c", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	from, tag, payload, err := readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if from != 7 || tag != "a/b/c" || string(payload) != "payload" {
-		t.Errorf("frame round trip: %d %q %q", from, tag, payload)
+	// The long payload spans three readAhead chunks.
+	long := bytes.Repeat([]byte("0123456789"), readAhead/4)
+	for _, want := range [][]byte{[]byte("payload"), long} {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, 7, "a/b/c", want); err != nil {
+			t.Fatal(err)
+		}
+		from, tag, payload, err := readFrame(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if from != 7 || tag != "a/b/c" || !bytes.Equal(payload, want) {
+			t.Errorf("frame round trip of %d bytes: %d %q, %d bytes", len(want), from, tag, len(payload))
+		}
 	}
 }
 
@@ -210,6 +215,24 @@ func TestFrameRejectsGarbage(t *testing.T) {
 	short.Write([]byte{0, 0, 0, 2, 0, 0})
 	if _, _, _, err := readFrame(&short); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("undersized frame: %v, want ErrBadFrame", err)
+	}
+}
+
+// TestFrameHeaderAllocatesLittle sends the header of a maxFrame frame and
+// then ends the stream: the reader must fail with io.ErrUnexpectedEOF having
+// allocated about readAhead, not the 64 MiB the header claims.
+func TestFrameHeaderAllocatesLittle(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], maxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := readFrame(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("header alone: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 2<<20 {
+		t.Errorf("a %d-byte header made the reader allocate %d bytes", len(hdr), alloc)
 	}
 }
 

@@ -32,7 +32,8 @@
 //     share bit: even ⇒ 0, odd ⇒ 1. XOR over the members reconstructs m.
 //
 // Appendix A proves message privacy of the scheme under DDH; Appendix B
-// derives the edge-privacy budget, implemented here by Meter.
+// derives the edge-privacy budget (dp.EdgeBudgetParams), which nothing
+// enforces at run time.
 package transfer
 
 import (
@@ -392,12 +393,16 @@ func RunRelay(ctx context.Context, p Params, ep network.Transport, senders []net
 	}
 	// Noise every (recipient, bit) sum with an even geometric term so the
 	// recipient's parity recovery is unaffected (§3.5 final protocol).
+	var e []int64
+	if p.Alpha > 0 {
+		e = make([]int64, (p.K+1)*p.L)
+		dp.TransferNoise(noise, p.Alpha, p.K, e)
+	}
 	var payload []byte
 	for m := 0; m <= p.K; m++ {
 		if p.Alpha > 0 {
 			for b := 0; b < p.L; b++ {
-				e := dp.TransferNoise(noise, p.Alpha, p.K)
-				agg[m].C2[b] = elgamal.AddPlain(g, elgamal.Ciphertext{C1: agg[m].C1, C2: agg[m].C2[b]}, e).C2
+				agg[m].C2[b] = elgamal.AddPlain(g, elgamal.Ciphertext{C1: agg[m].C1, C2: agg[m].C2[b]}, e[m*p.L+b]).C2
 			}
 		}
 		payload = append(payload, p.encodeBundle(agg[m])...)
@@ -486,39 +491,3 @@ func ReceiveShare(ctx context.Context, p Params, ep network.Transport, from netw
 	}
 	return share, nil
 }
-
-// ---------------------------------------------------------------------------
-// Edge-privacy metering (Appendix B)
-// ---------------------------------------------------------------------------
-
-// Meter tracks the edge-privacy budget consumed by message transfers. Each
-// L-bit transfer over an edge exposes k·(k+1)·L noised sums to a maximal
-// adversary (k corrupt members in the receiving block, each observing
-// (k+1)·L sums... k members × (k+1) sender subshares × L bits), each sum
-// released with ε = −ln α differential privacy (Appendix B).
-type Meter struct {
-	params     Params
-	accountant *dp.Accountant
-}
-
-// NewMeter creates a meter with the given total edge-privacy budget.
-func NewMeter(p Params, budget float64) *Meter {
-	return &Meter{params: p, accountant: dp.NewAccountant(budget)}
-}
-
-// EpsilonPerTransfer returns the budget one L-bit message transfer costs.
-func (m *Meter) EpsilonPerTransfer() float64 {
-	if m.params.Alpha == 0 {
-		return 0
-	}
-	eps := -math.Log(m.params.Alpha)
-	return float64(m.params.K) * float64(m.params.K+1) * float64(m.params.L) * eps
-}
-
-// RecordTransfer spends one transfer's budget, failing if exhausted.
-func (m *Meter) RecordTransfer() error {
-	return m.accountant.Spend(m.EpsilonPerTransfer())
-}
-
-// Remaining returns the unspent edge-privacy budget.
-func (m *Meter) Remaining() float64 { return m.accountant.Remaining() }

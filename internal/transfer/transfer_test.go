@@ -3,7 +3,6 @@ package transfer
 import (
 	"context"
 	"errors"
-	"math"
 	"math/big"
 	"sync"
 	"testing"
@@ -389,41 +388,6 @@ func TestMakeTableCoversSums(t *testing.T) {
 	tab := p.MakeTable(1e-12)
 	if tab.Lo > -2 || tab.Hi < int64(p.K+1)+2 {
 		t.Errorf("table [%d,%d] too small", tab.Lo, tab.Hi)
-	}
-}
-
-func TestMeterMatchesAppendixB(t *testing.T) {
-	// With the Appendix B parameters, one iteration's worth of transfers
-	// over one edge costs k(k+1)L·ε ≈ 0.0014.
-	eb := dp.DefaultEdgeBudgetParams()
-	alpha := eb.AlphaMax()
-	p := Params{Group: tg, K: eb.K, L: eb.L, Alpha: alpha}
-	m := NewMeter(p, math.Ln2)
-	got := m.EpsilonPerTransfer()
-	if got < 0.0010 || got > 0.0020 {
-		t.Errorf("EpsilonPerTransfer = %g, Appendix B says ~0.0014", got)
-	}
-	// One year of runs (33 iterations) must fit comfortably in ln 2.
-	for i := 0; i < 33; i++ {
-		if err := m.RecordTransfer(); err != nil {
-			t.Fatalf("transfer %d: %v", i, err)
-		}
-	}
-	spent := math.Ln2 - m.Remaining()
-	if spent < 0.035 || spent > 0.065 {
-		t.Errorf("annual edge budget = %g, Appendix B says ~0.0469", spent)
-	}
-}
-
-func TestMeterExhausts(t *testing.T) {
-	p := Params{Group: tg, K: 2, L: 8, Alpha: 0.5} // huge per-transfer epsilon
-	m := NewMeter(p, 1.0)
-	if err := m.RecordTransfer(); err == nil {
-		// eps = 2*3*8*ln2 ≈ 33 ≫ 1: must fail immediately.
-		t.Error("meter allowed spending far beyond budget")
-	}
-	if m.EpsilonPerTransfer() < 30 {
-		t.Errorf("EpsilonPerTransfer = %g, expected ≈ 33", m.EpsilonPerTransfer())
 	}
 }
 

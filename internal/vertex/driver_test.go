@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"dstress/internal/cluster"
+	"dstress/internal/dp"
 	"dstress/internal/group"
 	"dstress/internal/network"
 	"dstress/internal/trustedparty"
@@ -262,8 +263,10 @@ func TestSessionQueriesMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each geometric variable has len(digits) binary digits, so
+	// |G1 − G2| < 2^len(digits): a structural bound, not a tail estimate.
 	spec := vertex.DefaultNoiseSpec(eps, p.Sensitivity, 0)
-	bound := int64(spec.Trials) << spec.Shift
+	bound := (int64(1)<<len(dp.GeometricDigits(spec.Lambda)) - 1) << spec.Shift
 	if diff := res.Raw - want; diff < -bound || diff > bound {
 		t.Errorf("noised query %d is beyond the structural bound ±%d of %d", res.Raw, bound, want)
 	}

@@ -167,13 +167,9 @@ func (d *Deployment) Prepare(epsilon float64) error {
 const maxPlans = 8
 
 // planFor returns (compiling and caching on first use) the aggregation plan
-// for the given privacy budget, refusing one CheckNoise refuses before
-// anything compiles. A full cache is emptied first (a query holding a plan
-// keeps it). Safe for overlapping queries.
+// for the given privacy budget. A full cache is emptied first (a query
+// holding a plan keeps it). Safe for overlapping queries.
 func (d *Deployment) planFor(epsilon float64) (*aggPlan, error) {
-	if err := CheckNoise(epsilon, d.prog.Sensitivity); err != nil {
-		return nil, err
-	}
 	d.planMu.Lock()
 	defer d.planMu.Unlock()
 	if pl, ok := d.plans[epsilon]; ok {
@@ -1201,7 +1197,7 @@ func (e *Engine) reshareRecv(ctx context.Context, src []network.NodeID, tag stri
 // of all contributions, so one honest member suffices for uniformity),
 // evaluate, and open only the noised result.
 func (e *Engine) evalAndOpen(ctx context.Context, run *nodeRun, c *circuit.Circuit, noise NoiseSpec, input []uint8) (int64, bool, error) {
-	noiseBits, err := RandomInputBits(noise.RandBits())
+	noiseBits, err := RandomInputBits(noise.RandBits(e.dep.prog.AggBits))
 	if err != nil {
 		return 0, false, err
 	}

@@ -1,142 +1,137 @@
 package vertex
 
 import (
-	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
 	"dstress/internal/circuit"
 )
 
-// serialGeometric is the sampler's count as a serial prefix-AND chain
-// feeding a ripple counter: the form the Sklansky prefix-AND and the
-// thermometer read-out replace, kept as their equivalence oracle.
-func serialGeometric(n NoiseSpec, b *circuit.Builder, rnd circuit.Word, threshold int64) circuit.Word {
-	cw := n.counterBits()
-	count := b.ConstWord(0, cw)
-	prefix := b.One()
-	thr := b.ConstWord(threshold, n.CoinBits)
-	for t := 0; t < n.Trials; t++ {
-		u := rnd[t*n.CoinBits : (t+1)*n.CoinBits]
-		prefix = b.And(prefix, b.LessU(u, thr))
-		inc := b.ConstWord(0, cw)
-		inc[0] = prefix
-		count = b.Add(count, inc)
-	}
-	return count
-}
-
-// geometricPair compiles one circuit that outputs the sampler's count and
-// the serial oracle's count over the same coins.
-func geometricPair(n NoiseSpec) (*circuit.Circuit, int64) {
-	threshold := int64(n.Alpha * float64(uint64(1)<<n.CoinBits))
+// noiseCircuit compiles the noise sampler alone for a width-bit release.
+func noiseCircuit(n NoiseSpec, width int) *circuit.Circuit {
 	b := circuit.NewBuilder()
-	rnd := b.InputWord(n.Trials * n.CoinBits)
-	b.OutputWord(n.buildGeometric(b, rnd, threshold))
-	b.OutputWord(serialGeometric(n, b, rnd, threshold))
-	return b.Build(), threshold
+	rnd := b.InputWord(n.RandBits(width))
+	b.OutputWord(n.Build(b, rnd, width))
+	return b.Build()
 }
 
-// checkGeometric evaluates the pair on coin words us and checks that both
-// counts equal the number of leading coins below the threshold.
-func checkGeometric(t *testing.T, n NoiseSpec, c *circuit.Circuit, threshold int64, us []int64) {
+// checkNoise evaluates c on the coin words u (the first variable's digits,
+// then the second's) and checks the output against the host's digit draw:
+// (G1 − G2)·2^Shift mod 2^width, where G1, G2 are read from the same words
+// through the same table.
+func checkNoise(t *testing.T, n NoiseSpec, width int, c *circuit.Circuit, u []uint64) {
 	t.Helper()
+	d := n.digits(width)
 	var in []uint8
-	want := uint64(0)
-	run := true
-	for _, u := range us {
-		in = append(in, circuit.EncodeWord(u, n.CoinBits)...)
-		if run = run && u < threshold; run {
-			want++
-		}
+	for _, w := range u {
+		in = append(in, circuit.EncodeWord(int64(w), 64)...)
 	}
 	out, err := c.Eval(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw := n.counterBits()
-	got, serial := circuit.DecodeWordU(out[:cw]), circuit.DecodeWordU(out[cw:])
-	if got != serial || got != want {
-		t.Fatalf("trials=%d: count %d, serial %d, want %d", n.Trials, got, serial, want)
+	mask := uint64(1)<<width - 1 // width ≤ 64: 1<<64 is 0 for a uint64
+	want := uint64(d.Sample(u[:len(d)])-d.Sample(u[len(d):])) << n.Shift & mask
+	if got := circuit.DecodeWordU(out); got != want {
+		t.Fatalf("λ=%v width=%d shift=%d coins %x: circuit %#x, host %#x", n.Lambda, width, n.Shift, u, got, want)
 	}
 }
 
-func TestGeometricMatchesSerialEveryPattern(t *testing.T) {
-	for trials := 1; trials <= 16; trials++ {
-		n := NoiseSpec{Alpha: 0.5, Trials: trials, CoinBits: 8}
-		c, threshold := geometricPair(n)
-		us := make([]int64, trials)
-		for pattern := 0; pattern < 1<<trials; pattern++ {
-			for i := range us {
-				us[i] = 1<<n.CoinBits - 1 // a failure
-				if pattern>>i&1 == 1 {
-					us[i] = 0 // a success
-				}
-			}
-			checkGeometric(t, n, c, threshold, us)
-		}
-	}
-}
-
-func TestGeometricMatchesSerialLongRuns(t *testing.T) {
-	// The en-mux workload's spec: ε = 0.23 at the EN programs' sensitivity
-	// ENSensitivity(0.1)·T/Unit = 10, about 900 trials. Runs of successes
-	// of every length up to the whole row exercise every count bit.
-	n := DefaultNoiseSpec(0.23, 10, 0)
-	c, threshold := geometricPair(n)
+// TestGeometricDigitsEveryPattern checks the circuit's read-out on every
+// success/failure pattern of both variables' coins, for 1 to 5 digits and
+// releases that keep all of the difference or only its low bits. Each coin
+// word sits on a side of its threshold: 0 or t−1 for a success, t or
+// 2^64−1 for a failure.
+func TestGeometricDigitsEveryPattern(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	span := int64(1) << n.CoinBits
-	us := make([]int64, n.Trials)
-	for sample := 0; sample < 64; sample++ {
-		run := rng.Intn(n.Trials + 1)
-		if sample == 0 {
-			run = n.Trials
-		}
-		for i := range us {
-			switch {
-			case i < run:
-				us[i] = rng.Int63n(threshold)
-			case i == run:
-				us[i] = threshold + rng.Int63n(span-threshold)
-			default:
-				us[i] = rng.Int63n(span)
+	for _, shift := range []int{0, 3} {
+		for keep := 1; keep <= 7; keep++ { // λ = 2 has 5 digits
+			n, width := NoiseSpec{Lambda: 2, Shift: shift}, keep+shift
+			d := n.digits(width)
+			c := noiseCircuit(n, width)
+			u := make([]uint64, 2*len(d))
+			for pattern := 0; pattern < 1<<len(u); pattern++ {
+				for i := range u {
+					th := d[i%len(d)]
+					success := pattern>>i&1 == 1
+					switch {
+					case success && rng.Intn(2) == 0:
+						u[i] = 0
+					case success:
+						u[i] = th - 1
+					case rng.Intn(2) == 0:
+						u[i] = th
+					default:
+						u[i] = math.MaxUint64
+					}
+				}
+				checkNoise(t, n, width, c, u)
 			}
 		}
-		checkGeometric(t, n, c, threshold, us)
 	}
+}
+
+// FuzzGeometricDigits checks the two samplers against each other: over any
+// λ, Shift and width, the compiled noise circuit and the host's digit
+// draw turn the same coin words into the same release. Half the words are
+// drawn next to their digit's threshold.
+func FuzzGeometricDigits(f *testing.F) {
+	f.Add(0.023, uint8(0), uint8(36), int64(1))
+	f.Add(0.462, uint8(2), uint8(16), int64(2))
+	f.Add(1e-300, uint8(0), uint8(64), int64(3))
+	f.Add(1e-7, uint8(5), uint8(40), int64(4))
+	f.Fuzz(func(t *testing.T, lambda float64, shift, width uint8, seed int64) {
+		lambda = math.Abs(lambda)
+		if !(lambda > 0) || math.IsInf(lambda, 0) {
+			t.Skip()
+		}
+		w := int(width%64) + 1
+		n := NoiseSpec{Lambda: lambda, Shift: int(shift) % w}
+		d := n.digits(w)
+		rng := rand.New(rand.NewSource(seed))
+		u := make([]uint64, 2*len(d))
+		for i := range u {
+			u[i] = rng.Uint64()
+			if rng.Intn(2) == 0 {
+				u[i] = d[i%len(d)] + uint64(rng.Intn(3)) - 1
+			}
+		}
+		checkNoise(t, n, w, noiseCircuit(n, w), u)
+	})
 }
 
 func TestGeometricIsLogDepth(t *testing.T) {
+	// The en-mux workload's spec: ε = 0.23 at the EN programs' sensitivity
+	// ENSensitivity(0.1)·T/Unit = 10, so λ = 0.023 and 11 digits.
 	n := DefaultNoiseSpec(0.23, 10, 0)
-	b := circuit.NewBuilder()
-	rnd := b.InputWord(n.RandBits())
-	b.OutputWord(n.Build(b, rnd, 36))
-	c := b.Build()
-	// Coins (a CoinBits ripple compare), the prefix scan (⌈log₂ Trials⌉),
-	// and the difference and final adder: nowhere near Trials.
-	if limit := 2*n.CoinBits + 2*n.counterBits() + 16; c.Depth() > limit {
-		t.Errorf("noise circuit depth %d at %d trials, want ≤ %d", c.Depth(), n.Trials, limit)
+	const width = 36
+	c := noiseCircuit(n, width)
+	m := len(n.digits(width))
+	// Each coin is a 6-level compare tree; the difference is an (m+1)-bit
+	// ripple subtraction.
+	if limit := 6 + m + 1; c.Depth() > limit {
+		t.Errorf("noise circuit depth %d at %d digits, want ≤ %d", c.Depth(), m, limit)
 	}
-	t.Logf("noise sampler at %d trials: %d ANDs, depth %d", n.Trials, c.NumAnd, c.Depth())
+	if limit := 2*m*2*63 + m; c.NumAnd > limit {
+		t.Errorf("noise circuit has %d ANDs at %d digits, want ≤ %d", c.NumAnd, m, limit)
+	}
+	t.Logf("noise sampler at %d digits: %d ANDs, depth %d, %d random bits", m, c.NumAnd, c.Depth(), n.RandBits(width))
 }
 
-// TestNoiseSamplerBound pins the ε floor: a budget whose sampler would
-// exceed MaxNoiseTrials is refused by CheckNoise and by the plan cache
-// before anything compiles, including an ε so small that α rounds to 1
-// (which would otherwise compile an 8-trial sampler that adds no noise);
-// and a deployment asked for many distinct budgets caches at most maxPlans.
+// TestNoiseSamplerBound pins that no ε > 0 is refused for the size of its
+// sampler: ε = 1e-6 and 1e-300 at s = 10 compile (at most 2·64 random bits
+// per released bit), down to an ε/s that underflows; and a deployment asked
+// for many distinct budgets caches at most maxPlans.
 func TestNoiseSamplerBound(t *testing.T) {
-	for _, eps := range []float64{1e-6, 1e-300} {
-		var ne *NoiseSizeError
-		if err := CheckNoise(eps, 10); !errors.As(err, &ne) {
-			t.Errorf("CheckNoise(%g, 10) = %v, want *NoiseSizeError", eps, err)
+	for _, eps := range []float64{1e-6, 1e-300, 5e-324} {
+		n := DefaultNoiseSpec(eps, 10, 0)
+		if !n.Enabled() {
+			t.Fatalf("ε = %g: noise disabled", eps)
 		}
-	}
-	if err := CheckNoise(0.23, 10); err != nil {
-		t.Errorf("CheckNoise(0.23, 10) = %v, want nil (902 trials)", err)
-	}
-	if got := DefaultNoiseSpec(0.23, 10, 0).Trials; got != 902 {
-		t.Errorf("DefaultNoiseSpec(0.23, 10).Trials = %d, want 902", got)
+		if bits := n.RandBits(36); bits == 0 || bits > 2*64*36 {
+			t.Errorf("ε = %g: %d random bits for a 36-bit release", eps, bits)
+		}
 	}
 
 	p := sumProgram()
@@ -144,12 +139,10 @@ func TestNoiseSamplerBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ne *NoiseSizeError
-	if err := dep.Prepare(1e-6); !errors.As(err, &ne) {
-		t.Fatalf("Prepare(1e-6) = %v, want *NoiseSizeError", err)
-	}
-	if len(dep.plans) != 0 {
-		t.Errorf("refused budget left %d plans cached", len(dep.plans))
+	for _, eps := range []float64{1e-6, 1e-300} {
+		if err := dep.Prepare(eps); err != nil {
+			t.Fatalf("Prepare(%g) = %v", eps, err)
+		}
 	}
 	for i := 1; i <= 3*maxPlans; i++ {
 		if err := dep.Prepare(float64(i) / 10); err != nil {

@@ -118,7 +118,7 @@ func (p *Program) AggregateCircuit(n int, noise NoiseSpec) (*circuit.Circuit, er
 	for i := range states {
 		states[i] = b.InputWord(p.StateBits)
 	}
-	rnd := b.InputWord(noise.RandBits())
+	rnd := b.InputWord(noise.RandBits(p.AggBits))
 	agg := p.BuildAggregate(b, states)
 	if len(agg) != p.AggBits {
 		return nil, fmt.Errorf("vertex: %s aggregate returned %d bits, want %d", p.Name, len(agg), p.AggBits)
@@ -147,7 +147,7 @@ func (p *Program) CombineCircuit(n int, noise NoiseSpec) (*circuit.Circuit, erro
 	for i := range partials {
 		partials[i] = b.InputWord(p.AggBits)
 	}
-	rnd := b.InputWord(noise.RandBits())
+	rnd := b.InputWord(noise.RandBits(p.AggBits))
 	var agg circuit.Word
 	if p.BuildCombine != nil {
 		agg = p.BuildCombine(b, partials)

@@ -173,14 +173,16 @@ func TestNoiseSpec(t *testing.T) {
 	if !n.Enabled() {
 		t.Fatal("spec disabled")
 	}
-	if n.Shift != 3 {
-		t.Errorf("shift = %d", n.Shift)
+	if n.Shift != 3 || n.Lambda != 0.25 {
+		t.Errorf("spec = %+v, want λ = 0.25, shift 3", n)
 	}
-	if n.RandBits() != 2*n.Trials*n.CoinBits {
-		t.Error("RandBits inconsistent")
+	// λ = 0.25 has 8 digits; a 16-bit release with shift 3 keeps all 8,
+	// an 8-bit one only 5.
+	if got := n.RandBits(16); got != 2*64*8 {
+		t.Errorf("RandBits(16) = %d, want %d", got, 2*64*8)
 	}
-	if tb := n.TailBound(); tb > 1e-8 {
-		t.Errorf("tail bound %g too large", tb)
+	if got := n.RandBits(8); got != 2*64*5 {
+		t.Errorf("RandBits(8) = %d, want %d", got, 2*64*5)
 	}
 	if DefaultNoiseSpec(0, 1, 0).Enabled() {
 		t.Error("epsilon 0 spec enabled")
@@ -190,16 +192,13 @@ func TestNoiseSpec(t *testing.T) {
 func TestNoiseCircuitDistribution(t *testing.T) {
 	// Evaluate the noise circuit on random inputs and check the sample
 	// mean/variance against the discrete Laplace law.
-	spec := NoiseSpec{Alpha: 0.5, Trials: 40, CoinBits: 16, Shift: 0}
-	b := circuit.NewBuilder()
-	rnd := b.InputWord(spec.RandBits())
-	b.OutputWord(spec.Build(b, rnd, 16))
-	c := b.Build()
+	spec := NoiseSpec{Lambda: math.Ln2}
+	c := noiseCircuit(spec, 16)
 
 	const samples = 3000
 	var sum, sumSq float64
 	for i := 0; i < samples; i++ {
-		in, err := RandomInputBits(spec.RandBits())
+		in, err := RandomInputBits(spec.RandBits(16))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,13 +223,10 @@ func TestNoiseCircuitDistribution(t *testing.T) {
 
 func TestNoiseCircuitShift(t *testing.T) {
 	// With Shift = 4 every sample is a multiple of 16.
-	spec := NoiseSpec{Alpha: 0.5, Trials: 16, CoinBits: 12, Shift: 4}
-	b := circuit.NewBuilder()
-	rnd := b.InputWord(spec.RandBits())
-	b.OutputWord(spec.Build(b, rnd, 16))
-	c := b.Build()
+	spec := NoiseSpec{Lambda: math.Ln2, Shift: 4}
+	c := noiseCircuit(spec, 16)
 	for i := 0; i < 50; i++ {
-		in, err := RandomInputBits(spec.RandBits())
+		in, err := RandomInputBits(spec.RandBits(16))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,12 +258,12 @@ func TestUpdateCircuitShape(t *testing.T) {
 
 func TestAggregateCircuitShape(t *testing.T) {
 	p := sumProgram()
-	spec := NoiseSpec{Alpha: 0.5, Trials: 8, CoinBits: 8}
+	spec := NoiseSpec{Lambda: math.Ln2}
 	c, err := p.AggregateCircuit(4, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantIn := 4*p.StateBits + spec.RandBits()
+	wantIn := 4*p.StateBits + spec.RandBits(p.AggBits)
 	if c.NumInputs != wantIn {
 		t.Errorf("inputs = %d, want %d", c.NumInputs, wantIn)
 	}
